@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands wire the pieces into reproducible runs: `run` streams verdicts,
-`generate` writes a seeded synthetic corpus, the sweep/heatmap/baseline/
-noise-exp commands write report files, and `snapshot-save`/`snapshot-load`
-persist and resume engine state. Every output file starts with a header
-carrying the version, the config fingerprint, and the seed.
+one line per message as soon as it is scored, `generate` writes a seeded
+synthetic corpus, the sweep/heatmap/baseline/noise-exp commands write
+report files, and `snapshot-save`/`snapshot-load` persist and resume
+engine state. Every output file starts with a header carrying the
+version, the config fingerprint, and the seed.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 I/O error,
 4 input format error, 5 internal state error.
@@ -16,10 +17,11 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager
+from collections import Counter
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from itertools import islice
-from typing import Iterator, Sequence, TextIO
+from typing import Sequence
 
 from . import __version__
 from .engine import DEFAULT_OMEGA, DEFAULT_TAU, EngineConfig, SpamRankEngine
@@ -113,8 +115,6 @@ def _engine_config(args: argparse.Namespace, base: EngineConfig | None = None) -
         tau=pick(args.tau, base.tau),
         omega=pick(args.omega, base.omega),
         sender_identity=pick(args.sender_identity, base.sender_identity),
-        assign_before_update=pick(args.assign_before_update, base.assign_before_update),
-        score_before_update=pick(args.score_before_update, base.score_before_update),
     )
 
 
@@ -122,11 +122,9 @@ def _header(cfg: EngineConfig, seed: int) -> dict:
     return {"spamrank": __version__, "fingerprint": cfg.fingerprint(), "seed": seed}
 
 
-def _read_all(args: argparse.Namespace, cfg: EngineConfig) -> tuple[list[MessageRecord], ParseStats]:
-    stats = ParseStats()
+def _read_all(args: argparse.Namespace, cfg: EngineConfig) -> list[MessageRecord]:
     with _open_in(args.input) as fh:
-        records = list(parse_stream(fh, args.format, cfg.sender_identity, stats))
-    return records, stats
+        return list(parse_stream(fh, args.format, cfg.sender_identity))
 
 
 def _verdict_obj(v: Verdict) -> dict:
@@ -142,18 +140,13 @@ def _verdict_obj(v: Verdict) -> dict:
 
 
 def _print_summary(
-    verdicts: Sequence[Verdict], stats: ParseStats, elapsed: float
+    decisions: Counter, agree: int, stats: ParseStats, elapsed: float
 ) -> None:
-    n = len(verdicts)
-    spam = sum(1 for v in verdicts if v.decision == SPAM)
-    legit = sum(1 for v in verdicts if v.decision == LEGIT)
-    deferred = n - spam - legit
+    spam = decisions[SPAM]
+    legit = decisions[LEGIT]
+    deferred = decisions[DEFERRED]
+    n = spam + legit + deferred
     classified = spam + legit
-    agree = sum(
-        1
-        for v in verdicts
-        if v.decision != DEFERRED and v.effective_label == v.aux_label
-    )
     accordance = 100.0 * agree / classified if classified else 100.0
     throughput = n / elapsed if elapsed > 0 else 0.0
     print(
@@ -168,6 +161,8 @@ def _print_summary(
 
 
 def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
+    """Stream records through the engine, writing each verdict line as it is
+    made. A run that fails part-way leaves the lines already written."""
     if args.snapshot_in:
         engine = load_snapshot(args.snapshot_in)
         cfg = _engine_config(args, engine.config)
@@ -182,25 +177,36 @@ def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
         engine = SpamRankEngine(cfg)
 
     stats = ParseStats()
-    verdicts: list[Verdict] = []
+    decisions: Counter = Counter()
+    agree = 0
+    # a live pipe sees each verdict before the next record arrives
+    flush = args.input == "-"
+    write_output = not discard_output or args.output is not None
     start = time.perf_counter()
-    with _open_in(args.input) as fh:
-        records: Iterator[MessageRecord] = parse_stream(
-            fh, args.format, cfg.sender_identity, stats
-        )
+    with _open_in(args.input) as fh, (
+        _open_out(args.output) if write_output else nullcontext()
+    ) as out:
+        if out is not None:
+            out.write(json.dumps({"header": _header(cfg, args.seed)}, sort_keys=True) + "\n")
+            if flush:
+                out.flush()
         stop = args.skip + args.limit if args.limit is not None else None
-        for record in islice(records, args.skip, stop):
-            verdicts.append(engine.process(record))
+        records = islice(
+            parse_stream(fh, args.format, cfg.sender_identity, stats), args.skip, stop
+        )
+        for v in engine.process_many(records):
+            decisions[v.decision] += 1
+            if v.decision != DEFERRED and v.effective_label == v.aux_label:
+                agree += 1
+            if out is not None:
+                out.write(json.dumps(_verdict_obj(v)) + "\n")
+                if flush:
+                    out.flush()
     elapsed = time.perf_counter() - start
 
-    if not discard_output or args.output is not None:
-        with _open_out(args.output) as out:
-            out.write(json.dumps({"header": _header(cfg, args.seed)}, sort_keys=True) + "\n")
-            for v in verdicts:
-                out.write(json.dumps(_verdict_obj(v)) + "\n")
     if args.snapshot_out:
         save_snapshot(engine, args.snapshot_out)
-    _print_summary(verdicts, stats, elapsed)
+    _print_summary(decisions, agree, stats, elapsed)
     return EXIT_OK
 
 
@@ -250,12 +256,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def _sweep_command(args: argparse.Namespace, parameter: str) -> int:
     cfg = _engine_config(args)
-    records, _ = _read_all(args, cfg)
+    records = _read_all(args, cfg)
     grid = parse_grid(args.grid)
     if parameter == "tau":
         result = tau_sweep(records, grid, cfg)
     else:
-        result = omega_sweep(records, grid, cfg, naive=args.naive)
+        result = omega_sweep(records, grid, cfg)
     header = _header(cfg, args.seed)
     prefix = args.output
     write_sweep(result, f"{prefix}.tsv", f"{prefix}.jsonl", header)
@@ -274,10 +280,13 @@ def cmd_sweep_omega(args: argparse.Namespace) -> int:
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
     cfg = _engine_config(args)
-    records, _ = _read_all(args, cfg)
-    engine = SpamRankEngine(cfg)
-    verdicts = [engine.process(r) for r in records]
-    grid = bin_heatmap(verdicts, args.bin_size)
+    with _open_in(args.input) as fh:
+        grid = bin_heatmap(
+            SpamRankEngine(cfg).process_many(
+                parse_stream(fh, args.format, cfg.sender_identity)
+            ),
+            args.bin_size,
+        )
     header = _header(cfg, args.seed)
     prefix = args.output
     write_heatmap(grid, f"{prefix}.messages.tsv", f"{prefix}.spam.tsv",
@@ -289,8 +298,10 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     cfg = _engine_config(args)
-    records, _ = _read_all(args, cfg)
-    report = sender_history_baseline(records)
+    with _open_in(args.input) as fh:
+        report = sender_history_baseline(
+            parse_stream(fh, args.format, cfg.sender_identity)
+        )
     prefix = args.output
     write_report(report, f"{prefix}.tsv", f"{prefix}.jsonl", _header(cfg, args.seed))
     print(
@@ -303,7 +314,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 def cmd_noise_exp(args: argparse.Namespace) -> int:
     cfg = _engine_config(args)
-    records, _ = _read_all(args, cfg)
+    records = _read_all(args, cfg)
     report = noise_correction_experiment(
         records, args.flip_rate, cfg.tau, cfg.omega, args.seed
     )
@@ -328,10 +339,6 @@ def _add_engine_flags(p: argparse.ArgumentParser) -> None:
                    help=f"decision threshold (default {DEFAULT_OMEGA})")
     p.add_argument("--sender-identity", choices=[SENDER_DOMAIN, SENDER_FULL],
                    default=None, help="sender identity granularity")
-    p.add_argument("--assign-before-update", action="store_true", default=None,
-                   help="re-assign clusters before applying the message's edges")
-    p.add_argument("--score-before-update", action="store_true", default=None,
-                   help="read probabilities before recording the aux label")
 
 
 def _add_io_flags(p: argparse.ArgumentParser, output_help: str) -> None:
@@ -393,14 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(p)
     _add_io_flags(p, "report path prefix (default tau_sweep)")
     p.add_argument("--grid", default="0:1:0.1")
-    p.set_defaults(output="tau_sweep", naive=False)
+    p.set_defaults(output="tau_sweep")
 
     p = add("sweep-omega", cmd_sweep_omega, "evaluate decisions across an omega grid")
     _add_engine_flags(p)
     _add_io_flags(p, "report path prefix (default omega_sweep)")
     p.add_argument("--grid", default="0.5:1:0.05")
-    p.add_argument("--naive", action="store_true",
-                   help="replay per grid point instead of reusing one replay")
     p.set_defaults(output="omega_sweep")
 
     p = add("heatmap", cmd_heatmap, "bin verdicts over (Ps, Pr)")

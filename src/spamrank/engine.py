@@ -6,8 +6,8 @@ senders they have heard from. Each incoming message first reshapes the
 structure (vector growth, then re-assignment of the sender and of every
 recipient, in listed order), then is scored: per-user spam counters are
 bumped with the auxiliary label and the message's spam rank is the mean of
-the sender-cluster and recipient-cluster spam probabilities. Both
-update-then-read orderings can be flipped for ablation runs.
+the sender-cluster and recipient-cluster spam probabilities. A record the
+engine cannot score is refused with FormatError before any state changes.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .clustering import RECIPIENT_SIDE, SENDER_SIDE, CensusReport, ClusterSpace
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .ingest import SENDER_DOMAIN, SENDER_FULL, MessageRecord
 from .scoring import (
+    HAM,
     SPAM,
     Verdict,
     cluster_spam_probability,
@@ -38,16 +39,12 @@ class EngineConfig:
 
     tau gates cluster membership (cosine must strictly exceed it), omega
     gates decisions (spam above omega, legit below 1 - omega, deferred in
-    between). The two *_before_update flags flip the canonical orderings
-    for ablation: assignment before vector growth, probability read before
-    the counter bump.
+    between).
     """
 
     tau: float = DEFAULT_TAU
     omega: float = DEFAULT_OMEGA
     sender_identity: str = SENDER_DOMAIN
-    assign_before_update: bool = False
-    score_before_update: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
@@ -62,11 +59,12 @@ class EngineConfig:
     def fingerprint(self) -> str:
         """Settings that shape engine state. omega only affects verdicts,
         so two runs differing only in omega share a fingerprint and their
-        snapshots are interchangeable."""
+        snapshots are interchangeable. The last two fields name the one
+        update ordering (assignment and scoring both after the update), so
+        headers still tell these runs from runs of the former ablations."""
         return (
             f"tau={self.tau!r};identity={self.sender_identity};"
-            f"assign_pre={int(self.assign_before_update)};"
-            f"score_pre={int(self.score_before_update)}"
+            "assign_pre=0;score_pre=0"
         )
 
 
@@ -82,52 +80,45 @@ class SpamRankEngine:
         self.messages_processed = 0
 
     def process(self, record: MessageRecord) -> Verdict:
-        cfg = self.config
+        recipients = record.recipients
+        if not recipients:
+            raise FormatError(f"message {record.msg_id!r} has no recipients")
+        if len(set(recipients)) != len(recipients):
+            raise FormatError(f"message {record.msg_id!r} repeats a recipient")
+        if record.aux_label != SPAM and record.aux_label != HAM:
+            raise FormatError(
+                f"message {record.msg_id!r} has aux label {record.aux_label!r}, "
+                f"not {SPAM!r} or {HAM!r}"
+            )
         s_space = self.sender_side
         r_space = self.recipient_side
         sid = self.senders.intern(record.sender)
-        rids = [self.recipients.intern(r) for r in record.recipients]
+        rids = [self.recipients.intern(r) for r in recipients]
         s_space.register_user(sid)
         for rid in rids:
             r_space.register_user(rid)
 
         # structural phase: sender sees the recipients, recipients see the
         # sender, then everyone touched is re-assigned (sender first)
-        if cfg.assign_before_update:
-            s_space.assign_user(sid)
-            for rid in rids:
-                r_space.assign_user(rid)
-            s_space.add_dims(sid, rids)
-            for rid in rids:
-                r_space.add_dims(rid, (sid,))
-        else:
-            s_space.add_dims(sid, rids)
-            for rid in rids:
-                r_space.add_dims(rid, (sid,))
-            s_space.assign_user(sid)
-            for rid in rids:
-                r_space.assign_user(rid)
+        s_space.add_dims(sid, rids)
+        for rid in rids:
+            r_space.add_dims(rid, (sid,))
+        s_space.assign_user(sid)
+        for rid in rids:
+            r_space.assign_user(rid)
 
-        # scoring phase
+        # scoring phase: counters first, then the probabilities they feed
         is_spam = record.aux_label == SPAM
-        if cfg.score_before_update:
-            p_s = cluster_spam_probability(s_space.cluster_of(sid))
-            s_space.record_observation(sid, is_spam)
-            acc = 0.0
-            for rid in rids:
-                acc += cluster_spam_probability(r_space.cluster_of(rid))
-                r_space.record_observation(rid, is_spam)
-        else:
-            s_space.record_observation(sid, is_spam)
-            p_s = cluster_spam_probability(s_space.cluster_of(sid))
-            acc = 0.0
-            for rid in rids:
-                r_space.record_observation(rid, is_spam)
-                acc += cluster_spam_probability(r_space.cluster_of(rid))
+        s_space.record_observation(sid, is_spam)
+        p_s = cluster_spam_probability(s_space.cluster_of(sid))
+        acc = 0.0
+        for rid in rids:
+            r_space.record_observation(rid, is_spam)
+            acc += cluster_spam_probability(r_space.cluster_of(rid))
         p_r = acc / len(rids)
 
         sr = spam_rank(p_s, p_r)
-        decision = decide(sr, cfg.omega)
+        decision = decide(sr, self.config.omega)
         self.messages_processed += 1
         return Verdict(
             msg_id=record.msg_id,

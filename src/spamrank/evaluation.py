@@ -19,7 +19,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, replace
 from statistics import fmean, pstdev
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .clustering import ClusterSpace
 from .engine import EngineConfig, SpamRankEngine
@@ -28,6 +28,8 @@ from .ingest import MessageRecord
 from .scoring import DEFERRED, HAM, LEGIT, SPAM, Verdict, decide
 from .synthgen import flip_labels
 from .vectorspace import cosine
+
+T = TypeVar("T")
 
 
 @dataclass(slots=True)
@@ -171,13 +173,20 @@ def _check_grid(grid: Sequence[float]) -> list[float]:
 
 
 def _replay(
-    records: Sequence[MessageRecord], cfg: EngineConfig
-) -> tuple[SpamRankEngine, list[Verdict], float]:
+    records: Iterable[MessageRecord],
+    cfg: EngineConfig,
+    fold: Callable[[Iterator[Verdict]], T],
+) -> tuple[SpamRankEngine, T, float]:
+    """Stream records through a fresh engine into fold.
+
+    Returns the engine, fold's result over the verdict stream, and the
+    replay's wall time in milliseconds.
+    """
     engine = SpamRankEngine(cfg)
     start = time.perf_counter()
-    verdicts = [engine.process(r) for r in records]
+    folded = fold(engine.process_many(records))
     runtime_ms = (time.perf_counter() - start) * 1000.0
-    return engine, verdicts, runtime_ms
+    return engine, folded, runtime_ms
 
 
 def tau_sweep(
@@ -190,9 +199,11 @@ def tau_sweep(
     base = config or EngineConfig()
     rows: list[SweepRow] = []
     for tau in grid:
-        cfg = replace(base, tau=tau)
-        engine, verdicts, runtime_ms = _replay(records, cfg)
-        acc, classified = _accordance((v.decision, v.aux_label) for v in verdicts)
+        engine, (acc, classified), runtime_ms = _replay(
+            records,
+            replace(base, tau=tau),
+            lambda verdicts: _accordance((v.decision, v.aux_label) for v in verdicts),
+        )
         rows.append(SweepRow(
             value=tau,
             num_sender_clusters=len(engine.sender_side.clusters),
@@ -209,41 +220,22 @@ def omega_sweep(
     records: Sequence[MessageRecord],
     grid: Sequence[float],
     config: EngineConfig | None = None,
-    naive: bool = False,
 ) -> SweepResult:
     """Accordance/classified tradeoff across omega at fixed tau.
 
-    omega never feeds back into engine state, so the default mode replays
-    once, records each message's spam rank, and re-derives decisions for
-    every grid value. naive=True instead replays per omega; both modes
-    must produce identical rows apart from runtime_ms.
+    omega never feeds back into engine state, so one replay records each
+    message's spam rank and decisions are re-derived for every grid value.
     """
     grid = _check_grid(grid)
-    base = config or EngineConfig()
-    rows: list[SweepRow] = []
-    if naive:
-        for omega in grid:
-            cfg = replace(base, omega=omega)
-            engine, verdicts, runtime_ms = _replay(records, cfg)
-            acc, classified = _accordance(
-                (v.decision, v.aux_label) for v in verdicts
-            )
-            rows.append(SweepRow(
-                value=omega,
-                num_sender_clusters=len(engine.sender_side.clusters),
-                num_recipient_clusters=len(engine.recipient_side.clusters),
-                beta_cv=_beta_or_none(engine.sender_side),
-                accordance_pct=acc,
-                classified_count=classified,
-                runtime_ms=runtime_ms,
-            ))
-        return SweepResult(parameter="omega", grid=grid, rows=rows)
-
-    engine, verdicts, runtime_ms = _replay(records, base)
-    recorded = [(v.spam_rank, v.aux_label) for v in verdicts]
+    engine, recorded, runtime_ms = _replay(
+        records,
+        config or EngineConfig(),
+        lambda verdicts: [(v.spam_rank, v.aux_label) for v in verdicts],
+    )
     n_send = len(engine.sender_side.clusters)
     n_recv = len(engine.recipient_side.clusters)
     beta = _beta_or_none(engine.sender_side)
+    rows: list[SweepRow] = []
     for omega in grid:
         acc, classified = _accordance(
             (decide(sr, omega), aux) for sr, aux in recorded
@@ -343,8 +335,7 @@ def noise_correction_experiment(
     engine_errors = 0
     fp_corrected = fp_introduced = 0
     fn_corrected = fn_introduced = 0
-    for rec in noisy:
-        verdict = engine.process(rec)
+    for rec, verdict in zip(noisy, engine.process_many(noisy)):
         truth = rec.truth
         aux = rec.aux_label
         eff = verdict.effective_label

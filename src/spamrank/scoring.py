@@ -35,11 +35,6 @@ class SpamStats:
     spam_count: int = 0
     total_count: int = 0
 
-    @property
-    def frequency(self) -> float:
-        """Fraction of observed messages labeled spam. Needs total_count > 0."""
-        return self.spam_count / self.total_count
-
 
 @dataclass(slots=True)
 class Verdict:

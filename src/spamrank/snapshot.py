@@ -11,7 +11,7 @@ identical to an uninterrupted run.
 from __future__ import annotations
 
 import json
-from typing import TextIO
+import os
 
 from .clustering import Cluster, ClusterSpace
 from .engine import EngineConfig, SpamRankEngine
@@ -19,7 +19,14 @@ from .errors import FormatError
 from .scoring import SpamStats
 from .vectorspace import Interner
 
-STATE_VERSION = 1
+STATE_VERSION = 2
+
+
+def _count(value: object) -> int:
+    # the integrity check never reads these counters, so type them here
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return value
 
 
 def _side_state(space: ClusterSpace, interner: Interner) -> dict:
@@ -55,8 +62,6 @@ def engine_state(engine: SpamRankEngine) -> dict:
             "tau": cfg.tau,
             "omega": cfg.omega,
             "sender_identity": cfg.sender_identity,
-            "assign_before_update": cfg.assign_before_update,
-            "score_before_update": cfg.score_before_update,
         },
         "fingerprint": cfg.fingerprint(),
         "messages_processed": engine.messages_processed,
@@ -86,27 +91,51 @@ def _restore_side(space: ClusterSpace, interner: Interner, state: dict) -> None:
         index.norm_sq[cid] = nsq
     for uid, cid in space.user_cluster.items():
         space.clusters[cid].members.add(uid)
-    space._next_cid = state["next_cid"]
+    space._next_cid = _count(state["next_cid"])
 
 
 def engine_from_state(state: dict, verify: bool = True) -> SpamRankEngine:
+    """Rebuild an engine from engine_state() output.
+
+    A wrong version, a fingerprint that does not match the config, or a
+    missing or ill-typed field raises FormatError; with verify=True, state
+    that parses but is inconsistent raises InternalStateError.
+    """
     if state.get("version") != STATE_VERSION:
         raise FormatError(f"unsupported snapshot version {state.get('version')!r}")
-    cfg = EngineConfig(**state["config"])
-    if state.get("fingerprint") != cfg.fingerprint():
-        raise FormatError("snapshot fingerprint does not match its own config")
-    engine = SpamRankEngine(cfg)
-    _restore_side(engine.sender_side, engine.senders, state["senders"])
-    _restore_side(engine.recipient_side, engine.recipients, state["recipients"])
-    engine.messages_processed = state["messages_processed"]
-    if verify:
-        engine.check_integrity()
+    try:
+        cfg = EngineConfig(**state["config"])
+        if state.get("fingerprint") != cfg.fingerprint():
+            raise FormatError("snapshot fingerprint does not match its own config")
+        engine = SpamRankEngine(cfg)
+        _restore_side(engine.sender_side, engine.senders, state["senders"])
+        _restore_side(engine.recipient_side, engine.recipients, state["recipients"])
+        engine.messages_processed = _count(state["messages_processed"])
+        if verify:
+            engine.check_integrity()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"malformed snapshot: {exc!r}") from exc
     return engine
 
 
 def save_snapshot(engine: SpamRankEngine, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        _dump(engine, fh)
+    """Write the engine state to path, replacing any previous snapshot.
+
+    The document is serialized in full first, written to a temporary file
+    beside path, and moved over path with os.replace, so a save that fails
+    leaves the previous snapshot intact. There is no fsync: this survives a
+    failing process, not a power loss.
+    """
+    text = json.dumps(engine_state(engine), separators=(",", ":")) + "\n"
+    tmp = f"{path}.tmp"
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_snapshot(path: str, verify: bool = True) -> SpamRankEngine:
@@ -119,7 +148,3 @@ def load_snapshot(path: str, verify: bool = True) -> SpamRankEngine:
         raise FormatError("snapshot root must be an object")
     return engine_from_state(state, verify=verify)
 
-
-def _dump(engine: SpamRankEngine, fh: TextIO) -> None:
-    json.dump(engine_state(engine), fh, separators=(",", ":"))
-    fh.write("\n")

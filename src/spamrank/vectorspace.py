@@ -39,9 +39,6 @@ class Interner:
             self._names.append(name)
         return i
 
-    def id_of(self, name: str) -> int | None:
-        return self._ids.get(name)
-
     def name_of(self, i: int) -> str:
         return self._names[i]
 
@@ -176,15 +173,6 @@ class InvertedIndex:
                 scores[cid] = get(cid, 0) + cnt
         return scores if scores is not None else {}
 
-    def candidates(self, dims: Iterable[int]) -> set[int]:
-        out: set[int] = set()
-        pget = self.postings.get
-        for d in dims:
-            p = pget(d)
-            if p:
-                out.update(p)
-        return out
-
     def all_entries(self) -> dict[int, dict[int, int]]:
         """Materialize every cluster's count vector. Linear in total postings."""
         out: dict[int, dict[int, int]] = {cid: {} for cid in self.norm_sq}
@@ -193,47 +181,3 @@ class InvertedIndex:
                 out[cid][d] = cnt
         return out
 
-
-def candidate_clusters(index: InvertedIndex, dims: Iterable[int]) -> set[int]:
-    """Clusters sharing at least one dimension with the given vector."""
-    return index.candidates(dims)
-
-
-def cluster_similarity(
-    index: InvertedIndex,
-    cid: int,
-    dims: Set[int],
-    user_is_member: bool = False,
-) -> float:
-    """Cosine between a cluster vector and a binary user vector.
-
-    With user_is_member=True the user's own contribution is subtracted from
-    the cluster sum first, so a user is never compared against a cluster it
-    is part of. A member whose dimensions are missing from the cluster sum
-    indicates corrupt state and raises InternalStateError.
-    """
-    nu2 = len(dims)
-    if nu2 == 0:
-        return 0.0
-    nsq = index.norm_sq[cid]
-    dot = 0
-    if user_is_member:
-        penalty = 0
-        for d in dims:
-            c = index.count(cid, d)
-            if c < 1:
-                raise InternalStateError(
-                    f"member dimension {d} absent from cluster {cid}"
-                )
-            dot += c - 1
-            penalty += 2 * c - 1
-        nsq -= penalty
-    else:
-        for d in dims:
-            dot += index.count(cid, d)
-    if dot == 0:
-        return 0.0
-    sim = dot / sqrt(nsq * nu2)
-    if sim > 1.0:
-        return 1.0
-    return sim

@@ -4,7 +4,9 @@ Everything here favors obviousness over speed: cluster sums are rebuilt
 from member lists on every query, candidate search scans all clusters,
 self-similarity is handled by physically removing the user's vector, and
 statistics come straight from their definitions. None of it shares code
-with the package under test beyond the MessageRecord container.
+with the package under test beyond the MessageRecord container, except
+omega_sweep_by_replay, which drives the engine itself to check that one
+recorded replay stands in for a replay per omega.
 """
 
 from __future__ import annotations
@@ -12,7 +14,17 @@ from __future__ import annotations
 import random
 from math import sqrt
 
-from spamrank import HAM, SPAM, MessageRecord
+from spamrank import (
+    DEFERRED,
+    HAM,
+    SPAM,
+    EngineConfig,
+    MessageRecord,
+    NotComputableError,
+    SpamRankEngine,
+    SweepRow,
+    beta_cv,
+)
 
 
 class NaiveClusterer:
@@ -210,3 +222,37 @@ def random_corpus(seed: int, max_users: int = 200) -> tuple[list[MessageRecord],
             aux_label=SPAM if rng.random() < 0.5 else HAM,
         ))
     return records, tau
+
+
+def omega_sweep_by_replay(
+    records: list[MessageRecord], grid: list[float]
+) -> list[SweepRow]:
+    """Omega sweep rows from a fresh engine replay per grid point.
+
+    Each replay runs at its own omega, so every decision comes from the
+    engine rather than from a recorded spam rank. runtime_ms is left at 0.
+    """
+    rows = []
+    for omega in grid:
+        engine = SpamRankEngine(EngineConfig(omega=omega))
+        classified = agree = 0
+        for verdict in engine.process_many(records):
+            if verdict.decision == DEFERRED:
+                continue
+            classified += 1
+            if (verdict.decision == SPAM) == (verdict.aux_label == SPAM):
+                agree += 1
+        try:
+            beta = beta_cv(engine.sender_side)
+        except NotComputableError:
+            beta = None
+        rows.append(SweepRow(
+            value=omega,
+            num_sender_clusters=len(engine.sender_side.clusters),
+            num_recipient_clusters=len(engine.recipient_side.clusters),
+            beta_cv=beta,
+            accordance_pct=100.0 * agree / classified if classified else 100.0,
+            classified_count=classified,
+            runtime_ms=0.0,
+        ))
+    return rows

@@ -1,7 +1,14 @@
 import json
+import os
+import queue
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import spamrank
 from spamrank import ConfigError
 from spamrank.cli import (
     EXIT_CONFIG,
@@ -65,8 +72,63 @@ class TestRunCommand:
     def test_missing_input_is_an_io_error(self, tmp_path):
         assert main(["run", "--input", str(tmp_path / "nope.jsonl")]) == EXIT_IO
 
+    def test_missing_input_creates_no_output_file(self, tmp_path):
+        out = tmp_path / "v.jsonl"
+        code = main(["run", "--input", str(tmp_path / "nope.jsonl"),
+                     "--output", str(out)])
+        assert code == EXIT_IO
+        assert not out.exists()
+
     def test_bad_tau_is_a_config_error(self, golden_path):
         assert main(["run", "--input", str(golden_path), "--tau", "1.5"]) == EXIT_CONFIG
+
+    def test_failure_part_way_keeps_the_lines_written(self, tmp_path, golden_path):
+        # three good records, then more malformed lines than good ones: the
+        # parser rejects the stream only once it has seen the whole input
+        good = golden_path.read_text().splitlines()[:3]
+        corpus = tmp_path / "mostly_bad.jsonl"
+        corpus.write_text("\n".join(good + ["{not json"] * 4) + "\n")
+        out = tmp_path / "v.jsonl"
+        code = main(["run", "--input", str(corpus), "--output", str(out)])
+        assert code == EXIT_FORMAT
+        lines = out.read_text().splitlines()
+        assert "header" in json.loads(lines[0])
+        assert [json.loads(l)["id"] for l in lines[1:]] == ["m01", "m02", "m03"]
+
+    def test_live_pipe_sees_each_verdict_before_stdin_closes(self, golden_path):
+        src = str(Path(spamrank.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spamrank.cli", "run", "--input", "-", "--output", "-"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True, env=env,
+        )
+        lines: queue.Queue = queue.Queue()
+
+        def pump():
+            for line in proc.stdout:
+                lines.put(line)
+
+        reader = threading.Thread(target=pump, daemon=True)
+        reader.start()
+        try:
+            proc.stdin.write(golden_path.read_text().splitlines()[0] + "\n")
+            proc.stdin.flush()
+            header = json.loads(lines.get(timeout=20))
+            verdict = json.loads(lines.get(timeout=20))
+            assert "header" in header
+            assert verdict["id"] == "m01"
+            assert proc.poll() is None  # still waiting on the open pipe
+            proc.stdin.close()
+            assert proc.wait(timeout=20) == EXIT_OK
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            reader.join(timeout=5)
 
 
 class TestGenerateCommand:
@@ -128,6 +190,13 @@ class TestSnapshotCommands:
         assert main(["snapshot-load", "--input", str(golden_path),
                      "--snapshot-in", str(state)]) == EXIT_FORMAT
 
+    @pytest.mark.parametrize("doc", ['{"version": 2}', '{"version": 1}'])
+    def test_snapshot_missing_fields_is_a_format_error(self, tmp_path, golden_path, doc):
+        state = tmp_path / "state.json"
+        state.write_text(doc)
+        assert main(["snapshot-load", "--input", str(golden_path),
+                     "--snapshot-in", str(state)]) == EXIT_FORMAT
+
     def test_conflicting_flags_rejected_on_resume(self, tmp_path, golden_path):
         state = tmp_path / "state.json"
         main(["snapshot-save", "--input", str(golden_path), "--limit", "4",
@@ -154,21 +223,6 @@ class TestReportCommands:
         rows = [json.loads(l)
                 for l in (prefix.parent / "tsweep.jsonl").read_text().splitlines()]
         assert rows[1]["tau"] == 0.3
-
-    def test_sweep_omega_naive_flag(self, tmp_path, golden_path):
-        fast = tmp_path / "fast"
-        slow = tmp_path / "slow"
-        main(["sweep-omega", "--input", str(golden_path),
-              "--grid", "0.6,0.9", "--output", str(fast)])
-        main(["sweep-omega", "--input", str(golden_path),
-              "--grid", "0.6,0.9", "--output", str(slow), "--naive"])
-        def rows(p):
-            return [
-                {k: v for k, v in json.loads(l).items() if k != "runtime_ms"}
-                for l in p.read_text().splitlines()[1:]
-            ]
-
-        assert rows(tmp_path / "fast.jsonl") == rows(tmp_path / "slow.jsonl")
 
     def test_heatmap_files(self, tmp_path, golden_path):
         prefix = tmp_path / "hm"

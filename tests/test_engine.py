@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spamrank import (
-    DEFERRED,
+    HAM,
+    SPAM,
     ConfigError,
     EngineConfig,
+    FormatError,
     MessageRecord,
     SpamRankEngine,
 )
+from spamrank.snapshot import engine_state
 from golden_trace import (
     GOLDEN_EXPECTED,
     GOLDEN_NEXT_CIDS,
@@ -40,8 +44,6 @@ class TestConfig:
         assert EngineConfig(omega=0.6).fingerprint() == base.fingerprint()
         assert EngineConfig(tau=0.4).fingerprint() != base.fingerprint()
         assert EngineConfig(sender_identity="full").fingerprint() != base.fingerprint()
-        assert EngineConfig(assign_before_update=True).fingerprint() != base.fingerprint()
-        assert EngineConfig(score_before_update=True).fingerprint() != base.fingerprint()
 
 
 class TestGoldenTrace:
@@ -86,24 +88,6 @@ class TestOrderingFlags:
         # s2's vector already contains a@u.example when it is assigned
         assert engine.sender_side.census().num_clusters == 1
 
-    def test_assign_before_update_sees_the_stale_vector(self):
-        engine = SpamRankEngine(EngineConfig(assign_before_update=True))
-        engine.process(msg(1, "s1.example", ["a@u.example"]))
-        engine.process(msg(2, "s2.example", ["a@u.example"]))
-        # s2 was assigned while its vector was still empty
-        assert engine.sender_side.census().num_clusters == 2
-
-    def test_score_before_update_reads_the_prior_state(self):
-        v_default = SpamRankEngine().process(msg(1, "s1.example", ["a@u.example"]))
-        assert v_default.p_s == 1.0
-        assert v_default.p_r == 1.0
-        flagged = SpamRankEngine(EngineConfig(score_before_update=True))
-        v = flagged.process(msg(1, "s1.example", ["a@u.example"]))
-        # nothing observed yet when the probabilities are read
-        assert v.p_s == 0.5
-        assert v.p_r == 0.5
-        assert v.decision == DEFERRED
-
 
 class TestEngineBasics:
     def test_process_many_counts(self, golden_records):
@@ -124,3 +108,48 @@ class TestEngineBasics:
         engine.process(msg(1, "a@s1.example", ["x@u.example"]))
         engine.process(msg(2, "b@s1.example", ["y@u.example"]))
         assert len(engine.senders) == 2
+
+
+SENDERS = [f"s{i}.example" for i in range(4)]
+RECIPIENTS = [f"u{i}@x.example" for i in range(6)]
+# a fresh sender and recipient show whether a refused record interned anything
+FRESH_SENDER = "fresh.example"
+FRESH_RECIPIENT = "fresh@x.example"
+
+valid_prefix = st.lists(
+    st.tuples(
+        st.sampled_from(SENDERS),
+        st.lists(st.sampled_from(RECIPIENTS), min_size=1, max_size=4, unique=True),
+        st.sampled_from([SPAM, HAM]),
+    ),
+    max_size=15,
+)
+
+
+def bad_records(sender, recipient, aux):
+    return [
+        MessageRecord("bad-empty", 9000, sender, (), aux),
+        MessageRecord("bad-repeat", 9001, sender,
+                      (FRESH_RECIPIENT, recipient, FRESH_RECIPIENT), aux),
+        MessageRecord("bad-aux", 9002, sender, (FRESH_RECIPIENT, recipient), "SPAM"),
+        MessageRecord("bad-aux-empty", 9003, sender, (recipient,), ""),
+    ]
+
+
+class TestRefusedRecords:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        valid_prefix,
+        st.sampled_from(SENDERS + [FRESH_SENDER]),
+        st.sampled_from(RECIPIENTS),
+        st.sampled_from([SPAM, HAM]),
+    )
+    def test_refusal_leaves_state_unchanged(self, prefix, sender, recipient, aux):
+        engine = SpamRankEngine()
+        for i, (s, rs, label) in enumerate(prefix):
+            engine.process(MessageRecord(f"p{i}", 1000 + i, s, tuple(rs), label))
+        before = engine_state(engine)
+        for record in bad_records(sender, recipient, aux):
+            with pytest.raises(FormatError):
+                engine.process(record)
+            assert engine_state(engine) == before

@@ -27,7 +27,7 @@ from spamrank import (
 from spamrank.clustering import Cluster
 from spamrank.evaluation import write_heatmap, write_report, write_sweep
 
-from oracles import naive_beta_cv, random_corpus
+from oracles import naive_beta_cv, omega_sweep_by_replay, random_corpus
 
 
 def build_space(tau: float, layout: dict[int, dict[int, set]]) -> ClusterSpace:
@@ -161,8 +161,9 @@ class TestSweeps:
     def test_omega_sweep_recorded_equals_naive(self, golden_records):
         grid = [0.5, 0.65, 0.85, 1.0]
         fast = omega_sweep(golden_records, grid)
-        slow = omega_sweep(golden_records, grid, naive=True)
-        for a, b in zip(fast.rows, slow.rows):
+        slow = omega_sweep_by_replay(golden_records, grid)
+        assert len(fast.rows) == len(slow) == len(grid)
+        for a, b in zip(fast.rows, slow):
             assert a.value == b.value
             assert a.num_sender_clusters == b.num_sender_clusters
             assert a.num_recipient_clusters == b.num_recipient_clusters

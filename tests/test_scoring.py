@@ -8,7 +8,6 @@ from spamrank import (
     SPAM,
     DomainError,
     InternalStateError,
-    SpamStats,
     decide,
     effective_label,
     spam_rank,
@@ -71,15 +70,6 @@ class TestEffectiveLabel:
     def test_deferred_falls_back_to_aux(self):
         assert effective_label(DEFERRED, SPAM) == SPAM
         assert effective_label(DEFERRED, HAM) == HAM
-
-
-class TestSpamStats:
-    def test_frequency(self):
-        st_ = SpamStats()
-        assert st_.total_count == 0
-        st_.total_count = 4
-        st_.spam_count = 3
-        assert st_.frequency == 0.75
 
 
 class TestClusterSpamProbability:

@@ -10,6 +10,7 @@ from spamrank import (
     load_snapshot,
     save_snapshot,
 )
+from spamrank import snapshot
 from spamrank.snapshot import STATE_VERSION, engine_from_state, engine_state
 
 
@@ -95,3 +96,67 @@ class TestValidation:
         bad.write_text("[1, 2]")
         with pytest.raises(FormatError):
             load_snapshot(str(bad))
+
+    def test_version_one_snapshot_rejected(self, golden_records):
+        engine, _ = run_engine(golden_records)
+        state = engine_state(engine)
+        state["version"] = 1
+        state["config"].update(assign_before_update=False, score_before_update=False)
+        with pytest.raises(FormatError):
+            engine_from_state(state)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda s: s.pop("config"),
+        lambda s: s.update(config=[0.5]),
+        lambda s: s["config"].update(assign_before_update=False),
+        lambda s: s.pop("senders"),
+        lambda s: s["recipients"].pop("names"),
+        lambda s: s["senders"]["users"].append([99, [], 0]),
+        lambda s: s["senders"]["clusters"].append("x"),
+        lambda s: s["senders"]["users"][0].__setitem__(4, 12345),
+        lambda s: s.pop("messages_processed"),
+        lambda s: s.update(messages_processed="six"),
+        lambda s: s["recipients"].update(next_cid=2.5),
+    ], ids=["no-config", "config-list", "config-extra-key", "no-senders",
+            "no-names", "short-user-row", "cluster-not-a-row",
+            "user-in-unknown-cluster", "no-message-count", "message-count-text",
+            "next-cid-float"])
+    def test_malformed_state_is_a_format_error(self, golden_records, mutate):
+        engine, _ = run_engine(golden_records)
+        state = json.loads(json.dumps(engine_state(engine)))
+        mutate(state)
+        with pytest.raises(FormatError):
+            engine_from_state(state)
+
+
+class TestAtomicSave:
+    def test_failed_serialization_keeps_the_previous_snapshot(
+        self, tmp_path, golden_records, monkeypatch
+    ):
+        engine, _ = run_engine(golden_records)
+        path = tmp_path / "state.json"
+        save_snapshot(engine, str(path))
+        before = path.read_bytes()
+        monkeypatch.setattr(snapshot, "engine_state", lambda e: {"bad": object()})
+        with pytest.raises(TypeError):
+            save_snapshot(engine, str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
+
+    def test_failed_replace_keeps_the_previous_snapshot(
+        self, tmp_path, golden_records, monkeypatch
+    ):
+        first, _ = run_engine(golden_records[:4])
+        path = tmp_path / "state.json"
+        save_snapshot(first, str(path))
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("simulated failure")
+
+        monkeypatch.setattr(snapshot.os, "replace", fail)
+        engine, _ = run_engine(golden_records)
+        with pytest.raises(OSError):
+            save_snapshot(engine, str(path))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spamrank import InternalStateError, Interner, InvertedIndex, cosine
-from spamrank.vectorspace import candidate_clusters, cluster_similarity
 
 dims_sets = st.sets(st.integers(min_value=0, max_value=30), max_size=12)
 
@@ -18,8 +17,6 @@ class TestInterner:
         assert len(it) == 2
         assert it.names() == ["a", "b"]
         assert it.name_of(1) == "b"
-        assert it.id_of("b") == 1
-        assert it.id_of("zzz") is None
 
 
 class TestCosine:
@@ -103,8 +100,6 @@ class TestInvertedIndex:
             if dot:
                 naive[cid] = dot
         assert ix.score_candidates(query) == naive
-        assert ix.candidates(query) == set(naive)
-        assert candidate_clusters(ix, query) == set(naive)
         assert ix.score_candidates({99}) == {}
 
     @given(st.lists(st.tuples(st.integers(1, 3), dims_sets), max_size=20))
@@ -123,21 +118,3 @@ class TestInvertedIndex:
         assert all(n == 0 for n in ix.norm_sq.values())
         assert all(not counts for counts in ix.all_entries().values())
 
-
-class TestClusterSimilarity:
-    def test_member_adjustment_drops_self(self):
-        ix = InvertedIndex()
-        ix.register_cluster(1)
-        ix.add_member_vector(1, {1, 2})  # the user itself
-        ix.add_member_vector(1, {2, 3})  # one other member
-        naive = cluster_similarity(ix, 1, {1, 2}, user_is_member=False)
-        adjusted = cluster_similarity(ix, 1, {1, 2}, user_is_member=True)
-        # against the other member alone: dot 1, norms 2 and 2
-        assert adjusted == pytest.approx(1 / math.sqrt(4))
-        assert adjusted < naive
-
-    def test_lonely_member_sees_nothing(self):
-        ix = InvertedIndex()
-        ix.register_cluster(1)
-        ix.add_member_vector(1, {1, 2})
-        assert cluster_similarity(ix, 1, {1, 2}, user_is_member=True) == 0.0
