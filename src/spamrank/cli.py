@@ -172,9 +172,16 @@ def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
                 f"({engine.config.fingerprint()})"
             )
         engine.config = cfg
+        if args.skip not in (None, engine.input_offset):
+            raise ConfigError(
+                f"--skip {args.skip} conflicts with the snapshot, which was "
+                f"saved after {engine.input_offset} input records"
+            )
+        skip = engine.input_offset
     else:
         cfg = _engine_config(args)
         engine = SpamRankEngine(cfg)
+        skip = args.skip or 0
 
     stats = ParseStats()
     decisions: Counter = Counter()
@@ -190,9 +197,9 @@ def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
             out.write(json.dumps({"header": _header(cfg, args.seed)}, sort_keys=True) + "\n")
             if flush:
                 out.flush()
-        stop = args.skip + args.limit if args.limit is not None else None
+        stop = skip + args.limit if args.limit is not None else None
         records = islice(
-            parse_stream(fh, args.format, cfg.sender_identity, stats), args.skip, stop
+            parse_stream(fh, args.format, cfg.sender_identity, stats), skip, stop
         )
         for v in engine.process_many(records):
             decisions[v.decision] += 1
@@ -203,6 +210,9 @@ def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
                 if flush:
                     out.flush()
     elapsed = time.perf_counter() - start
+    if not args.snapshot_in:
+        # an input shorter than --skip passes over only the records it has
+        engine.records_skipped = min(skip, stats.records)
 
     if args.snapshot_out:
         save_snapshot(engine, args.snapshot_out)
@@ -222,7 +232,7 @@ def cmd_snapshot_save(args: argparse.Namespace) -> int:
 
 
 def cmd_snapshot_load(args: argparse.Namespace) -> int:
-    """Resume from --snapshot-in, typically with --skip for processed lines."""
+    """Resume from --snapshot-in at the input offset the snapshot records."""
     if not args.snapshot_in:
         raise ConfigError("snapshot-load requires --snapshot-in")
     return _run_impl(args, discard_output=False)
@@ -371,8 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(name, func, help_)
         _add_engine_flags(p)
         _add_io_flags(p, "verdict jsonl path, '-'/default for stdout")
-        p.add_argument("--skip", type=int, default=0,
-                       help="skip this many leading records")
+        p.add_argument("--skip", type=int, default=None,
+                       help="skip this many leading records (default 0, or with "
+                            "--snapshot-in the records the snapshot consumed)")
         p.add_argument("--limit", type=int, default=None,
                        help="process at most this many records")
         p.add_argument("--snapshot-in", default=None, help="state file to resume from")

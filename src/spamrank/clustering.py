@@ -22,8 +22,10 @@ remove-then-create reading of the assignment step.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass, field
 from math import sqrt
+from operator import mul
 from typing import Callable
 
 from .errors import InternalStateError, NotAMemberError, UnknownUserError
@@ -90,6 +92,28 @@ class ClusterSpace:
     def cluster_of(self, uid: int) -> Cluster:
         return self.clusters[self.user_cluster[uid]]
 
+    def restore_user(
+        self, uid: int, dims: set[int], stats: SpamStats, cid: int | None
+    ) -> None:
+        """Re-add a saved user through assign_user's attach step, registering
+        cluster cid the first time it appears; None leaves it unclustered."""
+        self.user_dims[uid] = dims
+        self.stats[uid] = stats
+        if cid is not None:
+            cluster = self.clusters.get(cid)
+            if cluster is None:
+                cluster = self.clusters[cid] = Cluster(cid)
+                self.index.register_cluster(cid)
+            self._attach_into(uid, cluster)
+
+    def dimensions(self) -> Set[int]:
+        """Every dimension some user's vector holds."""
+        dims = self.index.postings.keys()
+        if len(self.user_cluster) == len(self.user_dims):
+            return dims  # only users are clustered, so none is left out
+        loose = self.user_dims.keys() - self.user_cluster.keys()
+        return dims | set().union(*(self.user_dims[uid] for uid in loose))
+
     # -- assignment --------------------------------------------------------
 
     def assign_user(self, uid: int) -> int:
@@ -97,8 +121,11 @@ class ClusterSpace:
 
         Candidate search goes through the inverted index, similarity against
         the current cluster subtracts the user's own vector, ties break to
-        the lowest cluster id, and joining demands similarity strictly above
-        tau. Unknown users raise UnknownUserError.
+        the lowest cluster id among equal *rounded* cosines, and joining
+        demands similarity strictly above tau. Two cosines that are equal as
+        real numbers can round apart, since the current cluster's is
+        computed by a different formula: then the larger double wins, not
+        the lower id. Unknown users raise UnknownUserError.
         """
         dims = self.user_dims.get(uid)
         if dims is None:
@@ -216,7 +243,21 @@ class ClusterSpace:
 
     def check_integrity(self, tol: float = 1e-9) -> None:
         """Revalidate every incremental structure against a rebuild."""
-        seen: set[int] = set()
+        user_cluster = self.user_cluster
+        user_dims = self.user_dims
+        stats = self.stats
+        index = self.index
+        # each cluster's count vector as the postings hold it
+        vectors: dict[int, dict[int, int]] = {cid: {} for cid in self.clusters}
+        for d, p in index.postings.items():
+            if not p:
+                raise InternalStateError(f"empty posting retained for dim {d}")
+            for cid, cnt in p.items():
+                vec = vectors.get(cid)
+                if vec is None:
+                    raise InternalStateError(f"posting for dead cluster {cid}")
+                vec[d] = cnt
+        n_members = 0
         for cid, cluster in self.clusters.items():
             if cluster.cid != cid:
                 raise InternalStateError("cluster id mismatch")
@@ -226,30 +267,24 @@ class ClusterSpace:
             freq_sum = 0.0
             scored = 0
             for uid in cluster.members:
-                if self.user_cluster.get(uid) != cid:
+                if user_cluster.get(uid) != cid:
                     raise InternalStateError(f"membership map out of sync for {uid}")
-                seen.add(uid)
-                for d in self.user_dims[uid]:
+                for d in user_dims[uid]:
                     expect[d] = expect.get(d, 0) + 1
-                st = self.stats[uid]
+                st = stats[uid]
                 if st.total_count:
                     freq_sum += st.spam_count / st.total_count
                     scored += 1
-            for d, cnt in expect.items():
-                if self.index.count(cid, d) != cnt:
-                    raise InternalStateError(
-                        f"cluster {cid} count for dim {d} diverged"
-                    )
-            nsq = sum(v * v for v in expect.values())
-            if self.index.norm_sq[cid] != nsq:
+            n_members += len(cluster.members)
+            if vectors[cid] != expect:
+                raise InternalStateError(f"cluster {cid} count vector diverged")
+            counts = expect.values()
+            if index.norm_sq[cid] != sum(map(mul, counts, counts)):
                 raise InternalStateError(f"cluster {cid} norm diverged")
-            if scored != cluster.scored_members or abs(freq_sum - cluster.freq_sum) > tol:
+            # `not <=` so that a NaN cache fails too
+            if scored != cluster.scored_members or not abs(freq_sum - cluster.freq_sum) <= tol:
                 raise InternalStateError(f"cluster {cid} stats cache diverged")
-        if seen != set(self.user_cluster):
+        # each member maps back to its own cluster, so members are disjoint
+        # and equal totals mean they cover every clustered user
+        if n_members != len(user_cluster):
             raise InternalStateError("clustered users do not partition")
-        for d, p in self.index.postings.items():
-            if not p:
-                raise InternalStateError(f"empty posting retained for dim {d}")
-            for cid in p:
-                if cid not in self.clusters:
-                    raise InternalStateError(f"posting for dead cluster {cid}")

@@ -78,6 +78,14 @@ class SpamRankEngine:
         self.sender_side = ClusterSpace(SENDER_SIDE, self.config.tau)
         self.recipient_side = ClusterSpace(RECIPIENT_SIDE, self.config.tau)
         self.messages_processed = 0
+        # leading input records passed over unprocessed (`run --skip`)
+        self.records_skipped = 0
+
+    @property
+    def input_offset(self) -> int:
+        """Input records consumed, skipped ones included: where a resume
+        from this engine's snapshot starts reading."""
+        return self.records_skipped + self.messages_processed
 
     def process(self, record: MessageRecord) -> Verdict:
         recipients = record.recipients

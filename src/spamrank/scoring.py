@@ -63,7 +63,12 @@ def decide(sr: float, omega: float) -> str:
     """Three-way call: spam above omega, legit below 1-omega, else deferred.
 
     Both band edges belong to the deferred region, so omega=1.0 defers
-    everything and omega=0.5 defers only a rank of exactly 0.5.
+    everything and omega=0.5 defers only a rank of exactly 0.5. The edges
+    are the doubles omega and 1.0 - omega; the subtraction is exact for
+    omega in [0.5, 1] (Sterbenz), so the band is symmetric about 0.5 in the
+    stored omega. That stored value need not be the decimal one:
+    decide(0.15, 0.85) is legit, because the double nearest 0.85 lies below
+    0.85, which puts the lower edge at 0.15000000000000002.
     """
     if sr > omega:
         return SPAM

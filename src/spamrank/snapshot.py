@@ -1,11 +1,11 @@
 """Engine state persistence with exact resume.
 
-The snapshot is a single versioned JSON document: config + fingerprint,
-interning tables, per-user vectors and counters, per-cluster count vectors
-and probability caches, and the message counter. Every number that shapes
-future verdicts is stored losslessly (JSON floats round-trip exactly
-through repr), so a loaded engine continues the stream with verdicts
-identical to an uninterrupted run.
+A snapshot is one versioned JSON document holding only what cannot be
+rebuilt (README lists its fields). Loading re-adds every user through the
+attach step the engine runs, so cluster sums and norms are recomputed, then
+sets each cluster's saved `freq_sum`, a float whose last bits depend on
+update order. JSON floats round-trip exactly through repr, so a loaded
+engine continues with verdicts identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ from __future__ import annotations
 import json
 import os
 
-from .clustering import Cluster, ClusterSpace
+from .clustering import ClusterSpace
 from .engine import EngineConfig, SpamRankEngine
 from .errors import FormatError
 from .scoring import SpamStats
 from .vectorspace import Interner
 
-STATE_VERSION = 2
+STATE_VERSION = 3
 
 
 def _count(value: object) -> int:
@@ -40,17 +40,12 @@ def _side_state(space: ClusterSpace, interner: Interner) -> dict:
             st.total_count,
             space.user_cluster.get(uid),
         ])
-    clusters = []
-    entries = space.index.all_entries()
-    for cid in sorted(space.clusters):
-        cluster = space.clusters[cid]
-        counts = sorted(entries[cid].items())
-        clusters.append([cid, counts, cluster.freq_sum, cluster.scored_members])
+    clusters = space.clusters
     return {
         "names": interner.names(),
         "next_cid": space._next_cid,
         "users": users,
-        "clusters": clusters,
+        "clusters": [[cid, clusters[cid].freq_sum] for cid in sorted(clusters)],
     }
 
 
@@ -65,41 +60,51 @@ def engine_state(engine: SpamRankEngine) -> dict:
         },
         "fingerprint": cfg.fingerprint(),
         "messages_processed": engine.messages_processed,
+        "input_offset": engine.input_offset,
         "senders": _side_state(engine.sender_side, engine.senders),
         "recipients": _side_state(engine.recipient_side, engine.recipients),
     }
 
 
-def _restore_side(space: ClusterSpace, interner: Interner, state: dict) -> None:
-    for name in state["names"]:
-        interner.intern(name)
-    for uid, dims, spam, total, cid in state["users"]:
-        space.user_dims[uid] = set(dims)
-        space.stats[uid] = SpamStats(spam_count=spam, total_count=total)
-        if cid is not None:
-            space.user_cluster[uid] = cid
-    index = space.index
-    for cid, counts, freq_sum, scored in state["clusters"]:
-        cluster = Cluster(cid)
-        cluster.freq_sum = freq_sum
-        cluster.scored_members = scored
-        space.clusters[cid] = cluster
-        nsq = 0
-        for d, c in counts:
-            index.postings.setdefault(d, {})[cid] = c
-            nsq += c * c
-        index.norm_sq[cid] = nsq
-    for uid, cid in space.user_cluster.items():
-        space.clusters[cid].members.add(uid)
-    space._next_cid = _count(state["next_cid"])
+def _ids_within(ids, lo: int, hi: int) -> bool:
+    # checked once per distinct id (a cluster, a dimension), not once per
+    # stored reference to it, in a few passes that run in C
+    return not ids or (set(map(type, ids)) == {int} and lo <= min(ids) and max(ids) < hi)
 
 
-def engine_from_state(state: dict, verify: bool = True) -> SpamRankEngine:
+def _restore_side(space: ClusterSpace, state: dict) -> Interner:
+    interner = Interner(state["names"])
+    users = state["users"]
+    if len(users) != len(interner):
+        raise ValueError(f"{len(users)} user rows for {len(interner)} names")
+    next_cid = _count(state["next_cid"])
+    for uid, (row_uid, dims, spam, total, cid) in enumerate(users):
+        if type(row_uid) is not int or row_uid != uid:
+            raise ValueError(f"user row {uid} carries uid {row_uid!r}")
+        if type(spam) is not int or type(total) is not int or not 0 <= spam <= total:
+            raise ValueError(f"user {uid} has counts spam={spam!r} total={total!r}")
+        space.restore_user(uid, set(dims), SpamStats(spam, total), cid)
+    clusters = space.clusters
+    if not _ids_within(clusters, 1, next_cid):
+        raise ValueError(f"a cluster id is not a positive int below next_cid {next_cid}")
+    freq_sums = dict(state["clusters"])
+    if len(freq_sums) != len(state["clusters"]) or freq_sums.keys() != clusters.keys():
+        raise ValueError("cluster rows do not name each cluster with members once")
+    for cid, freq_sum in freq_sums.items():
+        if type(freq_sum) is not float:
+            raise ValueError(f"cluster {cid} has freq_sum {freq_sum!r}")
+        clusters[cid].freq_sum = freq_sum
+    space._next_cid = next_cid
+    return interner
+
+
+def engine_from_state(state: dict) -> SpamRankEngine:
     """Rebuild an engine from engine_state() output.
 
     A wrong version, a fingerprint that does not match the config, or a
-    missing or ill-typed field raises FormatError; with verify=True, state
-    that parses but is inconsistent raises InternalStateError.
+    missing, ill-typed or out-of-range field raises FormatError; state
+    that parses but is inconsistent fails check_integrity, which always
+    runs, with InternalStateError.
     """
     if state.get("version") != STATE_VERSION:
         raise FormatError(f"unsupported snapshot version {state.get('version')!r}")
@@ -108,11 +113,18 @@ def engine_from_state(state: dict, verify: bool = True) -> SpamRankEngine:
         if state.get("fingerprint") != cfg.fingerprint():
             raise FormatError("snapshot fingerprint does not match its own config")
         engine = SpamRankEngine(cfg)
-        _restore_side(engine.sender_side, engine.senders, state["senders"])
-        _restore_side(engine.recipient_side, engine.recipients, state["recipients"])
+        engine.senders = _restore_side(engine.sender_side, state["senders"])
+        engine.recipients = _restore_side(engine.recipient_side, state["recipients"])
+        for space, other in ((engine.sender_side, engine.recipients),
+                             (engine.recipient_side, engine.senders)):
+            if not _ids_within(space.dimensions(), 0, len(other)):
+                raise ValueError(f"a {space.side} dimension names no user of the other side")
         engine.messages_processed = _count(state["messages_processed"])
-        if verify:
-            engine.check_integrity()
+        offset = _count(state["input_offset"])
+        if offset < engine.messages_processed:
+            raise ValueError(f"input offset {offset} is below the message count")
+        engine.records_skipped = offset - engine.messages_processed
+        engine.check_integrity()
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed snapshot: {exc!r}") from exc
     return engine
@@ -138,7 +150,7 @@ def save_snapshot(engine: SpamRankEngine, path: str) -> None:
         raise
 
 
-def load_snapshot(path: str, verify: bool = True) -> SpamRankEngine:
+def load_snapshot(path: str) -> SpamRankEngine:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             state = json.load(fh)
@@ -146,5 +158,5 @@ def load_snapshot(path: str, verify: bool = True) -> SpamRankEngine:
             raise FormatError(f"snapshot is not valid JSON: {exc}") from exc
     if not isinstance(state, dict):
         raise FormatError("snapshot root must be an object")
-    return engine_from_state(state, verify=verify)
+    return engine_from_state(state)
 

@@ -27,9 +27,12 @@ class Interner:
 
     __slots__ = ("_ids", "_names")
 
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self._names: list[str] = []
+    def __init__(self, names: Iterable[str] = ()) -> None:
+        """An empty table, or the one whose names() is `names`."""
+        self._names: list[str] = list(names)
+        self._ids: dict[str, int] = dict(zip(self._names, range(len(self._names))))
+        if len(self._ids) != len(self._names):
+            raise ValueError("interned names repeat")
 
     def intern(self, name: str) -> int:
         i = self._ids.get(name)
@@ -148,12 +151,6 @@ class InvertedIndex:
             p = postings[d]
             p[new] = p.pop(old)
         self.norm_sq[new] = self.norm_sq.pop(old)
-
-    def count(self, cid: int, d: int) -> int:
-        p = self.postings.get(d)
-        if p is None:
-            return 0
-        return p.get(cid, 0)
 
     def score_candidates(self, dims: Iterable[int]) -> dict[int, int]:
         """Dot product of a binary vector against every overlapping cluster."""

@@ -178,6 +178,43 @@ class TestSnapshotCommands:
         tail_rows = tail.read_text().splitlines()[1:]
         assert tail_rows == straight_rows[6:]  # byte-identical verdict lines
 
+    def test_resume_starts_at_the_recorded_offset(self, tmp_path, golden_path):
+        state = tmp_path / "state.json"
+        main(["snapshot-save", "--input", str(golden_path), "--limit", "6",
+              "--snapshot-out", str(state)])
+        tail = tmp_path / "tail.jsonl"
+        final = tmp_path / "final.json"
+        code = main(["snapshot-load", "--input", str(golden_path),
+                     "--snapshot-in", str(state), "--output", str(tail),
+                     "--snapshot-out", str(final)])
+        assert code == EXIT_OK
+        assert len(tail.read_text().splitlines()) == 1 + 4
+        saved = json.loads(final.read_text())
+        assert saved["messages_processed"] == 10
+        assert saved["input_offset"] == 10
+
+    def test_skip_counts_into_the_recorded_offset(self, tmp_path, golden_path):
+        state = tmp_path / "state.json"
+        main(["snapshot-save", "--input", str(golden_path), "--skip", "2",
+              "--limit", "3", "--snapshot-out", str(state)])
+        saved = json.loads(state.read_text())
+        assert (saved["messages_processed"], saved["input_offset"]) == (3, 5)
+        # a skip past the end of the input consumes only what is there
+        main(["snapshot-save", "--input", str(golden_path), "--skip", "50",
+              "--snapshot-out", str(state)])
+        saved = json.loads(state.read_text())
+        assert (saved["messages_processed"], saved["input_offset"]) == (0, 10)
+
+    def test_conflicting_skip_rejected_on_resume(self, tmp_path, golden_path):
+        state = tmp_path / "state.json"
+        main(["snapshot-save", "--input", str(golden_path), "--limit", "6",
+              "--snapshot-out", str(state)])
+        tail = tmp_path / "tail.jsonl"
+        code = main(["snapshot-load", "--input", str(golden_path), "--skip", "3",
+                     "--snapshot-in", str(state), "--output", str(tail)])
+        assert code == EXIT_CONFIG
+        assert not tail.exists()
+
     def test_save_requires_a_target(self, golden_path):
         assert main(["snapshot-save", "--input", str(golden_path)]) == EXIT_CONFIG
 

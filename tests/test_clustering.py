@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from spamrank import (
     ClusterSpace,
+    InternalStateError,
     NotAMemberError,
     SpamRankEngine,
     UnknownUserError,
@@ -170,6 +171,21 @@ class TestInvariants:
                 seen.add(uid)
         assert seen == set(space.user_cluster)
         space.check_integrity()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda s: s.index.postings.setdefault(99, {}).__setitem__(1, 1),
+        lambda s: setattr(s.clusters[1], "freq_sum", float("nan")),
+        lambda s: s.user_cluster.__setitem__(7, 1),
+    ], ids=["stray-posting", "nan-freq-sum", "clustered-non-member"])
+    def test_integrity_rejects_corruption(self, corrupt):
+        space = make_space()
+        for uid, dims in ((1, {1, 2}), (2, {1, 2}), (3, {5})):
+            seed_user(space, uid, dims)
+            space.record_observation(uid, True)
+        space.check_integrity()
+        corrupt(space)
+        with pytest.raises(InternalStateError):
+            space.check_integrity()
 
     @settings(max_examples=30, deadline=None)
     @given(events, st.sampled_from([0.0, 0.3, 0.7, 1.0]))

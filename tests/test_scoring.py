@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,6 +49,21 @@ class TestDecide:
         # both comparisons are strict, so the edges defer
         assert decide(0.75, 0.75) == DEFERRED
         assert decide(0.25, 0.75) == DEFERRED
+
+    def test_edges_are_the_stored_doubles(self):
+        # the double nearest 0.85 is below 0.85, so 1 - omega (computed
+        # exactly) is above 0.15: a rank of 0.15 is legit, not deferred
+        assert 1.0 - 0.85 == 0.15000000000000002
+        assert decide(0.15, 0.85) == LEGIT
+        assert decide(1.0 - 0.85, 0.85) == DEFERRED
+        assert decide(0.85, 0.85) == DEFERRED
+
+    @given(st.floats(min_value=0.5, max_value=1.0))
+    def test_lower_edge_is_exact(self, omega):
+        # Sterbenz: omega in [0.5, 1] makes 1.0 - omega exact
+        lower = 1.0 - omega
+        assert Fraction(lower) == 1 - Fraction(omega)
+        assert decide(lower, omega) == DEFERRED
 
     def test_omega_one_defers_everything(self):
         for sr in (0.0, 0.3, 0.5, 1.0):

@@ -20,6 +20,11 @@ def run_engine(records, cfg=None):
     return engine, verdicts
 
 
+def _unclustered_user_with_float_dim(state):
+    row = state["senders"]["users"][5]
+    row[1], row[4] = [0, 2.5], None
+
+
 class TestStateRoundTrip:
     def test_state_dict_round_trips(self, golden_records):
         engine, _ = run_engine(golden_records)
@@ -77,16 +82,25 @@ class TestValidation:
         clone = engine_from_state(state)
         assert clone.config.omega == 0.95
 
-    def test_corrupted_counts_fail_verification(self, tmp_path, golden_records):
+    def test_corrupted_freq_sum_fails_verification(self, golden_records):
         engine, _ = run_engine(golden_records)
         # tamper with the serialized form, as on-disk corruption would
         state = json.loads(json.dumps(engine_state(engine)))
-        # bump one posting count: integrity rebuild must notice
-        state["senders"]["clusters"][0][1][0][1] += 1
+        # freq_sum is the one cluster value kept on disk: the rebuild that
+        # every load runs must notice it no longer sums the members
+        state["senders"]["clusters"][0][1] += 0.5
         with pytest.raises(InternalStateError):
             engine_from_state(state)
-        # but a blind load without verification accepts it
-        engine_from_state(state, verify=False)
+
+    def test_clusters_are_stored_as_freq_sums_only(self, golden_records):
+        # count vectors, norms and member counts are rebuilt from the users
+        engine, _ = run_engine(golden_records)
+        state = engine_state(engine)
+        for side, space in (("senders", engine.sender_side),
+                            ("recipients", engine.recipient_side)):
+            assert state[side]["clusters"] == [
+                [cid, space.clusters[cid].freq_sum] for cid in sorted(space.clusters)
+            ]
 
     def test_garbage_files_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -117,10 +131,34 @@ class TestValidation:
         lambda s: s.pop("messages_processed"),
         lambda s: s.update(messages_processed="six"),
         lambda s: s["recipients"].update(next_cid=2.5),
+        lambda s: s["senders"]["users"][1].__setitem__(0, 0),
+        lambda s: s["senders"]["users"][0].__setitem__(0, 0.0),
+        lambda s: s["senders"]["users"][0].__setitem__(2, 3),
+        lambda s: s["senders"]["users"][2].__setitem__(2, -1),
+        lambda s: s["senders"]["users"][0].__setitem__(3, 2.0),
+        lambda s: s["senders"].update(next_cid=1),
+        lambda s: s["senders"]["users"][0].__setitem__(4, 0),
+        lambda s: s["senders"]["users"][0].__setitem__(4, "1"),
+        lambda s: s["senders"]["users"][5].__setitem__(1, [0, "2"]),
+        lambda s: s["senders"]["users"][5].__setitem__(1, [0, 2, 5]),
+        lambda s: s["recipients"]["users"][3].__setitem__(1, [-1, 2]),
+        _unclustered_user_with_float_dim,
+        lambda s: s["senders"]["clusters"].append([7, 0.0]),
+        lambda s: s["senders"]["clusters"].pop(),
+        lambda s: s["senders"]["clusters"].append([1, 3.0]),
+        lambda s: s["senders"]["clusters"][1].__setitem__(1, 0),
+        lambda s: s["senders"]["names"].append("d9.example"),
+        lambda s: s["senders"]["names"].__setitem__(1, "d1.example"),
+        lambda s: s.update(input_offset=3),
     ], ids=["no-config", "config-list", "config-extra-key", "no-senders",
             "no-names", "short-user-row", "cluster-not-a-row",
             "user-in-unknown-cluster", "no-message-count", "message-count-text",
-            "next-cid-float"])
+            "next-cid-float", "uid-not-row-index", "uid-float", "spam-above-total",
+            "negative-spam", "total-float", "next-cid-at-a-live-cluster",
+            "cid-zero", "cid-text", "dim-text", "dim-names-no-user",
+            "dim-negative", "unclustered-dim-float", "freq-sum-of-no-members",
+            "cluster-without-freq-sum", "freq-sum-twice", "freq-sum-int",
+            "name-without-user", "repeated-name", "offset-below-message-count"])
     def test_malformed_state_is_a_format_error(self, golden_records, mutate):
         engine, _ = run_engine(golden_records)
         state = json.loads(json.dumps(engine_state(engine)))
