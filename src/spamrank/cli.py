@@ -19,9 +19,9 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import islice
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .engine import DEFAULT_OMEGA, DEFAULT_TAU, EngineConfig, SpamRankEngine
@@ -33,6 +33,7 @@ from .errors import (
     SpamRankError,
 )
 from .evaluation import (
+    SweepResult,
     bin_heatmap,
     noise_correction_experiment,
     omega_sweep,
@@ -104,18 +105,11 @@ def _open_out(path: str | None):
 
 
 def _engine_config(args: argparse.Namespace, base: EngineConfig | None = None) -> EngineConfig:
-    """Fold explicit flags over a base config (defaults, or a snapshot's)."""
-    if base is None:
-        base = EngineConfig()
-
-    def pick(v, dflt):
-        return dflt if v is None else v
-
-    return EngineConfig(
-        tau=pick(args.tau, base.tau),
-        omega=pick(args.omega, base.omega),
-        sender_identity=pick(args.sender_identity, base.sender_identity),
-    )
+    """Fold explicit flags over a base config (defaults, or a snapshot's).
+    A field whose flag the command does not take keeps the base value."""
+    given = {name: v for name in _ENGINE_FLAGS
+             if (v := getattr(args, name, None)) is not None}
+    return replace(base or EngineConfig(), **given)
 
 
 def _header(cfg: EngineConfig, seed: int) -> dict:
@@ -163,6 +157,9 @@ def _print_summary(
 def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
     """Stream records through the engine, writing each verdict line as it is
     made. A run that fails part-way leaves the lines already written."""
+    for flag, value in (("--skip", args.skip), ("--limit", args.limit)):
+        if value is not None and value < 0:
+            raise ConfigError(f"{flag} must not be negative, got {value}")
     if args.snapshot_in:
         engine = load_snapshot(args.snapshot_in)
         cfg = _engine_config(args, engine.config)
@@ -238,24 +235,32 @@ def cmd_snapshot_load(args: argparse.Namespace) -> int:
     return _run_impl(args, discard_output=False)
 
 
+# generate's corpus flags, each setting the WorkloadSpec field it names
+_SPEC_FLAGS = {
+    "--messages": "n_messages",
+    "--legit-senders": "n_legit_senders",
+    "--spam-senders": "n_spam_senders",
+    "--recipients": "n_recipients",
+    "--communities": "n_communities",
+    "--community-size": "community_size_mean",
+    "--lists": "n_distribution_lists",
+    "--list-size": "list_size_mean",
+    "--spam-fraction": "spam_fraction",
+    "--legit-fanout": "legit_recipients_mean",
+    "--spam-fanout": "spam_recipients_mean",
+    "--churn": "sender_churn_rate",
+}
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
-    spec = WorkloadSpec(
-        seed=args.seed,
-        n_messages=args.messages,
-        n_legit_senders=args.legit_senders,
-        n_spam_senders=args.spam_senders,
-        n_recipients=args.recipients,
-        n_communities=args.communities,
-        community_size_mean=args.community_size,
-        n_distribution_lists=args.lists,
-        list_size_mean=args.list_size,
-        spam_fraction=args.spam_fraction,
-        legit_recipients_mean=args.legit_fanout,
-        spam_recipients_mean=args.spam_fanout,
-        sender_churn_rate=args.churn,
-    )
+    spec = WorkloadSpec(seed=args.seed, **{
+        field: getattr(args, flag[2:].replace("-", "_"))
+        for flag, field in _SPEC_FLAGS.items()
+    })
     records = generate(spec)
-    if args.flip_rate > 0.0:
+    # any non-zero rate goes through flip_labels, which refuses one outside
+    # [0, 1] (NaN included)
+    if args.flip_rate:
         records = flip_labels(records, args.flip_rate, spec.seed)
     header = {"spamrank": __version__, "seed": spec.seed,
               "spec": asdict(spec), "flip_rate": args.flip_rate}
@@ -264,14 +269,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_command(args: argparse.Namespace, parameter: str) -> int:
+def _sweep_command(
+    args: argparse.Namespace, sweep: Callable[..., SweepResult]
+) -> int:
     cfg = _engine_config(args)
     records = _read_all(args, cfg)
     grid = parse_grid(args.grid)
-    if parameter == "tau":
-        result = tau_sweep(records, grid, cfg)
-    else:
-        result = omega_sweep(records, grid, cfg)
+    result = sweep(records, grid, cfg)
     header = _header(cfg, args.seed)
     prefix = args.output
     write_sweep(result, f"{prefix}.tsv", f"{prefix}.jsonl", header)
@@ -281,11 +285,11 @@ def _sweep_command(args: argparse.Namespace, parameter: str) -> int:
 
 
 def cmd_sweep_tau(args: argparse.Namespace) -> int:
-    return _sweep_command(args, "tau")
+    return _sweep_command(args, tau_sweep)
 
 
 def cmd_sweep_omega(args: argparse.Namespace) -> int:
-    return _sweep_command(args, "omega")
+    return _sweep_command(args, omega_sweep)
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
@@ -342,13 +346,38 @@ def cmd_noise_exp(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_engine_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau", type=float, default=None,
-                   help=f"cluster join threshold (default {DEFAULT_TAU})")
-    p.add_argument("--omega", type=float, default=None,
-                   help=f"decision threshold (default {DEFAULT_OMEGA})")
-    p.add_argument("--sender-identity", choices=[SENDER_DOMAIN, SENDER_FULL],
-                   default=None, help="sender identity granularity")
+# one flag per EngineConfig field; an unset flag stays None
+_ENGINE_FLAGS = {
+    "tau": dict(type=float, help=f"cluster join threshold (default {DEFAULT_TAU})"),
+    "omega": dict(type=float, help=f"decision threshold (default {DEFAULT_OMEGA})"),
+    "sender_identity": dict(choices=[SENDER_DOMAIN, SENDER_FULL],
+                            help="sender identity granularity"),
+}
+
+# The report commands: name, function, help, default output prefix, the
+# engine flags each reads, and its own flags. A sweep's grid stands in for
+# the value it sweeps, neither the heatmap bins nor the baseline decide by
+# omega, and the baseline does not cluster, so none takes a flag it ignores.
+_REPORTS = (
+    ("sweep-tau", cmd_sweep_tau, "replay the corpus across a tau grid", "tau_sweep",
+     ("omega", "sender_identity"), {"--grid": dict(default="0:1:0.1")}),
+    ("sweep-omega", cmd_sweep_omega, "evaluate decisions across an omega grid",
+     "omega_sweep", ("tau", "sender_identity"), {"--grid": dict(default="0.5:1:0.05")}),
+    ("heatmap", cmd_heatmap, "bin verdicts over (Ps, Pr)", "heatmap",
+     ("tau", "sender_identity"), {"--bin-size": dict(type=float, default=0.1)}),
+    ("baseline", cmd_baseline, "sender-history-only baseline accordance", "baseline",
+     ("sender_identity",), {}),
+    ("noise-exp", cmd_noise_exp, "label-noise correction experiment", "noise_exp",
+     ("tau", "omega", "sender_identity"),
+     {"--flip-rate": dict(type=float, default=0.1)}),
+)
+
+
+def _add_engine_flags(
+    p: argparse.ArgumentParser, names: Sequence[str] = tuple(_ENGINE_FLAGS)
+) -> None:
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), **_ENGINE_FLAGS[name])
 
 
 def _add_io_flags(p: argparse.ArgumentParser, output_help: str) -> None:
@@ -392,49 +421,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("generate", cmd_generate, "write a seeded synthetic corpus")
     dflt = WorkloadSpec()
     p.add_argument("--output", required=True, help="corpus jsonl path")
-    p.add_argument("--messages", type=int, default=dflt.n_messages)
-    p.add_argument("--legit-senders", type=int, default=dflt.n_legit_senders)
-    p.add_argument("--spam-senders", type=int, default=dflt.n_spam_senders)
-    p.add_argument("--recipients", type=int, default=dflt.n_recipients)
-    p.add_argument("--communities", type=int, default=dflt.n_communities)
-    p.add_argument("--community-size", type=float, default=dflt.community_size_mean)
-    p.add_argument("--lists", type=int, default=dflt.n_distribution_lists)
-    p.add_argument("--list-size", type=float, default=dflt.list_size_mean)
-    p.add_argument("--spam-fraction", type=float, default=dflt.spam_fraction)
-    p.add_argument("--legit-fanout", type=float, default=dflt.legit_recipients_mean)
-    p.add_argument("--spam-fanout", type=float, default=dflt.spam_recipients_mean)
-    p.add_argument("--churn", type=float, default=dflt.sender_churn_rate)
+    for flag, field in _SPEC_FLAGS.items():
+        value = getattr(dflt, field)
+        p.add_argument(flag, type=type(value), default=value)
     p.add_argument("--flip-rate", type=float, default=0.0,
                    help="flip this fraction of aux labels away from truth")
 
-    p = add("sweep-tau", cmd_sweep_tau, "replay the corpus across a tau grid")
-    _add_engine_flags(p)
-    _add_io_flags(p, "report path prefix (default tau_sweep)")
-    p.add_argument("--grid", default="0:1:0.1")
-    p.set_defaults(output="tau_sweep")
-
-    p = add("sweep-omega", cmd_sweep_omega, "evaluate decisions across an omega grid")
-    _add_engine_flags(p)
-    _add_io_flags(p, "report path prefix (default omega_sweep)")
-    p.add_argument("--grid", default="0.5:1:0.05")
-    p.set_defaults(output="omega_sweep")
-
-    p = add("heatmap", cmd_heatmap, "bin verdicts over (Ps, Pr)")
-    _add_engine_flags(p)
-    _add_io_flags(p, "report path prefix (default heatmap)")
-    p.add_argument("--bin-size", type=float, default=0.1)
-    p.set_defaults(output="heatmap")
-
-    p = add("baseline", cmd_baseline, "sender-history-only baseline accordance")
-    _add_engine_flags(p)
-    _add_io_flags(p, "report path prefix (default baseline)")
-    p.set_defaults(output="baseline")
-
-    p = add("noise-exp", cmd_noise_exp, "label-noise correction experiment")
-    _add_engine_flags(p)
-    _add_io_flags(p, "report path prefix (default noise_exp)")
-    p.add_argument("--flip-rate", type=float, default=0.1)
-    p.set_defaults(output="noise_exp")
+    for name, func, help_, prefix, engine_flags, own_flags in _REPORTS:
+        p = add(name, func, help_)
+        _add_engine_flags(p, engine_flags)
+        _add_io_flags(p, f"report path prefix (default {prefix})")
+        for flag, kwargs in own_flags.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(output=prefix)
 
     return parser
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from statistics import fmean, pstdev
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -197,15 +197,17 @@ def tau_sweep(
     """Full fresh replay per tau; omega (for accordance) comes from config."""
     grid = _check_grid(grid)
     base = config or EngineConfig()
+    # EngineConfig refuses a bad grid point here, before any replay
+    configs = [replace(base, tau=tau) for tau in grid]
     rows: list[SweepRow] = []
-    for tau in grid:
+    for cfg in configs:
         engine, (acc, classified), runtime_ms = _replay(
             records,
-            replace(base, tau=tau),
+            cfg,
             lambda verdicts: _accordance((v.decision, v.aux_label) for v in verdicts),
         )
         rows.append(SweepRow(
-            value=tau,
+            value=cfg.tau,
             num_sender_clusters=len(engine.sender_side.clusters),
             num_recipient_clusters=len(engine.recipient_side.clusters),
             beta_cv=_beta_or_none(engine.sender_side),
@@ -227,16 +229,19 @@ def omega_sweep(
     message's spam rank and decisions are re-derived for every grid value.
     """
     grid = _check_grid(grid)
+    base = config or EngineConfig()
+    # EngineConfig refuses a bad grid point here, before the replay
+    omegas = [replace(base, omega=omega).omega for omega in grid]
     engine, recorded, runtime_ms = _replay(
         records,
-        config or EngineConfig(),
+        base,
         lambda verdicts: [(v.spam_rank, v.aux_label) for v in verdicts],
     )
     n_send = len(engine.sender_side.clusters)
     n_recv = len(engine.recipient_side.clusters)
     beta = _beta_or_none(engine.sender_side)
     rows: list[SweepRow] = []
-    for omega in grid:
+    for omega in omegas:
         acc, classified = _accordance(
             (decide(sr, omega), aux) for sr, aux in recorded
         )
@@ -371,10 +376,6 @@ def noise_correction_experiment(
 # always be traced back to the exact run
 
 
-def _tsv_header_line(header: dict) -> str:
-    return "# " + " ".join(f"{k}={v}" for k, v in header.items())
-
-
 def _fmt(v: object) -> str:
     if v is None:
         return "NA"
@@ -383,37 +384,31 @@ def _fmt(v: object) -> str:
     return str(v)
 
 
+def _write_tsv(path: str, header: dict, rows: Iterable[Iterable[object]]) -> None:
+    """A `# k=v ...` header line, then one tab-separated line per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# " + " ".join(f"{k}={v}" for k, v in header.items()) + "\n")
+        for row in rows:
+            fh.write("\t".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_jsonl(path: str, header: dict, objs: Iterable[dict]) -> None:
+    """A `{"header": ...}` line, then one JSON object per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
+        for obj in objs:
+            fh.write(json.dumps(obj) + "\n")
+
+
 def write_sweep(
     result: SweepResult, tsv_path: str, jsonl_path: str, header: dict
 ) -> None:
-    cols = (
-        result.parameter,
-        "num_sender_clusters",
-        "num_recipient_clusters",
-        "beta_cv",
-        "accordance_pct",
-        "classified_count",
-        "runtime_ms",
-    )
-    with open(tsv_path, "w", encoding="utf-8") as fh:
-        fh.write(_tsv_header_line(header) + "\n")
-        fh.write("\t".join(cols) + "\n")
-        for row in result.rows:
-            fh.write("\t".join(_fmt(v) for v in (
-                row.value,
-                row.num_sender_clusters,
-                row.num_recipient_clusters,
-                row.beta_cv,
-                row.accordance_pct,
-                row.classified_count,
-                row.runtime_ms,
-            )) + "\n")
-    with open(jsonl_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
-        for row in result.rows:
-            obj = asdict(row)
-            obj[result.parameter] = obj.pop("value")
-            fh.write(json.dumps(obj) + "\n")
+    cols = (result.parameter, *(f.name for f in fields(SweepRow)[1:]))
+    _write_tsv(tsv_path, header, [cols, *map(astuple, result.rows)])
+    objs = [asdict(row) for row in result.rows]
+    for obj in objs:
+        obj[result.parameter] = obj.pop("value")
+    _write_jsonl(jsonl_path, header, objs)
 
 
 def write_heatmap(
@@ -428,36 +423,25 @@ def write_heatmap(
     Matrix rows run over the Ps bin, columns over the Pr bin, both
     ascending; empty cells print NA in the fraction matrix.
     """
-    with open(messages_tsv_path, "w", encoding="utf-8") as fh:
-        fh.write(_tsv_header_line(header) + "\n")
-        for row in grid.message_count:
-            fh.write("\t".join(str(c) for c in row) + "\n")
-    with open(spam_tsv_path, "w", encoding="utf-8") as fh:
-        fh.write(_tsv_header_line(header) + "\n")
-        for i in range(grid.n):
-            fh.write("\t".join(
-                _fmt(grid.spam_fraction(i, j)) for j in range(grid.n)
-            ) + "\n")
-    with open(jsonl_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
-        for i in range(grid.n):
-            for j in range(grid.n):
-                fh.write(json.dumps({
-                    "ps_bin": i,
-                    "pr_bin": j,
-                    "message_count": grid.message_count[i][j],
-                    "spam_count": grid.spam_count[i][j],
-                    "spam_fraction": grid.spam_fraction(i, j),
-                }) + "\n")
+    cells = range(grid.n)
+    fractions = [[grid.spam_fraction(i, j) for j in cells] for i in cells]
+    _write_tsv(messages_tsv_path, header, grid.message_count)
+    _write_tsv(spam_tsv_path, header, fractions)
+    _write_jsonl(jsonl_path, header, (
+        {
+            "ps_bin": i,
+            "pr_bin": j,
+            "message_count": grid.message_count[i][j],
+            "spam_count": grid.spam_count[i][j],
+            "spam_fraction": fractions[i][j],
+        }
+        for i in cells
+        for j in cells
+    ))
 
 
 def write_report(report: object, tsv_path: str, jsonl_path: str, header: dict) -> None:
     """Single-row table for the baseline and noise reports."""
-    fields = asdict(report)
-    with open(tsv_path, "w", encoding="utf-8") as fh:
-        fh.write(_tsv_header_line(header) + "\n")
-        fh.write("\t".join(fields) + "\n")
-        fh.write("\t".join(_fmt(v) for v in fields.values()) + "\n")
-    with open(jsonl_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
-        fh.write(json.dumps(fields) + "\n")
+    row = asdict(report)
+    _write_tsv(tsv_path, header, [row, row.values()])
+    _write_jsonl(jsonl_path, header, [row])

@@ -15,6 +15,7 @@ from spamrank.cli import (
     EXIT_FORMAT,
     EXIT_IO,
     EXIT_OK,
+    build_parser,
     main,
     parse_grid,
 )
@@ -81,6 +82,22 @@ class TestRunCommand:
 
     def test_bad_tau_is_a_config_error(self, golden_path):
         assert main(["run", "--input", str(golden_path), "--tau", "1.5"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command,flag", [
+        ("run", "--skip"), ("run", "--limit"), ("snapshot-load", "--limit"),
+    ])
+    def test_negative_skip_or_limit_is_a_config_error(
+        self, tmp_path, golden_path, command, flag
+    ):
+        state = tmp_path / "state.json"
+        main(["snapshot-save", "--input", str(golden_path), "--limit", "6",
+              "--snapshot-out", str(state)])
+        out = tmp_path / "v.jsonl"
+        argv = [command, "--input", str(golden_path), "--output", str(out), flag, "-1"]
+        if command == "snapshot-load":
+            argv += ["--snapshot-in", str(state)]
+        assert main(argv) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_failure_part_way_keeps_the_lines_written(self, tmp_path, golden_path):
         # three good records, then more malformed lines than good ones: the
@@ -157,6 +174,14 @@ class TestGenerateCommand:
             if (obj := json.loads(l))["aux"] != obj["truth"]
         )
         assert 130 <= flips <= 270
+
+    @pytest.mark.parametrize("rate", ["-1", "nan", "1.5"])
+    def test_flip_rate_outside_the_unit_interval_is_a_config_error(self, tmp_path, rate):
+        corpus = tmp_path / "noisy.jsonl"
+        code = main(["generate", "--output", str(corpus), "--messages", "50",
+                     "--flip-rate", rate])
+        assert code == EXIT_CONFIG
+        assert not corpus.exists()
 
 
 class TestSnapshotCommands:
@@ -261,6 +286,13 @@ class TestReportCommands:
                 for l in (prefix.parent / "tsweep.jsonl").read_text().splitlines()]
         assert rows[1]["tau"] == 0.3
 
+    def test_sweep_omega_refuses_an_omega_run_refuses(self, tmp_path, golden_path):
+        prefix = tmp_path / "osweep"
+        code = main(["sweep-omega", "--input", str(golden_path),
+                     "--grid", "0.2,0.9", "--output", str(prefix)])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "osweep.tsv").exists()
+
     def test_heatmap_files(self, tmp_path, golden_path):
         prefix = tmp_path / "hm"
         code = main(["heatmap", "--input", str(golden_path),
@@ -292,6 +324,40 @@ class TestReportCommands:
         prefix = tmp_path / "noise"
         assert main(["noise-exp", "--input", str(golden_path),
                      "--output", str(prefix)]) == EXIT_CONFIG
+
+
+# engine flags a report command would ignore: a sweep's grid stands in for
+# the swept value, and neither the heatmap bins nor the baseline decide
+IGNORED_FLAGS = {
+    ("sweep-tau", "--tau"),
+    ("sweep-omega", "--omega"),
+    ("heatmap", "--omega"),
+    ("baseline", "--tau"),
+    ("baseline", "--omega"),
+}
+ENGINE_FLAGS = (("--tau", "0.6", 0.6), ("--omega", "0.9", 0.9),
+                ("--sender-identity", "full", "full"))
+REPORTS = ("sweep-tau", "sweep-omega", "heatmap", "baseline", "noise-exp")
+
+
+class TestReportFlags:
+    @pytest.mark.parametrize("command,flag", sorted(IGNORED_FLAGS))
+    def test_ignored_engine_flag_is_a_usage_error(self, command, flag, capsys):
+        value = {f: v for f, v, _ in ENGINE_FLAGS}[flag]
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,text,value", [
+        (command, flag, text, value)
+        for command in REPORTS
+        for flag, text, value in ENGINE_FLAGS
+        if (command, flag) not in IGNORED_FLAGS
+    ])
+    def test_every_other_engine_flag_is_read(self, command, flag, text, value):
+        args = build_parser().parse_args([command, flag, text])
+        assert getattr(args, flag[2:].replace("-", "_")) == value
 
 
 class TestTopLevel:

@@ -171,6 +171,19 @@ class TestSweeps:
             assert a.accordance_pct == b.accordance_pct
             assert a.classified_count == b.classified_count
 
+    @pytest.mark.parametrize("sweep,grid", [
+        (omega_sweep, [0.2]), (omega_sweep, [0.6, 1.2]), (tau_sweep, [0.5, 1.5]),
+    ])
+    def test_sweep_refuses_a_grid_point_before_any_replay(
+        self, golden_records, monkeypatch, sweep, grid
+    ):
+        def replay(*args):
+            raise AssertionError("replayed before checking the grid")
+
+        monkeypatch.setattr("spamrank.evaluation._replay", replay)
+        with pytest.raises(ConfigError):
+            sweep(golden_records, grid)
+
     def test_omega_one_defers_the_whole_corpus(self, golden_records):
         result = omega_sweep(golden_records, [1.0])
         (row,) = result.rows
