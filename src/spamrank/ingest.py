@@ -184,7 +184,8 @@ def parse_stream(
                     continue
             else:
                 rec = _parse_tsv_line(line, line_no, sender_identity)
-        except (ValueError, KeyError, TypeError, AttributeError, InvalidAddressError):
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
+                InvalidAddressError):
             stats.skipped += 1
             continue
         stats.records += 1

@@ -42,9 +42,6 @@ class Interner:
             self._names.append(name)
         return i
 
-    def name_of(self, i: int) -> str:
-        return self._names[i]
-
     def names(self) -> list[str]:
         return list(self._names)
 

@@ -70,6 +70,16 @@ class TestRunCommand:
         ids = [json.loads(l)["id"] for l in out.read_text().splitlines()[1:]]
         assert ids == ["m03", "m04", "m05"]
 
+    def test_deeply_nested_line_is_skipped(self, tmp_path, golden_path, capsys):
+        lines = golden_path.read_text().splitlines(keepends=True)
+        corpus = tmp_path / "nested.jsonl"
+        corpus.write_text("".join(lines[:3]) + "[" * 100_000 + "\n" + "".join(lines[3:]))
+        out = tmp_path / "v.jsonl"
+        code = main(["run", "--input", str(corpus), "--output", str(out)])
+        assert code == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1 + len(GOLDEN_EXPECTED)
+        assert "skipped_lines=1" in capsys.readouterr().err
+
     def test_missing_input_is_an_io_error(self, tmp_path):
         assert main(["run", "--input", str(tmp_path / "nope.jsonl")]) == EXIT_IO
 
@@ -248,9 +258,10 @@ class TestSnapshotCommands:
 
     def test_corrupt_snapshot_is_a_format_error(self, tmp_path, golden_path):
         state = tmp_path / "state.json"
-        state.write_text("{broken")
-        assert main(["snapshot-load", "--input", str(golden_path),
-                     "--snapshot-in", str(state)]) == EXIT_FORMAT
+        for content in (b"{broken", b'\xff\xfe{"version": 3}', b"[" * 100_000):
+            state.write_bytes(content)
+            assert main(["snapshot-load", "--input", str(golden_path),
+                         "--snapshot-in", str(state)]) == EXIT_FORMAT
 
     @pytest.mark.parametrize("doc", ['{"version": 2}', '{"version": 1}'])
     def test_snapshot_missing_fields_is_a_format_error(self, tmp_path, golden_path, doc):

@@ -65,12 +65,14 @@ class TestGoldenTrace:
     def test_final_cluster_structure(self, golden_records):
         engine = SpamRankEngine()
         list(engine.process_many(golden_records))
+        sender_names = engine.senders.names()
+        recipient_names = engine.recipients.names()
         senders = {
-            cid: sorted(engine.senders.name_of(u) for u in c.members)
+            cid: sorted(sender_names[u] for u in c.members)
             for cid, c in engine.sender_side.clusters.items()
         }
         recipients = {
-            cid: sorted(engine.recipients.name_of(u) for u in c.members)
+            cid: sorted(recipient_names[u] for u in c.members)
             for cid, c in engine.recipient_side.clusters.items()
         }
         assert senders == GOLDEN_SENDER_CLUSTERS

@@ -127,6 +127,13 @@ class TestJsonlParsing:
         assert [r.timestamp for r in records] == [5, 6]
         assert stats.skipped == 1
 
+    def test_deeply_nested_line_is_skipped(self):
+        good = json.dumps({"id": "y", "ts": 2, "from": "d.example",
+                           "to": ["a@u.example"], "aux": "ham"})
+        records, stats = parse_lines([good, "[" * 100_000, good])
+        assert len(records) == 2
+        assert stats.skipped == 1
+
     def test_mostly_garbage_raises_format_error(self):
         good = json.dumps({"id": "x", "ts": 1, "from": "d.example",
                            "to": ["a@u.example"], "aux": "ham"})

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -7,6 +8,8 @@ from spamrank import (
     FormatError,
     InternalStateError,
     SpamRankEngine,
+    WorkloadSpec,
+    generate,
     load_snapshot,
     save_snapshot,
 )
@@ -110,6 +113,10 @@ class TestValidation:
         bad.write_text("[1, 2]")
         with pytest.raises(FormatError):
             load_snapshot(str(bad))
+        for content in (b'\xff\xfe{"version": 3}', b"[" * 100_000):  # not UTF-8, too deep
+            bad.write_bytes(content)
+            with pytest.raises(FormatError):
+                load_snapshot(str(bad))
 
     def test_version_one_snapshot_rejected(self, golden_records):
         engine, _ = run_engine(golden_records)
@@ -198,3 +205,83 @@ class TestAtomicSave:
             save_snapshot(engine, str(path))
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
+
+
+class TestCollectorPaused:
+    """Save and load create many containers but no cycles, so they run with
+    the cyclic garbage collector paused and restore its state afterwards."""
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        engine, _ = run_engine(generate(WorkloadSpec(n_messages=2000, seed=7)))
+        return engine
+
+    @staticmethod
+    def _bad_snapshot(path, engine):
+        # refused on the last user row, after the rest has been rebuilt
+        state = engine_state(engine)
+        state["recipients"]["users"][-1][2] = -1
+        path.write_text(json.dumps(state))
+
+    @pytest.fixture
+    def restore_gc(self):
+        was = gc.isenabled()
+        yield
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+
+    def test_no_collection_runs_during_save_or_load(self, tmp_path, engine, restore_gc):
+        # the one young collection the pause defers runs at the caller's
+        # next allocation, after load_snapshot has returned
+        path = str(tmp_path / "state.json")
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.enable()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            save_snapshot(engine, path)
+            saving = len(starts)
+            load_snapshot(path)
+        finally:
+            gc.callbacks.remove(count)
+        assert (saving, len(starts)) == (0, 0)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_prior_state_survives(self, tmp_path, engine, restore_gc, enabled):
+        path = tmp_path / "state.json"
+        bad = tmp_path / "bad.json"
+        self._bad_snapshot(bad, engine)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        save_snapshot(engine, str(path))
+        assert gc.isenabled() is enabled
+        load_snapshot(str(path))
+        assert gc.isenabled() is enabled
+        with pytest.raises(FormatError):
+            load_snapshot(str(bad))
+        assert gc.isenabled() is enabled
+
+    def test_save_and_load_leave_no_cycles(self, tmp_path, engine, restore_gc):
+        # the premise of the pause: nothing it defers would have been freed
+        path = tmp_path / "state.json"
+        bad = tmp_path / "bad.json"
+        self._bad_snapshot(bad, engine)
+        gc.disable()
+        gc.collect()
+        save_snapshot(engine, str(path))
+        assert gc.collect() == 0
+        clone = load_snapshot(str(path))
+        assert gc.collect() == 0
+        with pytest.raises(FormatError):
+            load_snapshot(str(bad))
+        assert gc.collect() == 0
+        assert engine_state(clone) == engine_state(engine)

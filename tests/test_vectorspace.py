@@ -23,7 +23,7 @@ class TestInterner:
         assert it.intern("a") == 0
         assert len(it) == 2
         assert it.names() == ["a", "b"]
-        assert it.name_of(1) == "b"
+        assert it.names()[1] == "b"
 
 
 class TestCosine:
