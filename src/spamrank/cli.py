@@ -21,7 +21,7 @@ from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, replace
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import __version__
 from .engine import DEFAULT_OMEGA, DEFAULT_TAU, EngineConfig, SpamRankEngine
@@ -49,6 +49,7 @@ from .ingest import (
     MessageRecord,
     ParseStats,
     parse_stream,
+    write_header,
     write_jsonl,
 )
 from .scoring import DEFERRED, LEGIT, SPAM, Verdict
@@ -79,7 +80,7 @@ def parse_grid(text: str) -> list[float]:
         if not values:
             raise ValueError("no grid points")
         return values
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an infinite range
         raise ConfigError(f"bad grid {text!r}: {exc}") from exc
 
 
@@ -87,12 +88,12 @@ def parse_grid(text: str) -> list[float]:
 
 
 @contextmanager
-def _open_in(path: str):
-    if path == "-":
-        yield sys.stdin
-    else:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            yield fh
+def _records(args: argparse.Namespace, cfg: EngineConfig,
+             stats: ParseStats | None = None) -> Iterator[Iterator[MessageRecord]]:
+    """Open --input ('-' is stdin) and stream its records lazily, in one pass."""
+    with (nullcontext(sys.stdin) if args.input == "-" else
+          open(args.input, "r", encoding="utf-8", errors="replace")) as fh:
+        yield parse_stream(fh, args.format, cfg.sender_identity, stats)
 
 
 @contextmanager
@@ -114,11 +115,6 @@ def _engine_config(args: argparse.Namespace, base: EngineConfig | None = None) -
 
 def _header(cfg: EngineConfig, seed: int) -> dict:
     return {"spamrank": __version__, "fingerprint": cfg.fingerprint(), "seed": seed}
-
-
-def _read_all(args: argparse.Namespace, cfg: EngineConfig) -> list[MessageRecord]:
-    with _open_in(args.input) as fh:
-        return list(parse_stream(fh, args.format, cfg.sender_identity))
 
 
 def _verdict_obj(v: Verdict) -> dict:
@@ -187,18 +183,15 @@ def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
     flush = args.input == "-"
     write_output = not discard_output or args.output is not None
     start = time.perf_counter()
-    with _open_in(args.input) as fh, (
+    with _records(args, cfg, stats) as records, (
         _open_out(args.output) if write_output else nullcontext()
     ) as out:
         if out is not None:
-            out.write(json.dumps({"header": _header(cfg, args.seed)}, sort_keys=True) + "\n")
+            write_header(out, _header(cfg, args.seed))
             if flush:
                 out.flush()
         stop = skip + args.limit if args.limit is not None else None
-        records = islice(
-            parse_stream(fh, args.format, cfg.sender_identity, stats), skip, stop
-        )
-        for v in engine.process_many(records):
+        for v in engine.process_many(islice(records, skip, stop)):
             decisions[v.decision] += 1
             if v.decision != DEFERRED and v.effective_label == v.aux_label:
                 agree += 1
@@ -273,9 +266,9 @@ def _sweep_command(
     args: argparse.Namespace, sweep: Callable[..., SweepResult]
 ) -> int:
     cfg = _engine_config(args)
-    records = _read_all(args, cfg)
     grid = parse_grid(args.grid)
-    result = sweep(records, grid, cfg)
+    with _records(args, cfg) as records:
+        result = sweep(records, grid, cfg)
     header = _header(cfg, args.seed)
     prefix = args.output
     write_sweep(result, f"{prefix}.tsv", f"{prefix}.jsonl", header)
@@ -294,13 +287,8 @@ def cmd_sweep_omega(args: argparse.Namespace) -> int:
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
     cfg = _engine_config(args)
-    with _open_in(args.input) as fh:
-        grid = bin_heatmap(
-            SpamRankEngine(cfg).process_many(
-                parse_stream(fh, args.format, cfg.sender_identity)
-            ),
-            args.bin_size,
-        )
+    with _records(args, cfg) as records:
+        grid = bin_heatmap(SpamRankEngine(cfg).process_many(records), args.bin_size)
     header = _header(cfg, args.seed)
     prefix = args.output
     write_heatmap(grid, f"{prefix}.messages.tsv", f"{prefix}.spam.tsv",
@@ -312,10 +300,8 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     cfg = _engine_config(args)
-    with _open_in(args.input) as fh:
-        report = sender_history_baseline(
-            parse_stream(fh, args.format, cfg.sender_identity)
-        )
+    with _records(args, cfg) as records:
+        report = sender_history_baseline(records)
     prefix = args.output
     write_report(report, f"{prefix}.tsv", f"{prefix}.jsonl", _header(cfg, args.seed))
     print(
@@ -328,10 +314,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 def cmd_noise_exp(args: argparse.Namespace) -> int:
     cfg = _engine_config(args)
-    records = _read_all(args, cfg)
-    report = noise_correction_experiment(
-        records, args.flip_rate, cfg.tau, cfg.omega, args.seed
-    )
+    with _records(args, cfg) as records:
+        report = noise_correction_experiment(
+            records, args.flip_rate, cfg.tau, cfg.omega, args.seed
+        )
     prefix = args.output
     write_report(report, f"{prefix}.tsv", f"{prefix}.jsonl", _header(cfg, args.seed))
     print(

@@ -16,6 +16,7 @@ population standard deviation. Sweep tables report the sender side.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from statistics import fmean, pstdev
@@ -24,9 +25,9 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 from .clustering import ClusterSpace
 from .engine import EngineConfig, SpamRankEngine
 from .errors import ConfigError, NotComputableError
-from .ingest import MessageRecord
+from .ingest import MessageRecord, write_header
 from .scoring import DEFERRED, HAM, LEGIT, SPAM, Verdict, decide
-from .synthgen import flip_labels
+from .synthgen import label_flipper
 from .vectorspace import cosine
 
 T = TypeVar("T")
@@ -190,15 +191,17 @@ def _replay(
 
 
 def tau_sweep(
-    records: Sequence[MessageRecord],
+    records: Iterable[MessageRecord],
     grid: Sequence[float],
     config: EngineConfig | None = None,
 ) -> SweepResult:
-    """Full fresh replay per tau; omega (for accordance) comes from config."""
+    """Full fresh replay per tau, so the records are read into a list (the one
+    analysis that holds them); omega (for accordance) comes from config."""
     grid = _check_grid(grid)
     base = config or EngineConfig()
     # EngineConfig refuses a bad grid point here, before any replay
     configs = [replace(base, tau=tau) for tau in grid]
+    records = list(records)
     rows: list[SweepRow] = []
     for cfg in configs:
         engine, (acc, classified), runtime_ms = _replay(
@@ -219,7 +222,7 @@ def tau_sweep(
 
 
 def omega_sweep(
-    records: Sequence[MessageRecord],
+    records: Iterable[MessageRecord],
     grid: Sequence[float],
     config: EngineConfig | None = None,
 ) -> SweepResult:
@@ -235,7 +238,10 @@ def omega_sweep(
     engine, recorded, runtime_ms = _replay(
         records,
         base,
-        lambda verdicts: [(v.spam_rank, v.aux_label) for v in verdicts],
+        # keep the shared label constant: each parsed record has its own
+        # label string, which would cost ~56 B more per message
+        lambda verdicts: [(v.spam_rank, SPAM if v.aux_label == SPAM else HAM)
+                          for v in verdicts],
     )
     n_send = len(engine.sender_side.clusters)
     n_recv = len(engine.recipient_side.clusters)
@@ -263,12 +269,16 @@ def omega_sweep(
 def bin_heatmap(verdicts: Iterable[Verdict], bin_size: float) -> BinGrid:
     """Histogram verdicts into (Ps, Pr) bins of the given size.
 
-    bin_size must divide 1 evenly. Cell index is floor(p / bin_size) with
-    p = 1 clamped into the top cell; spam counts follow the aux label.
+    bin_size must divide 1 evenly, into fewer bins than a list can index.
+    Cell index is floor(p / bin_size) with p = 1 clamped into the top cell;
+    spam counts follow the aux label.
     """
-    n = round(1.0 / bin_size) if bin_size > 0 else 0
+    bins = 1.0 / bin_size if bin_size > 0 else 0.0
+    n = round(bins) if bins < sys.maxsize else 0  # inf or too many to index
     if n < 1 or abs(n * bin_size - 1.0) > 1e-9:
-        raise ConfigError(f"bin_size {bin_size} does not divide 1 evenly")
+        raise ConfigError(
+            f"bin_size {bin_size} does not divide 1 evenly into indexable bins"
+        )
     top = n - 1
     messages = [[0] * n for _ in range(n)]
     spam = [[0] * n for _ in range(n)]
@@ -291,33 +301,31 @@ def sender_history_baseline(records: Iterable[MessageRecord]) -> BaselineReport:
     below is legit, unseen senders and exact 1/2 defer. Counters update
     after scoring. Accordance is measured against the aux labels.
     """
-    history: dict[str, list[int]] = {}
-    pairs: list[tuple[str, str]] = []
-    total = 0
-    for rec in records:
-        total += 1
-        st = history.get(rec.sender)
-        if st is None:
-            decision = DEFERRED
-            st = history[rec.sender] = [0, 0]
-        elif 2 * st[0] > st[1]:
-            decision = SPAM
-        elif 2 * st[0] < st[1]:
-            decision = LEGIT
-        else:
-            decision = DEFERRED
-        pairs.append((decision, rec.aux_label))
-        st[1] += 1
-        if rec.aux_label == SPAM:
-            st[0] += 1
-    acc, classified = _accordance(pairs)
+    history: dict[str, list[int]] = {}  # sender -> [spam, total]
+
+    def decisions() -> Iterator[tuple[str, str]]:
+        for rec in records:
+            st = history.setdefault(rec.sender, [0, 0])  # unseen: a dead heat
+            if 2 * st[0] > st[1]:
+                decision = SPAM
+            elif 2 * st[0] < st[1]:
+                decision = LEGIT
+            else:
+                decision = DEFERRED
+            st[1] += 1
+            if rec.aux_label == SPAM:
+                st[0] += 1
+            yield decision, rec.aux_label
+
+    acc, classified = _accordance(decisions())
+    total = sum(st[1] for st in history.values())
     return BaselineReport(
         accordance_pct=acc, classified_count=classified, total_messages=total
     )
 
 
 def noise_correction_experiment(
-    records: Sequence[MessageRecord],
+    records: Iterable[MessageRecord],
     flip_rate: float,
     tau: float,
     omega: float,
@@ -327,23 +335,25 @@ def noise_correction_experiment(
 
     Takes a corpus with generator ground truth, flips aux labels at
     flip_rate (seeded), runs the engine on the noisy labels, and compares
-    effective labels against the hidden truth. fp_* rows are about
-    ground-truth ham, fn_* about ground-truth spam; corrected means the
-    engine overrode a wrong aux label, introduced means it broke a right
-    one.
+    effective labels against the hidden truth, one record at a time. fp_*
+    rows are about ground-truth ham, fn_* about ground-truth spam;
+    corrected means the engine overrode a wrong aux label, introduced
+    means it broke a right one.
     """
-    if any(r.truth is None for r in records):
-        raise ConfigError("noise experiment needs ground-truth labels")
-    noisy = flip_labels(records, flip_rate, seed)
+    flip = label_flipper(flip_rate, seed)
     engine = SpamRankEngine(EngineConfig(tau=tau, omega=omega))
+    total = 0
     aux_errors = 0
     engine_errors = 0
     fp_corrected = fp_introduced = 0
     fn_corrected = fn_introduced = 0
-    for rec, verdict in zip(noisy, engine.process_many(noisy)):
+    for total, rec in enumerate(records, 1):
         truth = rec.truth
-        aux = rec.aux_label
-        eff = verdict.effective_label
+        if truth is None:
+            raise ConfigError("noise experiment needs ground-truth labels")
+        noisy = flip(rec)
+        aux = noisy.aux_label
+        eff = engine.process(noisy).effective_label
         if aux != truth:
             aux_errors += 1
         if eff != truth:
@@ -358,7 +368,6 @@ def noise_correction_experiment(
                 fn_corrected += 1
             elif aux == SPAM and eff == HAM:
                 fn_introduced += 1
-    total = len(noisy)
     return NoiseReport(
         aux_error_rate=aux_errors / total if total else 0.0,
         engine_error_rate=engine_errors / total if total else 0.0,
@@ -395,7 +404,7 @@ def _write_tsv(path: str, header: dict, rows: Iterable[Iterable[object]]) -> Non
 def _write_jsonl(path: str, header: dict, objs: Iterable[dict]) -> None:
     """A `{"header": ...}` line, then one JSON object per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
+        write_header(fh, header)
         for obj in objs:
             fh.write(json.dumps(obj) + "\n")
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .errors import FormatError, InvalidAddressError
 
@@ -132,6 +132,11 @@ def _parse_json_line(line: str, line_no: int, identity: str) -> MessageRecord | 
     )
 
 
+def write_header(fh: TextIO, header: dict) -> None:
+    """Write the `{"header": ...}` line that _parse_json_line reads as a comment."""
+    fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
+
+
 def _parse_tsv_line(line: str, line_no: int, identity: str) -> MessageRecord:
     parts = line.split("\t")
     if len(parts) != 4:
@@ -232,7 +237,7 @@ def write_jsonl(path: str, records: Iterable[MessageRecord], header: dict | None
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
-            fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
+            write_header(fh, header)
         for rec in records:
             fh.write(json.dumps(record_to_obj(rec)) + "\n")
             n += 1

@@ -25,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from math import exp
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import ConfigError
 from .ingest import MessageRecord
@@ -72,7 +72,7 @@ class WorkloadSpec:
             raise ConfigError("all workload counts must be positive")
         for name in ("community_size_mean", "list_size_mean",
                      "legit_recipients_mean", "spam_recipients_mean"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN too
                 raise ConfigError(f"{name} must be positive")
         for name in ("spam_fraction", "sender_churn_rate"):
             v = getattr(self, name)
@@ -219,6 +219,22 @@ def generate(spec: WorkloadSpec) -> list[MessageRecord]:
     return records
 
 
+def label_flipper(flip_rate: float, seed: int) -> Callable[[MessageRecord], MessageRecord]:
+    """flip_labels one record at a time: each call copies one record, drawing
+    once from a stream seeded here. A rate outside [0, 1] is refused at once."""
+    if not 0.0 <= flip_rate <= 1.0:
+        raise ConfigError(f"flip_rate must be in [0, 1], got {flip_rate}")
+    rng = random.Random(seed)
+
+    def flip(rec: MessageRecord) -> MessageRecord:
+        aux = rec.truth if rec.truth is not None else rec.aux_label
+        if rng.random() < flip_rate:
+            aux = HAM if aux == SPAM else SPAM
+        return replace(rec, aux_label=aux)
+
+    return flip
+
+
 def flip_labels(
     records: Sequence[MessageRecord], flip_rate: float, seed: int
 ) -> list[MessageRecord]:
@@ -227,15 +243,5 @@ def flip_labels(
     The truth field is left intact; only aux changes. Deterministic in the
     seed and the record order.
     """
-    if not 0.0 <= flip_rate <= 1.0:
-        raise ConfigError(f"flip_rate must be in [0, 1], got {flip_rate}")
-    rng = random.Random(seed)
-    out: list[MessageRecord] = []
-    for rec in records:
-        base = rec.truth if rec.truth is not None else rec.aux_label
-        if rng.random() < flip_rate:
-            aux = HAM if base == SPAM else SPAM
-        else:
-            aux = base
-        out.append(replace(rec, aux_label=aux))
-    return out
+    flip = label_flipper(flip_rate, seed)
+    return [flip(rec) for rec in records]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import spamrank
-from spamrank import ConfigError
+from spamrank import ConfigError, WorkloadSpec, generate, write_jsonl
 from spamrank.cli import (
     EXIT_CONFIG,
     EXIT_FORMAT,
@@ -34,10 +34,19 @@ class TestParseGrid:
     def test_comma_list(self):
         assert parse_grid("0.2,0.5,0.9") == [0.2, 0.5, 0.9]
 
-    @pytest.mark.parametrize("bad", ["", "a,b", "1:0", "0:1:0", "0:1:-1", "1:2:3:4"])
+    @pytest.mark.parametrize("bad", ["", "a,b", "1:0", "0:1:0", "0:1:-1", "1:2:3:4",
+                                     "0:inf:1", "0:1:1e-320"])
     def test_rejects_malformed_grids(self, bad):
         with pytest.raises(ConfigError):
             parse_grid(bad)
+
+
+def _child_env() -> dict:
+    """The environment for a child interpreter that imports this spamrank."""
+    src = str(Path(spamrank.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 class TestRunCommand:
@@ -123,15 +132,10 @@ class TestRunCommand:
         assert [json.loads(l)["id"] for l in lines[1:]] == ["m01", "m02", "m03"]
 
     def test_live_pipe_sees_each_verdict_before_stdin_closes(self, golden_path):
-        src = str(Path(spamrank.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         proc = subprocess.Popen(
             [sys.executable, "-m", "spamrank.cli", "run", "--input", "-", "--output", "-"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            text=True, env=env,
+            text=True, env=_child_env(),
         )
         lines: queue.Queue = queue.Queue()
 
@@ -335,6 +339,63 @@ class TestReportCommands:
         prefix = tmp_path / "noise"
         assert main(["noise-exp", "--input", str(golden_path),
                      "--output", str(prefix)]) == EXIT_CONFIG
+
+    def test_sweep_grid_is_parsed_before_the_input_is_read(self, tmp_path):
+        assert main(["sweep-tau", "--input", str(tmp_path / "missing.jsonl"),
+                     "--grid", "0:inf:1", "--output", str(tmp_path / "t")]) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("size", ["1e-320", "1e-300"])
+    def test_heatmap_refuses_a_tiny_bin_size(self, tmp_path, golden_path, size):
+        assert main(["heatmap", "--input", str(golden_path), "--bin-size", size,
+                     "--output", str(tmp_path / "h")]) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
+
+# Few senders keep the sweep's beta CV small (it compares every pair of
+# sender clusters); many distinct recipients make each held record cost
+# ~1 KB, so a command that kept the records would stand out.
+SPARSE_SPEC = WorkloadSpec(
+    seed=11, n_messages=12_000, n_legit_senders=300, n_spam_senders=200,
+    n_recipients=20_000, n_communities=400, community_size_mean=25.0,
+    n_distribution_lists=100, list_size_mean=40.0, spam_fraction=0.7,
+    legit_recipients_mean=3.0, spam_recipients_mean=8.0, sender_churn_rate=0.0,
+)
+
+# run one command in a fresh interpreter and print its own peak RSS in kB;
+# VmHWM is the child's memory alone, where ru_maxrss carries over the high
+# mark of the process that started it
+PEAK_RSS_CHILD = """
+import sys
+from spamrank.cli import main
+assert main(sys.argv[1:]) == 0
+print(next(l.split()[1] for l in open("/proc/self/status") if l.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmHWM")
+def test_report_commands_stream_the_corpus(tmp_path):
+    corpus = tmp_path / "sparse.jsonl"
+    write_jsonl(str(corpus), generate(SPARSE_SPEC))
+    procs = {
+        cmd: subprocess.Popen(
+            [sys.executable, "-c", PEAK_RSS_CHILD, cmd, "--input", str(corpus),
+             "--output", str(tmp_path / cmd)],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=_child_env(),
+        )
+        for cmd in ("heatmap", "noise-exp", "sweep-omega")
+    }
+    peak_mb = {}
+    for cmd, proc in procs.items():
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0, cmd
+        peak_mb[cmd] = int(out) / 1024
+    # when both read the corpus into a list, noise-exp peaked 12 MB and
+    # sweep-omega 15 MB above heatmap; now sweep-omega keeps only one
+    # (rank, aux) pair per message
+    assert peak_mb["noise-exp"] < peak_mb["heatmap"] + 2, peak_mb
+    assert peak_mb["sweep-omega"] < peak_mb["heatmap"] + 8, peak_mb
 
 
 # engine flags a report command would ignore: a sweep's grid stands in for

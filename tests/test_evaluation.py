@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -216,7 +217,8 @@ class TestBinHeatmap:
         grid = bin_heatmap(verdicts, 0.25)
         assert grid.total_messages() == len(verdicts)
 
-    @pytest.mark.parametrize("bad", [0.3, 0.0, -0.25, 0.7])
+    # 1e-320 makes 1 / bin_size infinite; 1e-300 makes too many bins to index
+    @pytest.mark.parametrize("bad", [0.3, 0.0, -0.25, 0.7, 1e-320, 1e-300])
     def test_bin_size_must_divide_one(self, bad):
         with pytest.raises(ConfigError):
             bin_heatmap([], bad)
@@ -265,6 +267,44 @@ class TestNoiseCorrection:
         sample = default_records[:200]
         report = noise_correction_experiment(sample, 1.0, 0.5, 0.85)
         assert report.aux_error_rate == 1.0
+
+
+class TestStreamedRecords:
+    """Each analysis reads its records once, so an iterator gives the same
+    result as the list."""
+
+    @pytest.mark.parametrize("sweep", [tau_sweep, omega_sweep])
+    def test_sweeps(self, sweep, default_records):
+        sample = default_records[:600]
+
+        def rows(result):
+            return [replace(row, runtime_ms=0.0) for row in result.rows]
+
+        grid = [0.5, 0.9]
+        assert rows(sweep(iter(sample), grid)) == rows(sweep(sample, grid))
+
+    def test_baseline(self, default_records):
+        assert (sender_history_baseline(iter(default_records))
+                == sender_history_baseline(default_records))
+
+    def test_noise_experiment(self, default_records):
+        sample = default_records[:600]
+        assert (noise_correction_experiment(iter(sample), 0.1, 0.5, 0.85, 7)
+                == noise_correction_experiment(sample, 0.1, 0.5, 0.85, 7))
+
+    def test_noise_experiment_refuses_a_bad_rate_unread(self):
+        def unread():
+            raise AssertionError("a record was read")
+            yield
+
+        with pytest.raises(ConfigError, match="flip_rate"):
+            noise_correction_experiment(unread(), 1.5, 0.5, 0.85)
+
+    def test_truthless_record_mid_stream(self, default_records):
+        records = [*default_records[:50], replace(default_records[50], truth=None),
+                   *default_records[51:100]]
+        with pytest.raises(ConfigError, match="ground-truth"):
+            noise_correction_experiment(iter(records), 0.1, 0.5, 0.85)
 
 
 class TestReportWriters:

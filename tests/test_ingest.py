@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -14,7 +15,7 @@ from spamrank import (
     read_records,
     write_jsonl,
 )
-from spamrank.ingest import record_to_obj
+from spamrank.ingest import record_to_obj, write_header
 
 
 class TestNormalizeSender:
@@ -177,6 +178,14 @@ class TestWriteJsonl:
         assert first == {"header": {"seed": 3}}
         back, stats = read_records(str(path))
         assert back == records
+        assert stats.comments == 1
+
+    def test_header_line_reads_back_as_a_comment(self):
+        buf = io.StringIO()
+        write_header(buf, {"spamrank": "x", "seed": 3})
+        assert buf.getvalue() == '{"header": {"seed": 3, "spamrank": "x"}}\n'
+        stats = ParseStats()
+        assert list(parse_stream(buf.getvalue().splitlines(), stats=stats)) == []
         assert stats.comments == 1
 
     def test_record_to_obj_omits_missing_truth(self):

@@ -12,6 +12,7 @@ from spamrank import (
     generate,
     workload_layout,
 )
+from spamrank.synthgen import label_flipper
 
 
 def small_spec(**kwargs) -> WorkloadSpec:
@@ -70,6 +71,12 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             # a community cannot exceed the social pool
             generate(small_spec(community_size_mean=500.0))
+        # a NaN mean would keep generate's Poisson draw looping forever, so
+        # these call validate(), which cannot hang
+        for name in ("community_size_mean", "list_size_mean",
+                     "legit_recipients_mean", "spam_recipients_mean"):
+            with pytest.raises(ConfigError):
+                small_spec(**{name: float("nan")}).validate()
 
 
 class TestFlipLabels:
@@ -93,6 +100,8 @@ class TestFlipLabels:
             flip_labels(default_records, -0.1, seed=1)
         with pytest.raises(ConfigError):
             flip_labels(default_records, 1.0001, seed=1)
+        with pytest.raises(ConfigError):
+            label_flipper(float("nan"), seed=1)
 
 
 class TestLayout:
