@@ -56,7 +56,7 @@ from .scoring import (
 )
 from .snapshot import load_snapshot, save_snapshot
 from .synthgen import WorkloadLayout, WorkloadSpec, flip_labels, generate, workload_layout
-from .vectorspace import Interner, InvertedIndex, cosine
+from .vectorspace import Interner, InvertedIndex
 
 __version__ = "0.1.0"
 
@@ -98,7 +98,6 @@ __all__ = [
     "WorkloadSpec",
     "beta_cv",
     "bin_heatmap",
-    "cosine",
     "decide",
     "effective_label",
     "flip_labels",

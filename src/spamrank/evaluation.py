@@ -10,7 +10,10 @@ and JsonLines, each prefixed with a reproducibility header.
 Beta CV is intra CV / inter CV with distance = 1 - cosine: intra over
 member-to-centroid distances (centroid = the cluster's sum vector), inter
 over pairwise centroid distances. Coefficient of variation uses the
-population standard deviation. Sweep tables report the sender side.
+population standard deviation. The distances come from the inverted index
+the engine keeps: its postings give the exact integer dots and its squared
+norms the rest, and centroid pairs that share no dimension are counted at
+distance 1.0 rather than compared. Sweep tables report the sender side.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import json
 import sys
 import time
 from dataclasses import asdict, astuple, dataclass, fields, replace
+from itertools import chain, combinations, repeat
+from math import sqrt
 from statistics import fmean, pstdev
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -28,7 +33,6 @@ from .errors import ConfigError, NotComputableError
 from .ingest import MessageRecord, write_header
 from .scoring import DEFERRED, HAM, LEGIT, SPAM, Verdict, decide
 from .synthgen import label_flipper
-from .vectorspace import cosine
 
 T = TypeVar("T")
 
@@ -99,6 +103,15 @@ def _cv(values: Sequence[float]) -> float:
     return pstdev(values) / m
 
 
+def _distance(dot: int, nsq_a: int, nsq_b: int) -> float:
+    """1 - cosine, from an exact integer dot and squared norms: one rounding
+    at the division, the cosine clamped at 1."""
+    if dot == 0:
+        return 1.0
+    sim = dot / sqrt(nsq_a * nsq_b)
+    return 0.0 if sim > 1.0 else 1.0 - sim
+
+
 def beta_cv(space: ClusterSpace) -> float:
     """Intra CV / inter CV for one side's current clustering.
 
@@ -111,25 +124,30 @@ def beta_cv(space: ClusterSpace) -> float:
         raise NotComputableError("need at least two clusters")
     if not any(len(c.members) > 1 for c in clusters.values()):
         raise NotComputableError("no multi-member cluster")
-    sums = space.index.all_entries()
-    intra: list[float] = []
-    for cid in sorted(clusters):
-        centroid = sums[cid]
-        for uid in sorted(clusters[cid].members):
-            intra.append(1.0 - cosine(space.user_dims[uid], centroid))
+    postings = space.index.postings
+    norm_sq = space.index.norm_sq
+    user_dims = space.user_dims
+    intra = [
+        _distance(sum(postings[d][cid] for d in dims), len(dims), norm_sq[cid])
+        for cid, cluster in clusters.items()
+        for dims in (user_dims[uid] for uid in cluster.members)
+    ]
     intra_cv = _cv(intra)
     if intra_cv == 0.0:
         return 0.0
-    cids = sorted(clusters)
-    inter = [
-        1.0 - cosine(sums[a], sums[b])
-        for k, a in enumerate(cids)
-        for b in cids[k + 1:]
-    ]
-    inter_mean = fmean(inter)
+    # only centroids that share a dimension have a nonzero dot; every other
+    # pair sits at distance exactly 1.0, so it is counted, not listed
+    dots: dict[tuple[int, int], int] = {}
+    for p in postings.values():
+        for (a, ca), (b, cb) in combinations(sorted(p.items()), 2):
+            dots[a, b] = dots.get((a, b), 0) + ca * cb
+    near = [_distance(dot, norm_sq[a], norm_sq[b]) for (a, b), dot in dots.items()]
+    far = len(clusters) * (len(clusters) - 1) // 2 - len(near)
+    # fmean (an fsum) and pstdev (an exact sum) do not depend on input order
+    inter_mean = fmean(chain(repeat(1.0, far), near))
     if inter_mean == 0.0:
         raise NotComputableError("all centroids coincide")
-    inter_cv = pstdev(inter) / inter_mean
+    inter_cv = pstdev(chain(repeat(1.0, far), near)) / inter_mean
     if inter_cv == 0.0:
         raise NotComputableError("inter-centroid distances have no spread")
     return intra_cv / inter_cv
@@ -238,10 +256,7 @@ def omega_sweep(
     engine, recorded, runtime_ms = _replay(
         records,
         base,
-        # keep the shared label constant: each parsed record has its own
-        # label string, which would cost ~56 B more per message
-        lambda verdicts: [(v.spam_rank, SPAM if v.aux_label == SPAM else HAM)
-                          for v in verdicts],
+        lambda verdicts: [(v.spam_rank, v.aux_label) for v in verdicts],
     )
     n_send = len(engine.sender_side.clusters)
     n_recv = len(engine.recipient_side.clusters)

@@ -26,11 +26,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
 from .errors import FormatError, InvalidAddressError
+from .scoring import HAM, SPAM
 
 SENDER_DOMAIN = "domain"
 SENDER_FULL = "full"
 
-_LABELS = ("spam", "ham")
+# lower-cased wire label -> the shared constant, so no record holds its own
+_LABELS = {SPAM: SPAM, HAM: HAM}
 
 
 @dataclass(slots=True, frozen=True)
@@ -100,6 +102,13 @@ def _normalize_recipients(raw: Iterable[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _label(raw: object) -> str:
+    label = _LABELS.get(raw.lower()) if isinstance(raw, str) else None
+    if label is None:
+        raise ValueError(f"bad label {raw!r}")
+    return label
+
+
 def _parse_json_line(line: str, line_no: int, identity: str) -> MessageRecord | None:
     obj = json.loads(line)
     if not isinstance(obj, dict):
@@ -111,14 +120,7 @@ def _parse_json_line(line: str, line_no: int, identity: str) -> MessageRecord | 
         raw_id = str(raw_id)
     if not isinstance(raw_id, str):
         raise ValueError("bad id")
-    aux = obj["aux"]
-    if not isinstance(aux, str) or aux.lower() not in _LABELS:
-        raise ValueError(f"bad aux label {aux!r}")
     truth = obj.get("truth")
-    if truth is not None:
-        if not isinstance(truth, str) or truth.lower() not in _LABELS:
-            raise ValueError(f"bad truth label {truth!r}")
-        truth = truth.lower()
     to = obj["to"]
     if not isinstance(to, list):
         raise ValueError("'to' not a list")
@@ -127,8 +129,8 @@ def _parse_json_line(line: str, line_no: int, identity: str) -> MessageRecord | 
         timestamp=_coerce_ts(obj["ts"]),
         sender=normalize_sender(obj["from"], identity),
         recipients=_normalize_recipients(to),
-        aux_label=aux.lower(),
-        truth=truth,
+        aux_label=_label(obj["aux"]),
+        truth=None if truth is None else _label(truth),
     )
 
 
@@ -142,15 +144,12 @@ def _parse_tsv_line(line: str, line_no: int, identity: str) -> MessageRecord:
     if len(parts) != 4:
         raise ValueError(f"expected 4 fields, got {len(parts)}")
     ts_raw, sender, to_raw, aux = parts
-    aux = aux.strip().lower()
-    if aux not in _LABELS:
-        raise ValueError(f"bad aux label {aux!r}")
     return MessageRecord(
         msg_id=f"m{line_no}",
         timestamp=int(ts_raw.strip()),
         sender=normalize_sender(sender, identity),
         recipients=_normalize_recipients(to_raw.split(",")),
-        aux_label=aux,
+        aux_label=_label(aux.strip()),
         truth=None,
     )
 

@@ -93,7 +93,10 @@ def _ids_within(ids, lo: int, hi: int) -> bool:
 
 
 def _restore_side(space: ClusterSpace, state: dict) -> Interner:
-    interner = Interner(state["names"])
+    names = state["names"]
+    if type(names) is not list or not set(map(type, names)) <= {str}:
+        raise ValueError("names are not a list of strings")
+    interner = Interner(names)
     users = state["users"]
     if len(users) != len(interner):
         raise ValueError(f"{len(users)} user rows for {len(interner)} names")

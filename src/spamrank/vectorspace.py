@@ -9,15 +9,14 @@ cluster count vectors are therefore one structure, and the key set of
 ``postings[d]`` is exactly the set of clusters whose vector touches ``d``.
 
 Squared norms are maintained incrementally in integer arithmetic (a count
-step c -> c+1 changes the squared norm by 2c+1), so every cosine here is
-computed from exact integers and is bit-for-bit reproducible from the
-current counts, no matter what update path produced them.
+step c -> c+1 changes the squared norm by 2c+1), so every cosine built on
+this index is computed from exact integers and is bit-for-bit reproducible
+from the current counts, no matter what update path produced them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Set
-from math import sqrt
+from collections.abc import Iterable
 
 from .errors import InternalStateError
 
@@ -47,40 +46,6 @@ class Interner:
 
     def __len__(self) -> int:
         return len(self._names)
-
-
-def _as_counts(v: Mapping[object, int] | Set) -> Mapping[object, int]:
-    if isinstance(v, Mapping):
-        return v
-    return dict.fromkeys(v, 1)
-
-
-def cosine(a: Mapping | Set, b: Mapping | Set) -> float:
-    """Cosine similarity of two sparse non-negative vectors.
-
-    Accepts either sets (binary vectors) or mappings to counts. If either
-    vector is empty the similarity is defined as 0.0. The result is clamped
-    to [0, 1].
-    """
-    ca = _as_counts(a)
-    cb = _as_counts(b)
-    if not ca or not cb:
-        return 0.0
-    if len(cb) < len(ca):
-        ca, cb = cb, ca
-    dot = 0
-    for d, v in ca.items():
-        w = cb.get(d)
-        if w is not None:
-            dot += v * w
-    if dot == 0:
-        return 0.0
-    nsq_a = sum(v * v for v in ca.values())
-    nsq_b = sum(v * v for v in cb.values())
-    sim = dot / sqrt(nsq_a * nsq_b)
-    if sim > 1.0:
-        return 1.0
-    return sim
 
 
 class InvertedIndex:
@@ -166,12 +131,3 @@ class InvertedIndex:
             for cid, cnt in p.items():
                 scores[cid] = get(cid, 0) + cnt
         return scores if scores is not None else {}
-
-    def all_entries(self) -> dict[int, dict[int, int]]:
-        """Materialize every cluster's count vector. Linear in total postings."""
-        out: dict[int, dict[int, int]] = {cid: {} for cid in self.norm_sq}
-        for d, p in self.postings.items():
-            for cid, cnt in p.items():
-                out[cid][d] = cnt
-        return out
-

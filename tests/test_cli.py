@@ -352,9 +352,10 @@ class TestReportCommands:
         assert list(tmp_path.iterdir()) == []
 
 
-# Few senders keep the sweep's beta CV small (it compares every pair of
-# sender clusters); many distinct recipients make each held record cost
-# ~1 KB, so a command that kept the records would stand out.
+# Few senders keep the sweep's beta CV small (on Python 3.10 its pstdev
+# still holds 8 B per pair of sender clusters); many distinct recipients
+# make each held record cost ~1 KB, so a command that kept the records
+# would stand out.
 SPARSE_SPEC = WorkloadSpec(
     seed=11, n_messages=12_000, n_legit_senders=300, n_spam_senders=200,
     n_recipients=20_000, n_communities=400, community_size_mean=25.0,

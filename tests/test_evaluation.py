@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -135,6 +136,25 @@ class TestBetaCv:
                     assert got == pytest.approx(expected, abs=1e-9)
                     checked += 1
         assert checked >= 4  # computable shapes actually exercised
+
+    def test_memory_does_not_grow_with_the_cluster_pairs(self):
+        # 1,000 two-member clusters on their own dimensions, every 100th also
+        # on one shared dimension: nearly all 499,500 centroid pairs sit at
+        # distance 1.0. A list of one distance per pair costs ~33 B a pair;
+        # Python 3.10's pstdev still copies its input, 8 B a pair.
+        n = 1000
+        layout = {k + 1: {2 * k: {2 * k}, 2 * k + 1: {2 * k, 2 * k + 1}}
+                  for k in range(n)}
+        for k in range(0, n, 100):
+            layout[k + 1][10 * n + k] = {10 * n}
+        space = build_space(0.5, layout)
+        tracemalloc.start()
+        try:
+            beta_cv(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * (n * (n - 1) // 2), peak
 
 
 class TestSweeps:

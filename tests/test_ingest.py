@@ -4,7 +4,9 @@ import json
 import pytest
 
 from spamrank import (
+    HAM,
     SENDER_FULL,
+    SPAM,
     FormatError,
     InvalidAddressError,
     MessageRecord,
@@ -107,6 +109,7 @@ class TestJsonlParsing:
         lambda o: o.update(to=[]),
         lambda o: o.update(to="a@u.example"),
         lambda o: o.update({"from": 17}),
+        lambda o: o.update(truth="junk"),
     ])
     def test_malformed_lines_are_skipped(self, mutation):
         obj = {"id": "x", "ts": 1, "from": "d.example",
@@ -163,6 +166,19 @@ class TestTsvParsing:
         records, stats = parse_lines([good, "1\td.example\tham", good], fmt="tsv")
         assert len(records) == 2
         assert stats.skipped == 1
+
+
+def test_labels_are_the_shared_constants():
+    # every record holds the one SPAM/HAM string, not a copy per line
+    jsonl = [json.dumps({"ts": 1, "from": "d.example", "to": ["a@u.example"],
+                         "aux": aux, "truth": truth})
+             for aux, truth in (("spam", "HAM"), ("Ham", "spam"))]
+    tsv = ["1\td.example\ta@u.example\tSPAM", "1\td.example\ta@u.example\tham "]
+    (s, h), _ = parse_lines(jsonl)
+    assert s.aux_label is SPAM and s.truth is HAM
+    assert h.aux_label is HAM and h.truth is SPAM
+    (s, h), _ = parse_lines(tsv, fmt="tsv")
+    assert s.aux_label is SPAM and h.aux_label is HAM
 
 
 class TestWriteJsonl:

@@ -28,6 +28,13 @@ def _unclustered_user_with_float_dim(state):
     row[1], row[4] = [0, 2.5], None
 
 
+def _names_as_one_string(state):
+    # as many distinct characters as there are names, so every count and
+    # uniqueness check still holds
+    side = state["senders"]
+    side["names"] = "abcdefghijklmnopqrstuvwxyz"[:len(side["names"])]
+
+
 class TestStateRoundTrip:
     def test_state_dict_round_trips(self, golden_records):
         engine, _ = run_engine(golden_records)
@@ -157,6 +164,8 @@ class TestValidation:
         lambda s: s["senders"]["names"].append("d9.example"),
         lambda s: s["senders"]["names"].__setitem__(1, "d1.example"),
         lambda s: s.update(input_offset=3),
+        _names_as_one_string,
+        lambda s: s["senders"]["names"].__setitem__(0, 7),
     ], ids=["no-config", "config-list", "config-extra-key", "no-senders",
             "no-names", "short-user-row", "cluster-not-a-row",
             "user-in-unknown-cluster", "no-message-count", "message-count-text",
@@ -165,7 +174,8 @@ class TestValidation:
             "cid-zero", "cid-text", "dim-text", "dim-names-no-user",
             "dim-negative", "unclustered-dim-float", "freq-sum-of-no-members",
             "cluster-without-freq-sum", "freq-sum-twice", "freq-sum-int",
-            "name-without-user", "repeated-name", "offset-below-message-count"])
+            "name-without-user", "repeated-name", "offset-below-message-count",
+            "names-a-string", "name-an-int"])
     def test_malformed_state_is_a_format_error(self, golden_records, mutate):
         engine, _ = run_engine(golden_records)
         state = json.loads(json.dumps(engine_state(engine)))

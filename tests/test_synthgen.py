@@ -1,3 +1,4 @@
+import math
 import statistics
 
 import pytest
@@ -7,12 +8,15 @@ from spamrank import (
     SPAM,
     ConfigError,
     WorkloadSpec,
-    cosine,
     flip_labels,
     generate,
     workload_layout,
 )
 from spamrank.synthgen import label_flipper
+
+
+def _cosine(a: set, b: set) -> float:
+    return len(a & b) / math.sqrt(len(a) * len(b))
 
 
 def small_spec(**kwargs) -> WorkloadSpec:
@@ -134,12 +138,12 @@ class TestLayout:
             if domain in vectors:
                 by_list.setdefault(layout.spammer_list[i], []).append(vectors[domain])
         same_list = [
-            cosine(a, b)
+            _cosine(a, b)
             for group in by_list.values()
             for k, a in enumerate(group)
             for b in group[k + 1:]
         ]
         legit = [vectors[d] for d in layout.legit_domains if d in vectors]
         spam = [vectors[d] for d in layout.spam_domains if d in vectors]
-        cross = [cosine(s, l) for s in spam[:40] for l in legit[:40]]
+        cross = [_cosine(s, l) for s in spam[:40] for l in legit[:40]]
         assert statistics.fmean(same_list) > statistics.fmean(cross) + 0.15

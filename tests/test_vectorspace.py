@@ -1,9 +1,7 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
-from spamrank import InternalStateError, Interner, InvertedIndex, cosine
+from spamrank import InternalStateError, Interner, InvertedIndex
 
 dims_sets = st.sets(st.integers(min_value=0, max_value=30), max_size=12)
 
@@ -26,34 +24,22 @@ class TestInterner:
         assert it.names()[1] == "b"
 
 
-class TestCosine:
-    def test_known_values(self):
-        assert cosine({1, 2}, {1, 2}) == 1.0
-        assert cosine({1, 2}, {3, 4}) == 0.0
-        assert cosine(set(), {1}) == 0.0
-        assert cosine({1, 2}, {1, 2, 3}) == pytest.approx(2 / math.sqrt(6))
-        # count mappings mix with sets
-        assert cosine({1: 2, 2: 2}, {1, 2}) == 1.0
-        assert cosine({1: 3}, {1: 5}) == 1.0
-
-    @given(dims_sets, dims_sets)
-    def test_symmetric_and_bounded(self, a, b):
-        c = cosine(a, b)
-        assert c == cosine(b, a)
-        assert 0.0 <= c <= 1.0
-        if a and a == b:
-            assert c == 1.0
-
-
 def _count(index: InvertedIndex, cid: int, d: int) -> int:
     return index.postings.get(d, {}).get(cid, 0)
 
 
+def _vectors(index: InvertedIndex) -> dict[int, dict[int, int]]:
+    """Each cluster's count vector, read back from the postings."""
+    out: dict[int, dict[int, int]] = {cid: {} for cid in index.norm_sq}
+    for d, p in index.postings.items():
+        for cid, cnt in p.items():
+            out[cid][d] = cnt
+    return out
+
+
 def _rebuild_norms(index: InvertedIndex) -> dict[int, int]:
-    norms: dict[int, int] = {cid: 0 for cid in index.norm_sq}
-    for cid, counts in index.all_entries().items():
-        norms[cid] = sum(c * c for c in counts.values())
-    return norms
+    return {cid: sum(c * c for c in counts.values())
+            for cid, counts in _vectors(index).items()}
 
 
 class TestInvertedIndex:
@@ -69,7 +55,7 @@ class TestInvertedIndex:
         assert ix.norm_sq[1] == 2
         ix.remove_member_vector(1, {1, 2})
         assert ix.norm_sq[1] == 0
-        assert ix.all_entries()[1] == {}
+        assert _vectors(ix)[1] == {}
         ix.drop_cluster(1)
         assert 1 not in ix.norm_sq
 
@@ -127,5 +113,5 @@ class TestInvertedIndex:
         for cid, dims in reversed(added):
             ix.remove_member_vector(cid, dims)
         assert all(n == 0 for n in ix.norm_sq.values())
-        assert all(not counts for counts in ix.all_entries().values())
+        assert all(not counts for counts in _vectors(ix).values())
 
