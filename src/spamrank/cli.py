@@ -52,7 +52,7 @@ from .ingest import (
     write_header,
     write_jsonl,
 )
-from .scoring import DEFERRED, LEGIT, SPAM, Verdict
+from .scoring import DEFERRED, LEGIT, SPAM
 from .snapshot import load_snapshot, save_snapshot
 from .synthgen import WorkloadSpec, flip_labels, generate
 
@@ -115,18 +115,6 @@ def _engine_config(args: argparse.Namespace, base: EngineConfig | None = None) -
 
 def _header(cfg: EngineConfig, seed: int) -> dict:
     return {"spamrank": __version__, "fingerprint": cfg.fingerprint(), "seed": seed}
-
-
-def _verdict_obj(v: Verdict) -> dict:
-    return {
-        "id": v.msg_id,
-        "p_s": v.p_s,
-        "p_r": v.p_r,
-        "sr": v.spam_rank,
-        "decision": v.decision,
-        "aux": v.aux_label,
-        "effective": v.effective_label,
-    }
 
 
 def _print_summary(
@@ -196,7 +184,15 @@ def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
             if v.decision != DEFERRED and v.effective_label == v.aux_label:
                 agree += 1
             if out is not None:
-                out.write(json.dumps(_verdict_obj(v)) + "\n")
+                # the line json.dumps would write for the verdict's dict: the
+                # id is the only field that may need escaping, the labels
+                # are constants, and JSON writes a finite float as its repr
+                out.write(
+                    f'{{"id": {json.dumps(v.msg_id)}, "p_s": {v.p_s!r}, '
+                    f'"p_r": {v.p_r!r}, "sr": {v.spam_rank!r}, '
+                    f'"decision": "{v.decision}", "aux": "{v.aux_label}", '
+                    f'"effective": "{v.effective_label}"}}\n'
+                )
                 if flush:
                     out.flush()
     elapsed = time.perf_counter() - start

@@ -14,6 +14,10 @@ is computed in closed form from the accumulated dot product:
 Both identities are integer-exact, so the lazy evaluation is bit-identical
 to physically detaching the user first.
 
+A user's vector and a cluster's member roster are each a list of distinct
+ids: the engine only iterates them, appends to them and removes one member,
+and a list holds a few ids in far less memory than a set.
+
 Cluster ids are never reused. A sole member that fails to join anything is
 re-seeded under a fresh id (the old cluster is retired), matching the
 remove-then-create reading of the assignment step.
@@ -44,7 +48,8 @@ class Cluster:
     """Cluster bookkeeping. The count vector itself lives in the index."""
 
     cid: int
-    members: set[int] = field(default_factory=set)
+    # distinct user ids, in attach order
+    members: list[int] = field(default_factory=list)
     # sum of spam frequencies over members with observations, and how many
     freq_sum: float = 0.0
     scored_members: int = 0
@@ -64,7 +69,8 @@ class ClusterSpace:
         self.side = side
         self.tau = tau
         self.index = InvertedIndex()
-        self.user_dims: dict[int, set[int]] = {}
+        # uid -> list of distinct dimension ids, in arrival order
+        self.user_dims: dict[int, list[int]] = {}
         self.user_cluster: dict[int, int] = {}
         self.stats: dict[int, SpamStats] = {}
         self.clusters: dict[int, Cluster] = {}
@@ -75,28 +81,32 @@ class ClusterSpace:
 
     def register_user(self, uid: int) -> None:
         if uid not in self.user_dims:
-            self.user_dims[uid] = set()
+            self.user_dims[uid] = []
             self.stats[uid] = SpamStats()
 
     def add_dims(self, uid: int, new_dims) -> None:
-        """Grow a user's vector; the current cluster sum tracks it."""
+        """Grow a user's vector by the ids it does not hold yet, each once,
+        in first-seen order; the current cluster sum tracks it."""
         dims = self.user_dims[uid]
-        added = [d for d in new_dims if d not in dims]
-        if not added:
+        held = len(dims)
+        for d in new_dims:
+            if d not in dims:
+                dims.append(d)
+        if len(dims) == held:
             return
-        dims.update(added)
         cid = self.user_cluster.get(uid)
         if cid is not None:
-            self.index.add_member_vector(cid, added)
+            self.index.add_member_vector(cid, dims[held:])
 
     def cluster_of(self, uid: int) -> Cluster:
         return self.clusters[self.user_cluster[uid]]
 
     def restore_user(
-        self, uid: int, dims: set[int], stats: SpamStats, cid: int | None
+        self, uid: int, dims: list[int], stats: SpamStats, cid: int | None
     ) -> None:
         """Re-add a saved user through assign_user's attach step, registering
-        cluster cid the first time it appears; None leaves it unclustered."""
+        cluster cid the first time it appears; None leaves it unclustered.
+        dims, a list of distinct ids, becomes the user's vector as it is."""
         self.user_dims[uid] = dims
         self.stats[uid] = stats
         if cid is not None:
@@ -187,7 +197,7 @@ class ClusterSpace:
 
     def _attach_into(self, uid: int, cluster: Cluster) -> None:
         self.index.add_member_vector(cluster.cid, self.user_dims[uid])
-        cluster.members.add(uid)
+        cluster.members.append(uid)
         self.user_cluster[uid] = cluster.cid
         st = self.stats[uid]
         if st.total_count:
@@ -196,10 +206,11 @@ class ClusterSpace:
 
     def _detach(self, uid: int, cid: int) -> None:
         cluster = self.clusters[cid]
-        if uid not in cluster.members:
-            raise NotAMemberError(f"user {uid} not in cluster {cid}")
+        try:
+            cluster.members.remove(uid)
+        except ValueError:
+            raise NotAMemberError(f"user {uid} not in cluster {cid}") from None
         self.index.remove_member_vector(cid, self.user_dims[uid])
-        cluster.members.discard(uid)
         del self.user_cluster[uid]
         st = self.stats[uid]
         if st.total_count:

@@ -106,7 +106,11 @@ def _restore_side(space: ClusterSpace, state: dict) -> Interner:
             raise ValueError(f"user row {uid} carries uid {row_uid!r}")
         if type(spam) is not int or type(total) is not int or not 0 <= spam <= total:
             raise ValueError(f"user {uid} has counts spam={spam!r} total={total!r}")
-        space.restore_user(uid, set(dims), SpamStats(spam, total), cid)
+        # a repeated id would count twice in the postings and in the
+        # integrity recount alike, so only this check can catch it
+        if type(dims) is not list or len(set(dims)) != len(dims):
+            raise ValueError(f"user {uid} dims are not a list of distinct ids")
+        space.restore_user(uid, dims, SpamStats(spam, total), cid)
     clusters = space.clusters
     if not _ids_within(clusters, 1, next_cid):
         raise ValueError(f"a cluster id is not a positive int below next_cid {next_cid}")

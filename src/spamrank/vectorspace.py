@@ -1,12 +1,13 @@
 """Sparse contact vectors and the cluster-side inverted index.
 
-A user's contact vector is the set of interned dimension ids the user has
-exchanged mail with; every present coordinate is 1, so its squared norm is
-just the set size. A cluster vector is the element-wise sum of its member
-vectors and lives inside the inverted index: ``postings[d][cid]`` is cluster
-``cid``'s count for dimension ``d``. The posting map for a dimension and the
-cluster count vectors are therefore one structure, and the key set of
-``postings[d]`` is exactly the set of clusters whose vector touches ``d``.
+A user's contact vector is the list of distinct interned dimension ids the
+user has exchanged mail with; every present coordinate is 1, so its squared
+norm is just the list's length. A cluster vector is the element-wise sum of
+its member vectors and lives inside the inverted index: ``postings[d][cid]``
+is cluster ``cid``'s count for dimension ``d``. The posting map for a
+dimension and the cluster count vectors are therefore one structure, and the
+key set of ``postings[d]`` is exactly the set of clusters whose vector
+touches ``d``.
 
 Squared norms are maintained incrementally in integer arithmetic (a count
 step c -> c+1 changes the squared norm by 2c+1), so every cosine built on

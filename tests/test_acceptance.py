@@ -123,8 +123,8 @@ def test_criterion_03_clustering_matches_the_naive_oracle():
                 (engine.recipient_side, naive_r),
             ):
                 assert space.user_cluster == naive.user_cluster
-                got = {cid: c.members for cid, c in space.clusters.items()}
-                assert got == naive.clusters
+                got = {cid: sorted(c.members) for cid, c in space.clusters.items()}
+                assert got == {cid: sorted(m) for cid, m in naive.clusters.items()}
                 assert space._next_cid == naive.next_cid
             messages += 1
         corpora += 1

@@ -118,6 +118,27 @@ class TestRunCommand:
         assert main(argv) == EXIT_CONFIG
         assert not out.exists()
 
+    def test_verdict_lines_are_what_json_dumps_writes(self, tmp_path, golden_path):
+        ids = ['say "hi"', "back\\slash", "naïve-日本", "bell\x07tab\t",
+               "line\u2028sep", "\x00", "m07", "", "\u20ac\U0001f600", "end"]
+        rows = [json.loads(l) for l in golden_path.read_text().splitlines()]
+        for row, msg_id in zip(rows, ids, strict=True):
+            row["id"] = msg_id
+        corpus = tmp_path / "ids.jsonl"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        out = tmp_path / "v.jsonl"
+        assert main(["run", "--input", str(corpus), "--output", str(out)]) == EXIT_OK
+        records, _ = spamrank.read_records(str(corpus))
+        expect = [
+            json.dumps({"id": v.msg_id, "p_s": v.p_s, "p_r": v.p_r, "sr": v.spam_rank,
+                        "decision": v.decision, "aux": v.aux_label,
+                        "effective": v.effective_label})
+            for v in spamrank.SpamRankEngine().process_many(records)
+        ]
+        lines = out.read_text(encoding="utf-8").split("\n")
+        assert lines[1:] == expect + [""]
+        assert [json.loads(l)["id"] for l in lines[1:-1]] == ids
+
     def test_failure_part_way_keeps_the_lines_written(self, tmp_path, golden_path):
         # three good records, then more malformed lines than good ones: the
         # parser rejects the stream only once it has seen the whole input

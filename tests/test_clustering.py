@@ -26,13 +26,13 @@ class TestAssignment:
     def test_first_user_seeds_cluster_one(self):
         space = make_space()
         assert seed_user(space, 0, {1, 2}) == 1
-        assert space.cluster_of(0).members == {0}
+        assert sorted(space.cluster_of(0).members) == [0]
 
     def test_identical_vector_joins(self):
         space = make_space()
         seed_user(space, 0, {1, 2})
         assert seed_user(space, 1, {1, 2}) == 1
-        assert space.cluster_of(1).members == {0, 1}
+        assert sorted(space.cluster_of(1).members) == [0, 1]
 
     def test_disjoint_vector_stays_apart(self):
         space = make_space()
@@ -100,7 +100,16 @@ class TestReseedAndMoves:
         space.add_dims(1, {1, 2})
         assert space.assign_user(1) == 1
         assert 2 not in space.clusters
-        assert space.cluster_of(1).members == {0, 1}
+        assert sorted(space.cluster_of(1).members) == [0, 1]
+
+    def test_an_id_repeated_in_one_call_is_added_once(self):
+        space = make_space()
+        seed_user(space, 0, [1, 2])
+        space.add_dims(0, [5, 7, 5, 2])
+        assert space.index.postings[5] == {1: 1}
+        assert space.index.norm_sq[1] == 4
+        assert space.user_dims[0] == [1, 2, 5, 7]
+        space.check_integrity()
 
     def test_detach_unknown_membership_raises(self):
         space = make_space()

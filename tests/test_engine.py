@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -104,6 +107,24 @@ class TestEngineBasics:
         report = engine.census()
         assert set(report) == {"sender", "recipient"}
         assert report["sender"].num_clusters == 2
+
+    def test_state_stays_small_per_user(self, default_records):
+        # with vectors and member rosters as lists the engine holds
+        # ~1,100-1,170 B a user on Python 3.10-3.13; one set per vector and
+        # roster would hold over 2,400 B
+        gc.collect()
+        tracemalloc.start()
+        try:
+            engine = SpamRankEngine()
+            for record in default_records:
+                engine.process(record)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        users = len(engine.sender_side.user_dims) + len(engine.recipient_side.user_dims)
+        assert users == 700
+        assert retained / users <= 1600
 
     def test_full_identity_separates_mailbox_senders(self):
         engine = SpamRankEngine(EngineConfig(sender_identity="full"))

@@ -42,9 +42,9 @@ def build_space(tau: float, layout: dict[int, dict[int, set]]) -> ClusterSpace:
         space.clusters[cid] = cluster
         for uid, dims in members.items():
             space.register_user(uid)
-            space.user_dims[uid] = set(dims)
+            space.user_dims[uid] = list(dims)
             space.index.add_member_vector(cid, dims)
-            cluster.members.add(uid)
+            cluster.members.append(uid)
             space.user_cluster[uid] = cid
         next_cid = max(next_cid, cid + 1)
     space._next_cid = next_cid

@@ -92,7 +92,7 @@ class TestEffectiveLabel:
 class TestClusterSpamProbability:
     def _cluster(self, freq_sum: float, scored: int, members: int) -> Cluster:
         c = Cluster(1)
-        c.members.update(range(members))
+        c.members.extend(range(members))
         c.freq_sum = freq_sum
         c.scored_members = scored
         return c

@@ -166,6 +166,8 @@ class TestValidation:
         lambda s: s.update(input_offset=3),
         _names_as_one_string,
         lambda s: s["senders"]["names"].__setitem__(0, 7),
+        lambda s: s["senders"]["users"][5].__setitem__(1, [0, 2, 0]),
+        lambda s: s["recipients"]["users"][3].__setitem__(1, (2, 3)),
     ], ids=["no-config", "config-list", "config-extra-key", "no-senders",
             "no-names", "short-user-row", "cluster-not-a-row",
             "user-in-unknown-cluster", "no-message-count", "message-count-text",
@@ -175,7 +177,7 @@ class TestValidation:
             "dim-negative", "unclustered-dim-float", "freq-sum-of-no-members",
             "cluster-without-freq-sum", "freq-sum-twice", "freq-sum-int",
             "name-without-user", "repeated-name", "offset-below-message-count",
-            "names-a-string", "name-an-int"])
+            "names-a-string", "name-an-int", "dims-repeat", "dims-not-a-list"])
     def test_malformed_state_is_a_format_error(self, golden_records, mutate):
         engine, _ = run_engine(golden_records)
         state = json.loads(json.dumps(engine_state(engine)))
