@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -144,6 +145,10 @@ def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
     for flag, value in (("--skip", args.skip), ("--limit", args.limit)):
         if value is not None and value < 0:
             raise ConfigError(f"{flag} must not be negative, got {value}")
+    # opening --output truncates it, so it must not be the file still to be read
+    if (args.input != "-" and args.output not in (None, "-")
+            and os.path.exists(args.output) and os.path.samefile(args.input, args.output)):
+        raise ConfigError(f"--output {args.output} is the --input file")
     if args.snapshot_in:
         engine = load_snapshot(args.snapshot_in)
         cfg = _engine_config(args, engine.config)

@@ -26,11 +26,9 @@ remove-then-create reading of the assignment step.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Set
 from dataclasses import dataclass, field
 from math import sqrt
 from operator import mul
-from typing import Callable
 
 from .errors import InternalStateError, NotAMemberError, UnknownUserError
 from .scoring import SpamStats
@@ -39,8 +37,8 @@ from .vectorspace import InvertedIndex
 SENDER_SIDE = "sender"
 RECIPIENT_SIDE = "recipient"
 
-# probe(uid, cid, sim, used_member_adjusted) for every candidate comparison
-SimilarityProbe = Callable[[int, int, float, bool], None]
+# drift allowed between a cluster's incremental freq_sum and a rebuild
+_FREQ_SUM_TOL = 1e-9
 
 
 @dataclass(slots=True)
@@ -75,7 +73,6 @@ class ClusterSpace:
         self.stats: dict[int, SpamStats] = {}
         self.clusters: dict[int, Cluster] = {}
         self._next_cid = 1
-        self.similarity_probe: SimilarityProbe | None = None
 
     # -- user registry ----------------------------------------------------
 
@@ -101,28 +98,17 @@ class ClusterSpace:
     def cluster_of(self, uid: int) -> Cluster:
         return self.clusters[self.user_cluster[uid]]
 
-    def restore_user(
-        self, uid: int, dims: list[int], stats: SpamStats, cid: int | None
-    ) -> None:
+    def restore_user(self, uid: int, dims: list[int], stats: SpamStats, cid: int) -> None:
         """Re-add a saved user through assign_user's attach step, registering
-        cluster cid the first time it appears; None leaves it unclustered.
-        dims, a list of distinct ids, becomes the user's vector as it is."""
+        cluster cid the first time it appears. dims, a list of distinct ids,
+        becomes the user's vector as it is."""
         self.user_dims[uid] = dims
         self.stats[uid] = stats
-        if cid is not None:
-            cluster = self.clusters.get(cid)
-            if cluster is None:
-                cluster = self.clusters[cid] = Cluster(cid)
-                self.index.register_cluster(cid)
-            self._attach_into(uid, cluster)
-
-    def dimensions(self) -> Set[int]:
-        """Every dimension some user's vector holds."""
-        dims = self.index.postings.keys()
-        if len(self.user_cluster) == len(self.user_dims):
-            return dims  # only users are clustered, so none is left out
-        loose = self.user_dims.keys() - self.user_cluster.keys()
-        return dims | set().union(*(self.user_dims[uid] for uid in loose))
+        cluster = self.clusters.get(cid)
+        if cluster is None:
+            cluster = self.clusters[cid] = Cluster(cid)
+            self.index.register_cluster(cid)
+        self._attach_into(uid, cluster)
 
     # -- assignment --------------------------------------------------------
 
@@ -144,7 +130,6 @@ class ClusterSpace:
         scores = self.index.score_candidates(dims)
         nu2 = len(dims)
         norm_sq = self.index.norm_sq
-        probe = self.similarity_probe
         best_cid = -1
         best_sim = 0.0
         for cid, dot in scores.items():
@@ -152,14 +137,10 @@ class ClusterSpace:
                 adj = dot - nu2
                 if adj <= 0:
                     # zero similarity can never win; -1 sentinel blocks ties
-                    if probe is not None:
-                        probe(uid, cid, 0.0, True)
                     continue
                 sim = adj / sqrt((norm_sq[cid] - dot - dot + nu2) * nu2)
             else:
                 sim = dot / sqrt(norm_sq[cid] * nu2)
-            if probe is not None:
-                probe(uid, cid, sim, cid == old)
             if sim > best_sim or (sim == best_sim and cid < best_cid):
                 best_sim = sim
                 best_cid = cid
@@ -252,7 +233,7 @@ class ClusterSpace:
             num_singletons=hist.get(1, 0),
         )
 
-    def check_integrity(self, tol: float = 1e-9) -> None:
+    def check_integrity(self) -> None:
         """Revalidate every incremental structure against a rebuild."""
         user_cluster = self.user_cluster
         user_dims = self.user_dims
@@ -293,7 +274,8 @@ class ClusterSpace:
             if index.norm_sq[cid] != sum(map(mul, counts, counts)):
                 raise InternalStateError(f"cluster {cid} norm diverged")
             # `not <=` so that a NaN cache fails too
-            if scored != cluster.scored_members or not abs(freq_sum - cluster.freq_sum) <= tol:
+            drift = abs(freq_sum - cluster.freq_sum)
+            if scored != cluster.scored_members or not drift <= _FREQ_SUM_TOL:
                 raise InternalStateError(f"cluster {cid} stats cache diverged")
         # each member maps back to its own cluster, so members are disjoint
         # and equal totals mean they cover every clustered user

@@ -59,13 +59,8 @@ class EngineConfig:
     def fingerprint(self) -> str:
         """Settings that shape engine state. omega only affects verdicts,
         so two runs differing only in omega share a fingerprint and their
-        snapshots are interchangeable. The last two fields name the one
-        update ordering (assignment and scoring both after the update), so
-        headers still tell these runs from runs of the former ablations."""
-        return (
-            f"tau={self.tau!r};identity={self.sender_identity};"
-            "assign_pre=0;score_pre=0"
-        )
+        snapshots are interchangeable."""
+        return f"tau={self.tau!r};identity={self.sender_identity}"
 
 
 class SpamRankEngine:

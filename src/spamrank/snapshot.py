@@ -24,7 +24,7 @@ from .errors import FormatError
 from .scoring import SpamStats
 from .vectorspace import Interner
 
-STATE_VERSION = 3
+STATE_VERSION = 4
 
 
 class _GcPaused:
@@ -50,19 +50,19 @@ def _count(value: object) -> int:
 
 
 def _side_state(space: ClusterSpace, interner: Interner) -> dict:
+    # row i is user i, and every user the engine has seen is clustered
     users = []
-    for uid in sorted(space.user_dims):
+    for uid, name in enumerate(interner.names()):
         st = space.stats[uid]
         users.append([
-            uid,
+            name,
             sorted(space.user_dims[uid]),
             st.spam_count,
             st.total_count,
-            space.user_cluster.get(uid),
+            space.user_cluster[uid],
         ])
     clusters = space.clusters
     return {
-        "names": interner.names(),
         "next_cid": space._next_cid,
         "users": users,
         "clusters": [[cid, clusters[cid].freq_sum] for cid in sorted(clusters)],
@@ -93,23 +93,18 @@ def _ids_within(ids, lo: int, hi: int) -> bool:
 
 
 def _restore_side(space: ClusterSpace, state: dict) -> Interner:
-    names = state["names"]
-    if type(names) is not list or not set(map(type, names)) <= {str}:
-        raise ValueError("names are not a list of strings")
-    interner = Interner(names)
-    users = state["users"]
-    if len(users) != len(interner):
-        raise ValueError(f"{len(users)} user rows for {len(interner)} names")
     next_cid = _count(state["next_cid"])
-    for uid, (row_uid, dims, spam, total, cid) in enumerate(users):
-        if type(row_uid) is not int or row_uid != uid:
-            raise ValueError(f"user row {uid} carries uid {row_uid!r}")
+    names = []
+    for uid, (name, dims, spam, total, cid) in enumerate(state["users"]):
+        if type(name) is not str:
+            raise ValueError(f"user {uid} has name {name!r}")
         if type(spam) is not int or type(total) is not int or not 0 <= spam <= total:
             raise ValueError(f"user {uid} has counts spam={spam!r} total={total!r}")
         # a repeated id would count twice in the postings and in the
         # integrity recount alike, so only this check can catch it
         if type(dims) is not list or len(set(dims)) != len(dims):
             raise ValueError(f"user {uid} dims are not a list of distinct ids")
+        names.append(name)
         space.restore_user(uid, dims, SpamStats(spam, total), cid)
     clusters = space.clusters
     if not _ids_within(clusters, 1, next_cid):
@@ -122,7 +117,7 @@ def _restore_side(space: ClusterSpace, state: dict) -> Interner:
             raise ValueError(f"cluster {cid} has freq_sum {freq_sum!r}")
         clusters[cid].freq_sum = freq_sum
     space._next_cid = next_cid
-    return interner
+    return Interner(names)  # refuses a repeated name
 
 
 def engine_from_state(state: dict) -> SpamRankEngine:
@@ -144,7 +139,7 @@ def engine_from_state(state: dict) -> SpamRankEngine:
         engine.recipients = _restore_side(engine.recipient_side, state["recipients"])
         for space, other in ((engine.sender_side, engine.recipients),
                              (engine.recipient_side, engine.senders)):
-            if not _ids_within(space.dimensions(), 0, len(other)):
+            if not _ids_within(space.index.postings.keys(), 0, len(other)):
                 raise ValueError(f"a {space.side} dimension names no user of the other side")
         engine.messages_processed = _count(state["messages_processed"])
         offset = _count(state["input_offset"])

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
+from itertools import chain, repeat
 from math import sqrt
+from operator import mul
 
 import pytest
 
@@ -133,84 +136,95 @@ def test_criterion_03_clustering_matches_the_naive_oracle():
           f"on both sides")
 
 
-class _ProbeAuditor:
-    """Checks every similarity probe a ClusterSpace emits.
+class _AssignAuditor:
+    """Stands in for one ClusterSpace's assign_user and audits its calls.
 
-    The membership flag is validated on every probe. Probe values are
-    validated by physically rebuilding the cluster sum (minus the user for
-    own-cluster probes): sampled, because the rebuild is quadratic-ish.
-    Exact float equality is required; the lazy closed form works on the
-    same integers as the rebuild.
+    For every `stride`-th call it works out the outcome before the engine
+    does, from first principles: each candidate cluster's sum is rebuilt
+    from its member roster and the members' vectors, leaving the user out
+    of its own cluster, and the rule is applied as documented (the largest
+    cosine strictly above tau wins, ties go to the lowest id, otherwise
+    the user is seeded under the next fresh id). The candidates come from
+    the other side's vectors, the transpose of this side's, so neither
+    the inverted index nor its cached norms are read. Exact equality is
+    required: the engine's closed form works on the same integers.
     """
 
-    def __init__(self, space, own_stride: int = 8, foreign_stride: int = 32):
+    def __init__(self, space, other, stride: int):
         self.space = space
-        self.own_stride = own_stride
-        self.foreign_stride = foreign_stride
-        self.own_probes = 0
-        self.foreign_probes = 0
-        self.checked_values = 0
-        self.flag_violations = 0
-        self.value_violations = 0
-        self.bias_divergent = 0
+        self.other = other
+        self.stride = stride
+        self._assign = space.assign_user
+        space.assign_user = self  # an instance attribute shadows the method
+        self.calls = 0
+        self.audited = 0
+        self.with_cluster = 0
+        self.mismatches = 0
+        self.divergent = 0
 
-    def _physical(self, uid: int, cid: int, skip_self: bool) -> float:
-        total: dict[int, int] = {}
-        for member in self.space.clusters[cid].members:
-            if skip_self and member == uid:
-                continue
-            for d in self.space.user_dims[member]:
-                total[d] = total.get(d, 0) + 1
-        dims = self.space.user_dims[uid]
-        dot = sum(total.get(d, 0) for d in dims)
+    def _sum(self, cid: int, leave_out: int) -> Counter:
+        user_dims = self.space.user_dims
+        return Counter(chain.from_iterable(
+            user_dims[m] for m in self.space.clusters[cid].members if m != leave_out))
+
+    @staticmethod
+    def _cosine(dims, total: Counter) -> float:
+        dot = sum(map(total.get, dims, repeat(0)))
         if dot <= 0:
             return 0.0
-        nsq = sum(c * c for c in total.values())
-        return dot / sqrt(nsq * len(dims))
+        counts = total.values()
+        return dot / sqrt(sum(map(mul, counts, counts)) * len(dims))
 
-    def __call__(self, uid: int, cid: int, sim: float, used_adjusted: bool) -> None:
-        is_member = self.space.user_cluster.get(uid) == cid
-        if used_adjusted != is_member:
-            self.flag_violations += 1
-        if used_adjusted:
-            self.own_probes += 1
-            if self.own_probes % self.own_stride:
-                return
-            expect = self._physical(uid, cid, skip_self=True)
-            biased = self._physical(uid, cid, skip_self=False)
-            if biased != sim:
-                self.bias_divergent += 1
-        else:
-            self.foreign_probes += 1
-            if self.foreign_probes % self.foreign_stride:
-                return
-            expect = self._physical(uid, cid, skip_self=False)
-        self.checked_values += 1
-        if expect != sim:
-            self.value_violations += 1
+    def _outcome(self, sims: dict[int, float]) -> int:
+        best = min(sims, key=lambda cid: (-sims[cid], cid), default=None)
+        if best is not None and sims[best] > self.space.tau:
+            return best
+        return self.space._next_cid
+
+    def __call__(self, uid: int) -> int:
+        self.calls += 1
+        if self.calls % self.stride:
+            return self._assign(uid)
+        user_cluster = self.space.user_cluster
+        dims = self.space.user_dims[uid]
+        old = user_cluster.get(uid)
+        candidates = {user_cluster[v] for d in dims for v in self.other.user_dims[d]
+                      if v in user_cluster}
+        sums = {cid: self._sum(cid, uid) for cid in candidates}
+        sims = {cid: self._cosine(dims, total) for cid, total in sums.items()}
+        expect = self._outcome(sims)
+        if old is not None:
+            self.with_cluster += 1
+            # the same choice with the user still counted in its own sum
+            biased = sums.get(old, Counter()) + Counter(dims)
+            if self._outcome({**sims, old: self._cosine(dims, biased)}) != expect:
+                self.divergent += 1
+        got = self._assign(uid)
+        self.audited += 1
+        if got != expect or user_cluster[uid] != expect:
+            self.mismatches += 1
+        return got
 
 
 def test_criterion_04_self_removal_is_never_skipped(default_records):
     """A user is never scored against a sum still holding its own vector."""
     engine = SpamRankEngine(EngineConfig())
-    audit_s = _ProbeAuditor(engine.sender_side)
-    audit_r = _ProbeAuditor(engine.recipient_side)
-    engine.sender_side.similarity_probe = audit_s
-    engine.recipient_side.similarity_probe = audit_r
+    audits = (_AssignAuditor(engine.sender_side, engine.recipient_side, stride=16),
+              _AssignAuditor(engine.recipient_side, engine.sender_side, stride=16))
     for record in default_records:
         engine.process(record)
     engine.check_integrity()
-    own = audit_s.own_probes + audit_r.own_probes
-    checked = audit_s.checked_values + audit_r.checked_values
-    divergent = audit_s.bias_divergent + audit_r.bias_divergent
-    assert audit_s.flag_violations == audit_r.flag_violations == 0
-    assert audit_s.value_violations == audit_r.value_violations == 0
-    assert own > 1000
-    assert divergent > 0  # the adjustment visibly changes real comparisons
-    print(f"[acceptance] criterion 04 PASS: {own} own-cluster probes all "
-          f"flagged correctly, {checked} sampled probe values match the "
-          f"physical rebuild exactly, 0 violations ({divergent} comparisons "
-          f"where ignoring self-removal would have scored differently)")
+    audited = sum(a.audited for a in audits)
+    with_cluster = sum(a.with_cluster for a in audits)
+    divergent = sum(a.divergent for a in audits)
+    assert [a.mismatches for a in audits] == [0, 0]
+    assert with_cluster > 1000
+    assert divergent > 0  # the self-removal visibly changes real outcomes
+    print(f"[acceptance] criterion 04 PASS: {audited} of "
+          f"{sum(a.calls for a in audits)} assignments audited against cluster "
+          f"sums rebuilt from the rosters, 0 mismatches; in {with_cluster} the "
+          f"user's own cluster was rebuilt without it, and {divergent} would "
+          f"have ended differently had the user been left in")
 
 
 def test_criterion_05_omega_one_reproduces_the_auxiliary(default_records):

@@ -99,6 +99,16 @@ class TestRunCommand:
         assert code == EXIT_IO
         assert not out.exists()
 
+    def test_output_onto_the_input_is_a_config_error(self, tmp_path, golden_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(golden_path.read_bytes())
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(corpus)
+        for output in (corpus, link):
+            assert main(["run", "--input", str(corpus), "--output", str(output)]) == EXIT_CONFIG
+            assert corpus.read_bytes() == golden_path.read_bytes()
+        assert "is the --input file" in capsys.readouterr().err
+
     def test_bad_tau_is_a_config_error(self, golden_path):
         assert main(["run", "--input", str(golden_path), "--tau", "1.5"]) == EXIT_CONFIG
 
@@ -219,6 +229,17 @@ class TestGenerateCommand:
         assert not corpus.exists()
 
 
+def _as_format_3(state: dict) -> None:
+    """Rewrite a snapshot in the previous layout: a names list per side,
+    rows that start with the user's index, and the longer fingerprint."""
+    state["version"] = 3
+    state["fingerprint"] += ";assign_pre=0;score_pre=0"
+    for side in (state["senders"], state["recipients"]):
+        side["names"] = [row[0] for row in side["users"]]
+        for uid, row in enumerate(side["users"]):
+            row[0] = uid
+
+
 class TestSnapshotCommands:
     def test_interrupted_run_matches_straight_run(self, tmp_path, golden_path):
         straight = tmp_path / "straight.jsonl"
@@ -288,10 +309,26 @@ class TestSnapshotCommands:
             assert main(["snapshot-load", "--input", str(golden_path),
                          "--snapshot-in", str(state)]) == EXIT_FORMAT
 
-    @pytest.mark.parametrize("doc", ['{"version": 2}', '{"version": 1}'])
+    @pytest.mark.parametrize("doc", ['{"version": 2}', '{"version": 1}', '{"version": 3}'])
     def test_snapshot_missing_fields_is_a_format_error(self, tmp_path, golden_path, doc):
         state = tmp_path / "state.json"
         state.write_text(doc)
+        assert main(["snapshot-load", "--input", str(golden_path),
+                     "--snapshot-in", str(state)]) == EXIT_FORMAT
+
+    @pytest.mark.parametrize("mutate", [
+        _as_format_3,
+        lambda s: s["senders"]["users"][0].__setitem__(4, None),
+        lambda s: s["recipients"]["users"][1].__setitem__(0, 1),
+        lambda s: s["senders"]["users"][1].__setitem__(0, s["senders"]["users"][0][0]),
+    ], ids=["format-3", "null-cid", "name-not-a-string", "repeated-name"])
+    def test_refused_snapshot_is_a_format_error(self, tmp_path, golden_path, mutate):
+        state = tmp_path / "state.json"
+        main(["snapshot-save", "--input", str(golden_path), "--limit", "6",
+              "--snapshot-out", str(state)])
+        doc = json.loads(state.read_text())
+        mutate(doc)
+        state.write_text(json.dumps(doc))
         assert main(["snapshot-load", "--input", str(golden_path),
                      "--snapshot-in", str(state)]) == EXIT_FORMAT
 

@@ -42,6 +42,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EngineConfig(**kwargs)
 
+    def test_fingerprint_names_the_structural_settings(self):
+        assert EngineConfig().fingerprint() == "tau=0.5;identity=domain"
+
     def test_fingerprint_ignores_omega_only(self):
         base = EngineConfig()
         assert EngineConfig(omega=0.6).fingerprint() == base.fingerprint()

@@ -23,16 +23,9 @@ def run_engine(records, cfg=None):
     return engine, verdicts
 
 
-def _unclustered_user_with_float_dim(state):
-    row = state["senders"]["users"][5]
-    row[1], row[4] = [0, 2.5], None
-
-
-def _names_as_one_string(state):
-    # as many distinct characters as there are names, so every count and
-    # uniqueness check still holds
-    side = state["senders"]
-    side["names"] = "abcdefghijklmnopqrstuvwxyz"[:len(side["names"])]
+def _repeat_name(side: dict, row: int) -> None:
+    users = side["users"]
+    users[row][0] = users[0][0]
 
 
 class TestStateRoundTrip:
@@ -42,6 +35,28 @@ class TestStateRoundTrip:
         clone = engine_from_state(state)
         assert engine_state(clone) == state
         clone.check_integrity()
+
+    def test_default_corpus_round_trips_through_json(self, default_records):
+        engine, _ = run_engine(default_records)
+        state = engine_state(engine)
+        clone = engine_from_state(json.loads(json.dumps(state)))
+        assert engine_state(clone) == state
+
+    def test_each_side_holds_one_row_per_user(self, golden_records):
+        engine, _ = run_engine(golden_records)
+        state = engine_state(engine)
+        assert state["version"] == STATE_VERSION == 4
+        for side, space, interner in (
+            ("senders", engine.sender_side, engine.senders),
+            ("recipients", engine.recipient_side, engine.recipients),
+        ):
+            assert state[side].keys() == {"next_cid", "users", "clusters"}
+            # row i is user i: name, sorted dims, spam, total, cluster id
+            assert state[side]["users"] == [
+                [name, sorted(space.user_dims[uid]), space.stats[uid].spam_count,
+                 space.stats[uid].total_count, space.user_cluster[uid]]
+                for uid, name in enumerate(interner.names())
+            ]
 
     def test_resume_mid_stream_is_invisible(self, golden_records):
         _, straight = run_engine(golden_records)
@@ -138,14 +153,13 @@ class TestValidation:
         lambda s: s.update(config=[0.5]),
         lambda s: s["config"].update(assign_before_update=False),
         lambda s: s.pop("senders"),
-        lambda s: s["recipients"].pop("names"),
         lambda s: s["senders"]["users"].append([99, [], 0]),
         lambda s: s["senders"]["clusters"].append("x"),
         lambda s: s["senders"]["users"][0].__setitem__(4, 12345),
         lambda s: s.pop("messages_processed"),
         lambda s: s.update(messages_processed="six"),
         lambda s: s["recipients"].update(next_cid=2.5),
-        lambda s: s["senders"]["users"][1].__setitem__(0, 0),
+        lambda s: _repeat_name(s["senders"], 1),
         lambda s: s["senders"]["users"][0].__setitem__(0, 0.0),
         lambda s: s["senders"]["users"][0].__setitem__(2, 3),
         lambda s: s["senders"]["users"][2].__setitem__(2, -1),
@@ -156,28 +170,27 @@ class TestValidation:
         lambda s: s["senders"]["users"][5].__setitem__(1, [0, "2"]),
         lambda s: s["senders"]["users"][5].__setitem__(1, [0, 2, 5]),
         lambda s: s["recipients"]["users"][3].__setitem__(1, [-1, 2]),
-        _unclustered_user_with_float_dim,
+        lambda s: s["senders"]["users"][5].__setitem__(4, None),
+        lambda s: s["senders"]["users"][5].__setitem__(1, [0, 2.5]),
         lambda s: s["senders"]["clusters"].append([7, 0.0]),
         lambda s: s["senders"]["clusters"].pop(),
         lambda s: s["senders"]["clusters"].append([1, 3.0]),
         lambda s: s["senders"]["clusters"][1].__setitem__(1, 0),
-        lambda s: s["senders"]["names"].append("d9.example"),
-        lambda s: s["senders"]["names"].__setitem__(1, "d1.example"),
+        lambda s: _repeat_name(s["recipients"], -1),
         lambda s: s.update(input_offset=3),
-        _names_as_one_string,
-        lambda s: s["senders"]["names"].__setitem__(0, 7),
+        lambda s: s["senders"]["users"][0].__setitem__(0, 7),
         lambda s: s["senders"]["users"][5].__setitem__(1, [0, 2, 0]),
         lambda s: s["recipients"]["users"][3].__setitem__(1, (2, 3)),
     ], ids=["no-config", "config-list", "config-extra-key", "no-senders",
-            "no-names", "short-user-row", "cluster-not-a-row",
+            "short-user-row", "cluster-not-a-row",
             "user-in-unknown-cluster", "no-message-count", "message-count-text",
-            "next-cid-float", "uid-not-row-index", "uid-float", "spam-above-total",
+            "next-cid-float", "name-repeated-in-rows", "name-float", "spam-above-total",
             "negative-spam", "total-float", "next-cid-at-a-live-cluster",
             "cid-zero", "cid-text", "dim-text", "dim-names-no-user",
-            "dim-negative", "unclustered-dim-float", "freq-sum-of-no-members",
+            "dim-negative", "cid-null", "dim-float", "freq-sum-of-no-members",
             "cluster-without-freq-sum", "freq-sum-twice", "freq-sum-int",
-            "name-without-user", "repeated-name", "offset-below-message-count",
-            "names-a-string", "name-an-int", "dims-repeat", "dims-not-a-list"])
+            "repeated-name", "offset-below-message-count",
+            "name-an-int", "dims-repeat", "dims-not-a-list"])
     def test_malformed_state_is_a_format_error(self, golden_records, mutate):
         engine, _ = run_engine(golden_records)
         state = json.loads(json.dumps(engine_state(engine)))
