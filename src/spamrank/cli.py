@@ -145,10 +145,19 @@ def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
     for flag, value in (("--skip", args.skip), ("--limit", args.limit)):
         if value is not None and value < 0:
             raise ConfigError(f"{flag} must not be negative, got {value}")
-    # opening --output truncates it, so it must not be the file still to be read
-    if (args.input != "-" and args.output not in (None, "-")
-            and os.path.exists(args.output) and os.path.samefile(args.input, args.output)):
-        raise ConfigError(f"--output {args.output} is the --input file")
+    # a written path is truncated or replaced, so it must not name the file
+    # still to be read, nor the other written path
+    given = (("--input", args.input), ("--output", args.output),
+             ("--snapshot-out", args.snapshot_out))
+    paths = [(flag, path) for flag, path in given if path not in (None, "-")]
+    for i, (flag, path) in enumerate(paths):
+        for other_flag, other in paths[:i]:
+            try:
+                same = os.path.samefile(path, other)
+            except OSError:  # a missing file can be named twice only by spelling
+                same = os.path.realpath(path) == os.path.realpath(other)
+            if same:
+                raise ConfigError(f"{flag} {path} is the {other_flag} file")
     if args.snapshot_in:
         engine = load_snapshot(args.snapshot_in)
         cfg = _engine_config(args, engine.config)

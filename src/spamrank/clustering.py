@@ -31,14 +31,11 @@ from math import sqrt
 from operator import mul
 
 from .errors import InternalStateError, NotAMemberError, UnknownUserError
-from .scoring import SpamStats
+from .scoring import FREQ_BITS, SpamStats
 from .vectorspace import InvertedIndex
 
 SENDER_SIDE = "sender"
 RECIPIENT_SIDE = "recipient"
-
-# drift allowed between a cluster's incremental freq_sum and a rebuild
-_FREQ_SUM_TOL = 1e-9
 
 
 @dataclass(slots=True)
@@ -48,8 +45,9 @@ class Cluster:
     cid: int
     # distinct user ids, in attach order
     members: list[int] = field(default_factory=list)
-    # sum of spam frequencies over members with observations, and how many
-    freq_sum: float = 0.0
+    # sum of fixed-point spam frequencies, (spam << FREQ_BITS) // total,
+    # over members with observations, and how many
+    freq_sum: int = 0
     scored_members: int = 0
 
 
@@ -182,7 +180,7 @@ class ClusterSpace:
         self.user_cluster[uid] = cluster.cid
         st = self.stats[uid]
         if st.total_count:
-            cluster.freq_sum += st.spam_count / st.total_count
+            cluster.freq_sum += (st.spam_count << FREQ_BITS) // st.total_count
             cluster.scored_members += 1
 
     def _detach(self, uid: int, cid: int) -> None:
@@ -195,7 +193,7 @@ class ClusterSpace:
         del self.user_cluster[uid]
         st = self.stats[uid]
         if st.total_count:
-            cluster.freq_sum -= st.spam_count / st.total_count
+            cluster.freq_sum -= (st.spam_count << FREQ_BITS) // st.total_count
             cluster.scored_members -= 1
         if not cluster.members:
             del self.clusters[cid]
@@ -208,11 +206,11 @@ class ClusterSpace:
         st = self.stats[uid]
         old_total = st.total_count
         if old_total:
-            old_freq = st.spam_count / old_total
+            old_freq = (st.spam_count << FREQ_BITS) // old_total
         st.total_count = old_total + 1
         if is_spam:
             st.spam_count += 1
-        new_freq = st.spam_count / st.total_count
+        new_freq = (st.spam_count << FREQ_BITS) // st.total_count
         cid = self.user_cluster.get(uid)
         if cid is not None:
             cluster = self.clusters[cid]
@@ -256,7 +254,7 @@ class ClusterSpace:
             if not cluster.members:
                 raise InternalStateError(f"empty cluster {cid} retained")
             expect: dict[int, int] = {}
-            freq_sum = 0.0
+            freq_sum = 0
             scored = 0
             for uid in cluster.members:
                 if user_cluster.get(uid) != cid:
@@ -265,7 +263,7 @@ class ClusterSpace:
                     expect[d] = expect.get(d, 0) + 1
                 st = stats[uid]
                 if st.total_count:
-                    freq_sum += st.spam_count / st.total_count
+                    freq_sum += (st.spam_count << FREQ_BITS) // st.total_count
                     scored += 1
             n_members += len(cluster.members)
             if vectors[cid] != expect:
@@ -273,9 +271,7 @@ class ClusterSpace:
             counts = expect.values()
             if index.norm_sq[cid] != sum(map(mul, counts, counts)):
                 raise InternalStateError(f"cluster {cid} norm diverged")
-            # `not <=` so that a NaN cache fails too
-            drift = abs(freq_sum - cluster.freq_sum)
-            if scored != cluster.scored_members or not drift <= _FREQ_SUM_TOL:
+            if scored != cluster.scored_members or freq_sum != cluster.freq_sum:
                 raise InternalStateError(f"cluster {cid} stats cache diverged")
         # each member maps back to its own cluster, so members are disjoint
         # and equal totals mean they cover every clustered user

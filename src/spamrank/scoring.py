@@ -5,6 +5,10 @@ spam probability is the unweighted mean of its members' spam frequencies,
 ignoring members that have not been scored yet; a cluster where nobody has
 history yet sits at the uninformative 0.5.
 
+A member's frequency is the fixed-point integer (spam << FREQ_BITS) //
+total, and a cluster keeps the exact sum, which no update order can change;
+the mean is then one correctly rounded division, never above 1.
+
 The spam rank of a message combines the sender-side and recipient-side
 probabilities. Geometrically: scale the point (p_s, p_r) onto the unit
 square's diagonal frame by 1/sqrt(2) per axis and project it onto the
@@ -26,6 +30,9 @@ SPAM = "spam"
 HAM = "ham"
 LEGIT = "legit"
 DEFERRED = "deferred"
+
+# fraction bits of a member's fixed-point spam frequency
+FREQ_BITS = 60
 
 
 @dataclass(slots=True)
@@ -97,10 +104,4 @@ def cluster_spam_probability(cluster: "Cluster") -> float:
     n = cluster.scored_members
     if n == 0:
         return 0.5
-    p = cluster.freq_sum / n
-    # incremental float cache can drift a hair past the bounds
-    if p > 1.0:
-        return 1.0
-    if p < 0.0:
-        return 0.0
-    return p
+    return cluster.freq_sum / (n << FREQ_BITS)

@@ -1,11 +1,11 @@
 """Engine state persistence with exact resume.
 
 A snapshot is one versioned JSON document holding only what cannot be
-rebuilt (README lists its fields). Loading re-adds every user through the
-attach step the engine runs, so cluster sums and norms are recomputed, then
-sets each cluster's saved `freq_sum`, a float whose last bits depend on
-update order. JSON floats round-trip exactly through repr, so a loaded
-engine continues with verdicts identical to an uninterrupted run.
+rebuilt (README lists its fields): per side, the next cluster id and one
+row per user. Loading re-adds every user through the attach step the
+engine runs, which recomputes every cluster value: count vectors, norms and
+the fixed-point spam-frequency sums, exact integers whatever the update
+order. So a loaded engine continues exactly like an uninterrupted run.
 
 Save and load run with the cyclic garbage collector paused: they create
 and drop tens of thousands of containers but no reference cycles, so every
@@ -24,7 +24,7 @@ from .errors import FormatError
 from .scoring import SpamStats
 from .vectorspace import Interner
 
-STATE_VERSION = 4
+STATE_VERSION = 5
 
 
 class _GcPaused:
@@ -61,12 +61,7 @@ def _side_state(space: ClusterSpace, interner: Interner) -> dict:
             st.total_count,
             space.user_cluster[uid],
         ])
-    clusters = space.clusters
-    return {
-        "next_cid": space._next_cid,
-        "users": users,
-        "clusters": [[cid, clusters[cid].freq_sum] for cid in sorted(clusters)],
-    }
+    return {"next_cid": space._next_cid, "users": users}
 
 
 def engine_state(engine: SpamRankEngine) -> dict:
@@ -104,18 +99,12 @@ def _restore_side(space: ClusterSpace, state: dict) -> Interner:
         # integrity recount alike, so only this check can catch it
         if type(dims) is not list or len(set(dims)) != len(dims):
             raise ValueError(f"user {uid} dims are not a list of distinct ids")
+        if type(cid) is not int:  # restore_user would find cluster 1 by 1.0 or True
+            raise ValueError(f"user {uid} has cluster {cid!r}")
         names.append(name)
         space.restore_user(uid, dims, SpamStats(spam, total), cid)
-    clusters = space.clusters
-    if not _ids_within(clusters, 1, next_cid):
+    if not _ids_within(space.clusters, 1, next_cid):
         raise ValueError(f"a cluster id is not a positive int below next_cid {next_cid}")
-    freq_sums = dict(state["clusters"])
-    if len(freq_sums) != len(state["clusters"]) or freq_sums.keys() != clusters.keys():
-        raise ValueError("cluster rows do not name each cluster with members once")
-    for cid, freq_sum in freq_sums.items():
-        if type(freq_sum) is not float:
-            raise ValueError(f"cluster {cid} has freq_sum {freq_sum!r}")
-        clusters[cid].freq_sum = freq_sum
     space._next_cid = next_cid
     return Interner(names)  # refuses a repeated name
 
@@ -128,8 +117,9 @@ def engine_from_state(state: dict) -> SpamRankEngine:
     that parses but is inconsistent fails check_integrity, which always
     runs, with InternalStateError.
     """
-    if state.get("version") != STATE_VERSION:
-        raise FormatError(f"unsupported snapshot version {state.get('version')!r}")
+    version = state.get("version")
+    if type(version) is not int or version != STATE_VERSION:  # 5.0 == 5 as well
+        raise FormatError(f"unsupported snapshot version {version!r}")
     try:
         cfg = EngineConfig(**state["config"])
         if state.get("fingerprint") != cfg.fingerprint():

@@ -240,6 +240,17 @@ def _as_format_3(state: dict) -> None:
             row[0] = uid
 
 
+def _as_format_4(state: dict) -> None:
+    """Rewrite a snapshot in the previous layout: version 4, and a
+    [cid, freq_sum] row per cluster holding a float sum of frequencies."""
+    state["version"] = 4
+    for side in (state["senders"], state["recipients"]):
+        sums: dict[int, float] = {}
+        for _, _, spam, total, cid in side["users"]:
+            sums[cid] = sums.get(cid, 0.0) + (spam / total if total else 0.0)
+        side["clusters"] = [[cid, sums[cid]] for cid in sorted(sums)]
+
+
 class TestSnapshotCommands:
     def test_interrupted_run_matches_straight_run(self, tmp_path, golden_path):
         straight = tmp_path / "straight.jsonl"
@@ -309,7 +320,8 @@ class TestSnapshotCommands:
             assert main(["snapshot-load", "--input", str(golden_path),
                          "--snapshot-in", str(state)]) == EXIT_FORMAT
 
-    @pytest.mark.parametrize("doc", ['{"version": 2}', '{"version": 1}', '{"version": 3}'])
+    @pytest.mark.parametrize("doc", ['{"version": 2}', '{"version": 1}', '{"version": 3}',
+                                     '{"version": 4}'])
     def test_snapshot_missing_fields_is_a_format_error(self, tmp_path, golden_path, doc):
         state = tmp_path / "state.json"
         state.write_text(doc)
@@ -318,10 +330,15 @@ class TestSnapshotCommands:
 
     @pytest.mark.parametrize("mutate", [
         _as_format_3,
+        _as_format_4,
         lambda s: s["senders"]["users"][0].__setitem__(4, None),
         lambda s: s["recipients"]["users"][1].__setitem__(0, 1),
         lambda s: s["senders"]["users"][1].__setitem__(0, s["senders"]["users"][0][0]),
-    ], ids=["format-3", "null-cid", "name-not-a-string", "repeated-name"])
+        # row 0 has already registered cluster 1, which these would find
+        lambda s: s["recipients"]["users"][1].__setitem__(4, 1.0),
+        lambda s: s["recipients"]["users"][1].__setitem__(4, True),
+    ], ids=["format-3", "format-4", "null-cid", "name-not-a-string", "repeated-name",
+            "cid-float", "cid-true"])
     def test_refused_snapshot_is_a_format_error(self, tmp_path, golden_path, mutate):
         state = tmp_path / "state.json"
         main(["snapshot-save", "--input", str(golden_path), "--limit", "6",
@@ -331,6 +348,48 @@ class TestSnapshotCommands:
         state.write_text(json.dumps(doc))
         assert main(["snapshot-load", "--input", str(golden_path),
                      "--snapshot-in", str(state)]) == EXIT_FORMAT
+
+    @pytest.mark.parametrize("command", ["snapshot-save", "snapshot-load"])
+    def test_snapshot_out_onto_the_input_is_a_config_error(
+        self, tmp_path, golden_path, capsys, command
+    ):
+        state = tmp_path / "state.json"
+        main(["snapshot-save", "--input", str(golden_path), "--limit", "4",
+              "--snapshot-out", str(state)])
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(golden_path.read_bytes())
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(corpus)
+        extra = ["--snapshot-in", str(state)] if command == "snapshot-load" else []
+        for target in (corpus, link):
+            argv = [command, "--input", str(corpus), "--snapshot-out", str(target)]
+            assert main(argv + extra) == EXIT_CONFIG
+            assert corpus.read_bytes() == golden_path.read_bytes()
+        assert "--snapshot-out" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "corpus.jsonl", "link.jsonl", "state.json"]
+
+    def test_output_and_snapshot_out_must_differ(self, tmp_path, golden_path, capsys):
+        # a new path named twice, and an existing file under a second name
+        out = tmp_path / "out.jsonl"
+        argv = ["run", "--input", str(golden_path), "--output", str(out)]
+        assert main(argv + ["--snapshot-out", str(tmp_path / "." / "out.jsonl")]) == EXIT_CONFIG
+        assert not out.exists()
+        out.write_text("kept\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(out)
+        assert main(argv + ["--snapshot-out", str(link)]) == EXIT_CONFIG
+        assert out.read_text() == "kept\n"
+        assert "--snapshot-out" in capsys.readouterr().err
+
+    def test_snapshot_out_may_replace_the_snapshot_in(self, tmp_path, golden_path):
+        # the snapshot is read before anything is written
+        state = tmp_path / "state.json"
+        main(["snapshot-save", "--input", str(golden_path), "--limit", "4",
+              "--snapshot-out", str(state)])
+        assert main(["snapshot-load", "--input", str(golden_path), "--limit", "3",
+                     "--snapshot-in", str(state), "--snapshot-out", str(state)]) == EXIT_OK
+        assert json.loads(state.read_text())["input_offset"] == 7
 
     def test_conflicting_flags_rejected_on_resume(self, tmp_path, golden_path):
         state = tmp_path / "state.json"

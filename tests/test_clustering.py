@@ -10,6 +10,7 @@ from spamrank import (
     WorkloadSpec,
     generate,
 )
+from spamrank.scoring import FREQ_BITS, cluster_spam_probability
 
 
 def make_space(tau: float = 0.5) -> ClusterSpace:
@@ -126,7 +127,7 @@ class TestScoringHooks:
         space.record_observation(0, True)
         space.record_observation(0, False)
         cluster = space.cluster_of(0)
-        assert cluster.freq_sum == pytest.approx(0.5)
+        assert cluster.freq_sum == 1 << (FREQ_BITS - 1)  # 1/2 in fixed point
         assert cluster.scored_members == 1
         # a second user carries its history into the cluster on join
         space.register_user(1)
@@ -134,8 +135,38 @@ class TestScoringHooks:
         space.record_observation(1, True)
         space.assign_user(1)
         assert cluster.scored_members == 2
-        assert cluster.freq_sum == pytest.approx(1.5)
+        assert cluster.freq_sum == (1 << FREQ_BITS) + (1 << (FREQ_BITS - 1))
         space.check_integrity()
+
+    def test_update_order_does_not_change_the_sum(self):
+        # as floats, these orders sum the same frequencies to different bits
+        history = {
+            0: [True, False, False],
+            1: [True, True, False, True, False, False, False],
+            2: [False, True, True, False, False, True, False, False, True, False],
+        }
+        # joined first, then observed in turn, one label at a time
+        inside = make_space()
+        for uid in history:
+            seed_user(inside, uid, {1, 2})
+        for step in range(max(map(len, history.values()))):
+            for uid, labels in history.items():
+                if step < len(labels):
+                    inside.record_observation(uid, labels[step])
+        # observed first, so each frequency arrives whole on attach
+        joining = make_space()
+        for uid, labels in history.items():
+            joining.register_user(uid)
+            for is_spam in labels:
+                joining.record_observation(uid, is_spam)
+            joining.add_dims(uid, {1, 2})
+            joining.assign_user(uid)
+        a, b = inside.cluster_of(0), joining.cluster_of(0)
+        assert sorted(a.members) == sorted(b.members) == [0, 1, 2]
+        assert type(a.freq_sum) is int and a.freq_sum == b.freq_sum
+        assert cluster_spam_probability(a) == cluster_spam_probability(b)
+        inside.check_integrity()
+        joining.check_integrity()
 
     def test_census_counts_singletons(self):
         space = make_space()
@@ -183,9 +214,9 @@ class TestInvariants:
 
     @pytest.mark.parametrize("corrupt", [
         lambda s: s.index.postings.setdefault(99, {}).__setitem__(1, 1),
-        lambda s: setattr(s.clusters[1], "freq_sum", float("nan")),
+        lambda s: setattr(s.clusters[1], "freq_sum", s.clusters[1].freq_sum - 1),
         lambda s: s.user_cluster.__setitem__(7, 1),
-    ], ids=["stray-posting", "nan-freq-sum", "clustered-non-member"])
+    ], ids=["stray-posting", "freq-sum-off-by-one", "clustered-non-member"])
     def test_integrity_rejects_corruption(self, corrupt):
         space = make_space()
         for uid, dims in ((1, {1, 2}), (2, {1, 2}), (3, {5})):

@@ -15,7 +15,7 @@ from spamrank import (
     spam_rank,
 )
 from spamrank.clustering import Cluster
-from spamrank.scoring import cluster_spam_probability
+from spamrank.scoring import FREQ_BITS, cluster_spam_probability
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 
@@ -90,7 +90,7 @@ class TestEffectiveLabel:
 
 
 class TestClusterSpamProbability:
-    def _cluster(self, freq_sum: float, scored: int, members: int) -> Cluster:
+    def _cluster(self, freq_sum: int, scored: int, members: int) -> Cluster:
         c = Cluster(1)
         c.members.extend(range(members))
         c.freq_sum = freq_sum
@@ -99,15 +99,33 @@ class TestClusterSpamProbability:
 
     def test_empty_cluster_is_an_error(self):
         with pytest.raises(InternalStateError):
-            cluster_spam_probability(self._cluster(0.0, 0, members=0))
+            cluster_spam_probability(self._cluster(0, 0, members=0))
 
     def test_unscored_members_mean_maximum_uncertainty(self):
-        assert cluster_spam_probability(self._cluster(0.0, 0, members=3)) == 0.5
+        assert cluster_spam_probability(self._cluster(0, 0, members=3)) == 0.5
 
     def test_mean_over_scored_members_only(self):
         # two scored members at 1.0 and 0.5; a third unobserved one is ignored
-        assert cluster_spam_probability(self._cluster(1.5, 2, members=3)) == 0.75
+        one = 1 << FREQ_BITS
+        assert cluster_spam_probability(self._cluster(one + one // 2, 2, members=3)) == 0.75
 
-    def test_float_drift_is_clamped(self):
-        assert cluster_spam_probability(self._cluster(2.0000000001, 2, members=2)) == 1.0
-        assert cluster_spam_probability(self._cluster(-1e-12, 1, members=1)) == 0.0
+    def test_full_and_empty_sums_are_exactly_one_and_zero(self):
+        # the bounds are reached exactly and there is no clamp to hide drift
+        for n in (1, 2, 3, 7, 1000):
+            assert cluster_spam_probability(self._cluster(n << FREQ_BITS, n, members=n)) == 1.0
+            assert cluster_spam_probability(self._cluster(0, n, members=n)) == 0.0
+
+    @given(st.lists(st.integers(0, 50).flatmap(
+        lambda total: st.tuples(st.integers(0, total), st.just(total))), min_size=1))
+    def test_mean_of_fixed_point_frequencies(self, counts):
+        # each member's frequency is floored to FREQ_BITS fraction bits and
+        # the mean is one correctly rounded division of the exact sum
+        scored = [(spam, total) for spam, total in counts if total]
+        freqs = [(spam << FREQ_BITS) // total for spam, total in scored]
+        p = cluster_spam_probability(self._cluster(sum(freqs), len(scored), len(counts)))
+        if not scored:
+            assert p == 0.5
+            return
+        assert p == float(Fraction(sum(freqs), len(scored) << FREQ_BITS))
+        exact = sum(Fraction(spam, total) for spam, total in scored) / len(scored)
+        assert 0.0 <= p <= 1.0 and abs(Fraction(p) - exact) <= Fraction(1, 1 << 52)

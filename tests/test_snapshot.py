@@ -2,6 +2,8 @@ import gc
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spamrank import (
     EngineConfig,
@@ -28,6 +30,36 @@ def _repeat_name(side: dict, row: int) -> None:
     users[row][0] = users[0][0]
 
 
+def _paths(doc, path=()):
+    """(path, value) for every value in a JSON document, containers too."""
+    yield path, doc
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _paths(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# one edit: an int swapped for float(v), bool(v), str(v) or null, an int
+# off by one, or a list element dropped or duplicated
+_SWAPS = {"float": float, "bool": bool, "str": str, "null": lambda v: None,
+          "plus-one": lambda v: v + 1, "minus-one": lambda v: v - 1}
+_LIST_EDITS = ("drop", "duplicate")
+
+
+def _same_document(doc: dict) -> str:
+    # type-strict through the JSON text; dims compared as sets
+    doc = json.loads(json.dumps(doc))
+    for side in ("senders", "recipients"):
+        for row in doc[side]["users"]:
+            row[1] = sorted(row[1])
+    return json.dumps(doc, sort_keys=True)
+
+
 class TestStateRoundTrip:
     def test_state_dict_round_trips(self, golden_records):
         engine, _ = run_engine(golden_records)
@@ -45,12 +77,13 @@ class TestStateRoundTrip:
     def test_each_side_holds_one_row_per_user(self, golden_records):
         engine, _ = run_engine(golden_records)
         state = engine_state(engine)
-        assert state["version"] == STATE_VERSION == 4
+        assert state["version"] == STATE_VERSION == 5
         for side, space, interner in (
             ("senders", engine.sender_side, engine.senders),
             ("recipients", engine.recipient_side, engine.recipients),
         ):
-            assert state[side].keys() == {"next_cid", "users", "clusters"}
+            # cluster values are all rebuilt from the users on load
+            assert state[side].keys() == {"next_cid", "users"}
             # row i is user i: name, sorted dims, spam, total, cluster id
             assert state[side]["users"] == [
                 [name, sorted(space.user_dims[uid]), space.stats[uid].spam_count,
@@ -108,24 +141,16 @@ class TestValidation:
         assert clone.config.omega == 0.95
 
     def test_corrupted_freq_sum_fails_verification(self, golden_records):
-        engine, _ = run_engine(golden_records)
-        # tamper with the serialized form, as on-disk corruption would
-        state = json.loads(json.dumps(engine_state(engine)))
-        # freq_sum is the one cluster value kept on disk: the rebuild that
-        # every load runs must notice it no longer sums the members
-        state["senders"]["clusters"][0][1] += 0.5
-        with pytest.raises(InternalStateError):
-            engine_from_state(state)
-
-    def test_clusters_are_stored_as_freq_sums_only(self, golden_records):
-        # count vectors, norms and member counts are rebuilt from the users
-        engine, _ = run_engine(golden_records)
-        state = engine_state(engine)
-        for side, space in (("senders", engine.sender_side),
-                            ("recipients", engine.recipient_side)):
-            assert state[side]["clusters"] == [
-                [cid, space.clusters[cid].freq_sum] for cid in sorted(space.clusters)
-            ]
+        # the load rebuilds every sum exactly, so the integrity check that
+        # ends it compares with == and a sum off by one unit is caught
+        engine = engine_from_state(engine_state(run_engine(golden_records)[0]))
+        engine.check_integrity()
+        for space in (engine.sender_side, engine.recipient_side):
+            cluster = next(c for c in space.clusters.values() if c.scored_members)
+            cluster.freq_sum += 1
+            with pytest.raises(InternalStateError):
+                space.check_integrity()
+            cluster.freq_sum -= 1
 
     def test_garbage_files_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -154,7 +179,6 @@ class TestValidation:
         lambda s: s["config"].update(assign_before_update=False),
         lambda s: s.pop("senders"),
         lambda s: s["senders"]["users"].append([99, [], 0]),
-        lambda s: s["senders"]["clusters"].append("x"),
         lambda s: s["senders"]["users"][0].__setitem__(4, 12345),
         lambda s: s.pop("messages_processed"),
         lambda s: s.update(messages_processed="six"),
@@ -172,31 +196,64 @@ class TestValidation:
         lambda s: s["recipients"]["users"][3].__setitem__(1, [-1, 2]),
         lambda s: s["senders"]["users"][5].__setitem__(4, None),
         lambda s: s["senders"]["users"][5].__setitem__(1, [0, 2.5]),
-        lambda s: s["senders"]["clusters"].append([7, 0.0]),
-        lambda s: s["senders"]["clusters"].pop(),
-        lambda s: s["senders"]["clusters"].append([1, 3.0]),
-        lambda s: s["senders"]["clusters"][1].__setitem__(1, 0),
         lambda s: _repeat_name(s["recipients"], -1),
         lambda s: s.update(input_offset=3),
         lambda s: s["senders"]["users"][0].__setitem__(0, 7),
         lambda s: s["senders"]["users"][5].__setitem__(1, [0, 2, 0]),
         lambda s: s["recipients"]["users"][3].__setitem__(1, (2, 3)),
+        # row 0 has already registered cluster 1, which these would find
+        lambda s: s["recipients"]["users"][1].__setitem__(4, 1.0),
+        lambda s: s["recipients"]["users"][1].__setitem__(4, True),
+        lambda s: s.update(version=4),
+        lambda s: s.update(version=5.0),
     ], ids=["no-config", "config-list", "config-extra-key", "no-senders",
-            "short-user-row", "cluster-not-a-row",
+            "short-user-row",
             "user-in-unknown-cluster", "no-message-count", "message-count-text",
             "next-cid-float", "name-repeated-in-rows", "name-float", "spam-above-total",
             "negative-spam", "total-float", "next-cid-at-a-live-cluster",
             "cid-zero", "cid-text", "dim-text", "dim-names-no-user",
-            "dim-negative", "cid-null", "dim-float", "freq-sum-of-no-members",
-            "cluster-without-freq-sum", "freq-sum-twice", "freq-sum-int",
+            "dim-negative", "cid-null", "dim-float",
             "repeated-name", "offset-below-message-count",
-            "name-an-int", "dims-repeat", "dims-not-a-list"])
+            "name-an-int", "dims-repeat", "dims-not-a-list", "cid-float", "cid-true",
+            "version-4", "version-float"])
     def test_malformed_state_is_a_format_error(self, golden_records, mutate):
         engine, _ = run_engine(golden_records)
         state = json.loads(json.dumps(engine_state(engine)))
         mutate(state)
         with pytest.raises(FormatError):
             engine_from_state(state)
+
+
+class TestMutationProperty:
+    """Any one small edit of a saved state is refused with FormatError, or
+    is itself a state: it loads and saves back unchanged. An edit that
+    loads as something else (cid 1.0 read as cluster 1) is a hole."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_one_edit_is_refused_or_saves_back_unchanged(self, golden_records, data):
+        text = json.dumps(engine_state(run_engine(golden_records)[0]))
+        doc = json.loads(text)
+        sites = list(_paths(doc))
+        edit = data.draw(st.sampled_from(sorted(_SWAPS) + list(_LIST_EDITS)))
+        if edit in _SWAPS:
+            path = data.draw(st.sampled_from(
+                [p for p, v in sites if type(v) is int]))
+            _at(doc, path[:-1])[path[-1]] = _SWAPS[edit](_at(doc, path))
+        else:
+            path = data.draw(st.sampled_from(
+                [p for p, v in sites if isinstance(v, list) and v]))
+            seq = _at(doc, path)
+            i = data.draw(st.integers(0, len(seq) - 1))
+            if edit == "drop":
+                del seq[i]
+            else:
+                seq.insert(i, json.loads(json.dumps(seq[i])))
+        try:
+            engine = engine_from_state(doc)
+        except FormatError:
+            return
+        assert _same_document(engine_state(engine)) == _same_document(doc)
 
 
 class TestAtomicSave:
