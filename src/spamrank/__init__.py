@@ -48,14 +48,13 @@ from .scoring import (
     HAM,
     LEGIT,
     SPAM,
-    SpamStats,
     Verdict,
     decide,
     effective_label,
     spam_rank,
 )
 from .snapshot import load_snapshot, save_snapshot
-from .synthgen import WorkloadLayout, WorkloadSpec, flip_labels, generate, workload_layout
+from .synthgen import WorkloadSpec, flip_labels, generate
 from .vectorspace import Interner, InvertedIndex
 
 __version__ = "0.1.0"
@@ -89,12 +88,10 @@ __all__ = [
     "SPAM",
     "SpamRankEngine",
     "SpamRankError",
-    "SpamStats",
     "SweepResult",
     "SweepRow",
     "UnknownUserError",
     "Verdict",
-    "WorkloadLayout",
     "WorkloadSpec",
     "beta_cv",
     "bin_heatmap",
@@ -102,7 +99,6 @@ __all__ = [
     "effective_label",
     "flip_labels",
     "generate",
-    "workload_layout",
     "load_snapshot",
     "noise_correction_experiment",
     "normalize_recipient",

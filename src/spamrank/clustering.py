@@ -14,9 +14,11 @@ is computed in closed form from the accumulated dot product:
 Both identities are integer-exact, so the lazy evaluation is bit-identical
 to physically detaching the user first.
 
-A user's vector and a cluster's member roster are each a list of distinct
-ids: the engine only iterates them, appends to them and removes one member,
-and a list holds a few ids in far less memory than a set.
+Per-user state lives in lists indexed by the dense uids 0..n-1 that the
+engine's Interner hands out: each user's vector and its spam and total
+counts. A vector and a member roster are each a list of distinct ids: the
+engine only iterates them, appends to them and removes one member, and a
+list holds a few ids in far less memory than a set.
 
 Cluster ids are never reused. A sole member that fails to join anything is
 re-seeded under a fresh id (the old cluster is retired), matching the
@@ -31,7 +33,7 @@ from math import sqrt
 from operator import mul
 
 from .errors import InternalStateError, NotAMemberError, UnknownUserError
-from .scoring import FREQ_BITS, SpamStats
+from .scoring import FREQ_BITS
 from .vectorspace import InvertedIndex
 
 SENDER_SIDE = "sender"
@@ -65,19 +67,25 @@ class ClusterSpace:
         self.side = side
         self.tau = tau
         self.index = InvertedIndex()
-        # uid -> list of distinct dimension ids, in arrival order
-        self.user_dims: dict[int, list[int]] = {}
+        # per-user columns by uid: distinct dimension ids in arrival order
+        self.user_dims: list[list[int]] = []
+        self.spam: list[int] = []
+        self.total: list[int] = []
         self.user_cluster: dict[int, int] = {}
-        self.stats: dict[int, SpamStats] = {}
         self.clusters: dict[int, Cluster] = {}
         self._next_cid = 1
 
     # -- user registry ----------------------------------------------------
 
     def register_user(self, uid: int) -> None:
-        if uid not in self.user_dims:
-            self.user_dims[uid] = []
-            self.stats[uid] = SpamStats()
+        """Append the next uid; a known uid passes, a gap raises UnknownUserError."""
+        n = len(self.user_dims)
+        if uid == n:
+            self.user_dims.append([])
+            self.spam.append(0)
+            self.total.append(0)
+        elif not 0 <= uid < n:
+            raise UnknownUserError(f"user {uid} is not the next id {n} on side {self.side!r}")
 
     def add_dims(self, uid: int, new_dims) -> None:
         """Grow a user's vector by the ids it does not hold yet, each once,
@@ -96,12 +104,14 @@ class ClusterSpace:
     def cluster_of(self, uid: int) -> Cluster:
         return self.clusters[self.user_cluster[uid]]
 
-    def restore_user(self, uid: int, dims: list[int], stats: SpamStats, cid: int) -> None:
-        """Re-add a saved user through assign_user's attach step, registering
-        cluster cid the first time it appears. dims, a list of distinct ids,
-        becomes the user's vector as it is."""
-        self.user_dims[uid] = dims
-        self.stats[uid] = stats
+    def restore_user(self, dims: list[int], spam: int, total: int, cid: int) -> None:
+        """Re-add a saved user as the next uid through assign_user's attach
+        step, registering cluster cid the first time it appears. dims, a
+        list of distinct ids, becomes the user's vector as it is."""
+        uid = len(self.user_dims)
+        self.user_dims.append(dims)
+        self.spam.append(spam)
+        self.total.append(total)
         cluster = self.clusters.get(cid)
         if cluster is None:
             cluster = self.clusters[cid] = Cluster(cid)
@@ -121,9 +131,9 @@ class ClusterSpace:
         computed by a different formula: then the larger double wins, not
         the lower id. Unknown users raise UnknownUserError.
         """
-        dims = self.user_dims.get(uid)
-        if dims is None:
+        if not 0 <= uid < len(self.user_dims):
             raise UnknownUserError(f"user {uid} has no vector on side {self.side!r}")
+        dims = self.user_dims[uid]
         old = self.user_cluster.get(uid)
         scores = self.index.score_candidates(dims)
         nu2 = len(dims)
@@ -178,9 +188,9 @@ class ClusterSpace:
         self.index.add_member_vector(cluster.cid, self.user_dims[uid])
         cluster.members.append(uid)
         self.user_cluster[uid] = cluster.cid
-        st = self.stats[uid]
-        if st.total_count:
-            cluster.freq_sum += (st.spam_count << FREQ_BITS) // st.total_count
+        total = self.total[uid]
+        if total:
+            cluster.freq_sum += (self.spam[uid] << FREQ_BITS) // total
             cluster.scored_members += 1
 
     def _detach(self, uid: int, cid: int) -> None:
@@ -191,9 +201,9 @@ class ClusterSpace:
             raise NotAMemberError(f"user {uid} not in cluster {cid}") from None
         self.index.remove_member_vector(cid, self.user_dims[uid])
         del self.user_cluster[uid]
-        st = self.stats[uid]
-        if st.total_count:
-            cluster.freq_sum -= (st.spam_count << FREQ_BITS) // st.total_count
+        total = self.total[uid]
+        if total:
+            cluster.freq_sum -= (self.spam[uid] << FREQ_BITS) // total
             cluster.scored_members -= 1
         if not cluster.members:
             del self.clusters[cid]
@@ -201,16 +211,16 @@ class ClusterSpace:
 
     # -- scoring hooks -----------------------------------------------------
 
-    def record_observation(self, uid: int, is_spam: bool) -> SpamStats:
+    def record_observation(self, uid: int, is_spam: bool) -> None:
         """Bump a user's counters and keep its cluster's cache in step."""
-        st = self.stats[uid]
-        old_total = st.total_count
+        spam = self.spam[uid]
+        old_total = self.total[uid]
         if old_total:
-            old_freq = (st.spam_count << FREQ_BITS) // old_total
-        st.total_count = old_total + 1
+            old_freq = (spam << FREQ_BITS) // old_total
         if is_spam:
-            st.spam_count += 1
-        new_freq = (st.spam_count << FREQ_BITS) // st.total_count
+            spam = self.spam[uid] = spam + 1
+        total = self.total[uid] = old_total + 1
+        new_freq = (spam << FREQ_BITS) // total
         cid = self.user_cluster.get(uid)
         if cid is not None:
             cluster = self.clusters[cid]
@@ -219,7 +229,6 @@ class ClusterSpace:
             else:
                 cluster.freq_sum += new_freq
                 cluster.scored_members += 1
-        return st
 
     # -- reporting and verification -----------------------------------------
 
@@ -234,8 +243,7 @@ class ClusterSpace:
     def check_integrity(self) -> None:
         """Revalidate every incremental structure against a rebuild."""
         user_cluster = self.user_cluster
-        user_dims = self.user_dims
-        stats = self.stats
+        user_dims, spam, total = self.user_dims, self.spam, self.total
         index = self.index
         # each cluster's count vector as the postings hold it
         vectors: dict[int, dict[int, int]] = {cid: {} for cid in self.clusters}
@@ -261,9 +269,8 @@ class ClusterSpace:
                     raise InternalStateError(f"membership map out of sync for {uid}")
                 for d in user_dims[uid]:
                     expect[d] = expect.get(d, 0) + 1
-                st = stats[uid]
-                if st.total_count:
-                    freq_sum += (st.spam_count << FREQ_BITS) // st.total_count
+                if total[uid]:
+                    freq_sum += (spam[uid] << FREQ_BITS) // total[uid]
                     scored += 1
             n_members += len(cluster.members)
             if vectors[cid] != expect:

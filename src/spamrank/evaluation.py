@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from array import array
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from itertools import chain, combinations, repeat
 from math import sqrt
@@ -239,6 +240,15 @@ def tau_sweep(
     return SweepResult(parameter="tau", grid=grid, rows=rows)
 
 
+def _record_ranks(verdicts: Iterator[Verdict]) -> tuple[array, bytearray]:
+    ranks = array("d")
+    spam = bytearray()
+    for v in verdicts:
+        ranks.append(v.spam_rank)
+        spam.append(v.aux_label == SPAM)
+    return ranks, spam
+
+
 def omega_sweep(
     records: Iterable[MessageRecord],
     grid: Sequence[float],
@@ -253,18 +263,14 @@ def omega_sweep(
     base = config or EngineConfig()
     # EngineConfig refuses a bad grid point here, before the replay
     omegas = [replace(base, omega=omega).omega for omega in grid]
-    engine, recorded, runtime_ms = _replay(
-        records,
-        base,
-        lambda verdicts: [(v.spam_rank, v.aux_label) for v in verdicts],
-    )
+    engine, (ranks, spam), runtime_ms = _replay(records, base, _record_ranks)
     n_send = len(engine.sender_side.clusters)
     n_recv = len(engine.recipient_side.clusters)
     beta = _beta_or_none(engine.sender_side)
     rows: list[SweepRow] = []
     for omega in omegas:
         acc, classified = _accordance(
-            (decide(sr, omega), aux) for sr, aux in recorded
+            (decide(sr, omega), SPAM if is_spam else HAM) for sr, is_spam in zip(ranks, spam)
         )
         rows.append(SweepRow(
             value=omega,

@@ -36,14 +36,6 @@ FREQ_BITS = 60
 
 
 @dataclass(slots=True)
-class SpamStats:
-    """Running auxiliary-verdict counters for one user on one side."""
-
-    spam_count: int = 0
-    total_count: int = 0
-
-
-@dataclass(slots=True)
 class Verdict:
     """Engine output for one message."""
 

@@ -17,11 +17,11 @@ from __future__ import annotations
 import gc
 import json
 import os
+from itertools import chain
 
 from .clustering import ClusterSpace
 from .engine import EngineConfig, SpamRankEngine
 from .errors import FormatError
-from .scoring import SpamStats
 from .vectorspace import Interner
 
 STATE_VERSION = 5
@@ -51,17 +51,12 @@ def _count(value: object) -> int:
 
 def _side_state(space: ClusterSpace, interner: Interner) -> dict:
     # row i is user i, and every user the engine has seen is clustered
-    users = []
-    for uid, name in enumerate(interner.names()):
-        st = space.stats[uid]
-        users.append([
-            name,
-            sorted(space.user_dims[uid]),
-            st.spam_count,
-            st.total_count,
-            space.user_cluster[uid],
-        ])
-    return {"next_cid": space._next_cid, "users": users}
+    user_cluster = space.user_cluster
+    columns = zip(interner.names(), space.user_dims, space.spam, space.total, strict=True)
+    return {"next_cid": space._next_cid, "users": [
+        [name, sorted(dims), spam, total, user_cluster[uid]]
+        for uid, (name, dims, spam, total) in enumerate(columns)
+    ]}
 
 
 def engine_state(engine: SpamRankEngine) -> dict:
@@ -82,9 +77,8 @@ def engine_state(engine: SpamRankEngine) -> dict:
 
 
 def _ids_within(ids, lo: int, hi: int) -> bool:
-    # checked once per distinct id (a cluster, a dimension), not once per
-    # stored reference to it, in a few passes that run in C
-    return not ids or (set(map(type, ids)) == {int} and lo <= min(ids) and max(ids) < hi)
+    # ids are typed int by now; the range is checked once per distinct id
+    return not ids or (lo <= min(ids) and max(ids) < hi)
 
 
 def _restore_side(space: ClusterSpace, state: dict) -> Interner:
@@ -102,7 +96,10 @@ def _restore_side(space: ClusterSpace, state: dict) -> Interner:
         if type(cid) is not int:  # restore_user would find cluster 1 by 1.0 or True
             raise ValueError(f"user {uid} has cluster {cid!r}")
         names.append(name)
-        space.restore_user(uid, dims, SpamStats(spam, total), cid)
+        space.restore_user(dims, spam, total, cid)
+    # one pass in C: a dim 2.0 or true would find the posting key 2 or 1
+    if not set(map(type, chain.from_iterable(space.user_dims))) <= {int}:
+        raise ValueError(f"a {space.side} dim is not an int")
     if not _ids_within(space.clusters, 1, next_cid):
         raise ValueError(f"a cluster id is not a positive int below next_cid {next_cid}")
     space._next_cid = next_cid

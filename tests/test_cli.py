@@ -337,8 +337,10 @@ class TestSnapshotCommands:
         # row 0 has already registered cluster 1, which these would find
         lambda s: s["recipients"]["users"][1].__setitem__(4, 1.0),
         lambda s: s["recipients"]["users"][1].__setitem__(4, True),
+        # and row 0 already holds dim 2
+        lambda s: s["senders"]["users"][1].__setitem__(1, [0, 1, 2.0]),
     ], ids=["format-3", "format-4", "null-cid", "name-not-a-string", "repeated-name",
-            "cid-float", "cid-true"])
+            "cid-float", "cid-true", "dim-float"])
     def test_refused_snapshot_is_a_format_error(self, tmp_path, golden_path, mutate):
         state = tmp_path / "state.json"
         main(["snapshot-save", "--input", str(golden_path), "--limit", "6",

@@ -64,6 +64,19 @@ class TestAssignment:
         with pytest.raises(UnknownUserError):
             space.assign_user(7)
 
+    def test_register_user_takes_only_the_next_id(self):
+        space = make_space()
+        space.register_user(0)
+        space.register_user(0)  # already registered: nothing to do
+        for gap in (2, -1):
+            with pytest.raises(UnknownUserError):
+                space.register_user(gap)
+        space.register_user(1)
+        assert space.user_dims == [[], []]
+        assert space.spam == space.total == [0, 0]
+        with pytest.raises(UnknownUserError):
+            space.assign_user(-1)
+
     def test_assign_is_idempotent_when_nothing_changed(self):
         space = make_space()
         seed_user(space, 0, {1, 2})
@@ -136,6 +149,8 @@ class TestScoringHooks:
         space.assign_user(1)
         assert cluster.scored_members == 2
         assert cluster.freq_sum == (1 << FREQ_BITS) + (1 << (FREQ_BITS - 1))
+        assert (space.spam, space.total) == ([1, 1], [2, 1])
+        assert space.record_observation(1, False) is None
         space.check_integrity()
 
     def test_update_order_does_not_change_the_sum(self):
@@ -190,12 +205,19 @@ events = st.lists(
 )
 
 
+def dense_ids(ops):
+    """The drawn uids renumbered 0, 1, 2, ... in first-seen order, as the
+    engine's Interner numbers users."""
+    ids: dict[int, int] = {}
+    return [(ids.setdefault(uid, len(ids)), *rest) for uid, *rest in ops]
+
+
 class TestInvariants:
     @settings(max_examples=60, deadline=None)
     @given(events)
     def test_partition_and_integrity_under_random_streams(self, ops):
         space = make_space()
-        for uid, dims, is_spam in ops:
+        for uid, dims, is_spam in dense_ids(ops):
             space.register_user(uid)
             space.add_dims(uid, dims)
             space.assign_user(uid)
@@ -219,7 +241,7 @@ class TestInvariants:
     ], ids=["stray-posting", "freq-sum-off-by-one", "clustered-non-member"])
     def test_integrity_rejects_corruption(self, corrupt):
         space = make_space()
-        for uid, dims in ((1, {1, 2}), (2, {1, 2}), (3, {5})):
+        for uid, dims in ((0, {1, 2}), (1, {1, 2}), (2, {5})):
             seed_user(space, uid, dims)
             space.record_observation(uid, True)
         space.check_integrity()
@@ -231,7 +253,7 @@ class TestInvariants:
     @given(events, st.sampled_from([0.0, 0.3, 0.7, 1.0]))
     def test_integrity_across_tau_extremes(self, ops, tau):
         space = make_space(tau)
-        for uid, dims, _ in ops:
+        for uid, dims, _ in dense_ids(ops):
             space.register_user(uid)
             space.add_dims(uid, dims)
             space.assign_user(uid)

@@ -12,6 +12,8 @@ from spamrank import (
     FormatError,
     MessageRecord,
     SpamRankEngine,
+    WorkloadSpec,
+    generate,
 )
 from spamrank.snapshot import engine_state
 from golden_trace import (
@@ -24,6 +26,22 @@ from golden_trace import (
 
 def msg(i, sender, recipients, aux="spam"):
     return MessageRecord(f"t{i}", 1000 + i, sender, tuple(recipients), aux)
+
+
+def retained_per_user(records):
+    """(users, engine bytes a user) after a replay, as tracemalloc counts."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        engine = SpamRankEngine()
+        for record in records:
+            engine.process(record)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    users = len(engine.senders) + len(engine.recipients)
+    return users, retained / users
 
 
 class TestConfig:
@@ -113,21 +131,28 @@ class TestEngineBasics:
 
     def test_state_stays_small_per_user(self, default_records):
         # with vectors and member rosters as lists the engine holds
-        # ~1,100-1,170 B a user on Python 3.10-3.13; one set per vector and
+        # ~1,010-1,060 B a user on Python 3.10-3.13; one set per vector and
         # roster would hold over 2,400 B
-        gc.collect()
-        tracemalloc.start()
-        try:
-            engine = SpamRankEngine()
-            for record in default_records:
-                engine.process(record)
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        users = len(engine.sender_side.user_dims) + len(engine.recipient_side.user_dims)
+        users, per_user = retained_per_user(default_records)
         assert users == 700
-        assert retained / users <= 1600
+        assert per_user <= 1600
+
+    def test_sparse_mix_state_per_user(self):
+        # 4,000 messages of the churn-resume benchmark mix (bench/workloads.py):
+        # most users are seen once or twice, so per-user overhead dominates.
+        # With uid-indexed columns for vectors and spam/total counts the
+        # engine holds ~638-661 B a user on Python 3.10-3.13; dicts keyed by
+        # uid and one counter object per user held ~760-782 B
+        spec = WorkloadSpec(
+            seed=7, n_messages=4000, n_legit_senders=20_000, n_spam_senders=5000,
+            n_recipients=400_000, n_communities=8000, community_size_mean=25.0,
+            n_distribution_lists=2000, list_size_mean=40.0, spam_fraction=0.7,
+            legit_recipients_mean=2.0, spam_recipients_mean=4.0,
+            sender_churn_rate=0.6,
+        )
+        users, per_user = retained_per_user(generate(spec))
+        assert users == 15_076
+        assert per_user <= 700
 
     def test_full_identity_separates_mailbox_senders(self):
         engine = SpamRankEngine(EngineConfig(sender_identity="full"))

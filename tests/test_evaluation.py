@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from dataclasses import replace
+from itertools import repeat
 
 import pytest
 
@@ -35,13 +36,15 @@ from oracles import naive_beta_cv, omega_sweep_by_replay, random_corpus
 def build_space(tau: float, layout: dict[int, dict[int, set]]) -> ClusterSpace:
     """Wire a ClusterSpace into an exact, integrity-checked shape."""
     space = ClusterSpace("test", tau)
+    # a layout numbers its users 0..n-1, as the engine's Interner does
+    for uid in sorted(uid for members in layout.values() for uid in members):
+        space.register_user(uid)
     next_cid = 1
     for cid, members in layout.items():
         space.index.register_cluster(cid)
         cluster = Cluster(cid)
         space.clusters[cid] = cluster
         for uid, dims in members.items():
-            space.register_user(uid)
             space.user_dims[uid] = list(dims)
             space.index.add_member_vector(cid, dims)
             cluster.members.append(uid)
@@ -70,28 +73,28 @@ def msg(i, sender, recipients, aux, truth=None):
 
 class TestBetaCv:
     def test_single_cluster_not_computable(self):
-        space = build_space(0.5, {1: {1: {1, 2}, 2: {1, 2}}})
+        space = build_space(0.5, {1: {0: {1, 2}, 1: {1, 2}}})
         with pytest.raises(NotComputableError):
             beta_cv(space)
 
     def test_all_singletons_not_computable(self):
-        space = build_space(0.5, {1: {1: {1}}, 2: {2: {2}}})
+        space = build_space(0.5, {1: {0: {1}}, 2: {1: {2}}})
         with pytest.raises(NotComputableError):
             beta_cv(space)
 
     def test_perfectly_tight_clusters_score_zero(self):
         # every member coincides with its centroid: intra CV is exactly 0
         space = build_space(0.5, {
-            1: {1: {1, 2}, 2: {1, 2}},
-            2: {3: {3, 4}, 4: {3, 4}},
+            1: {0: {1, 2}, 1: {1, 2}},
+            2: {2: {3, 4}, 3: {3, 4}},
         })
         assert beta_cv(space) == 0.0
 
     def test_tight_clusters_win_even_when_centroids_coincide(self):
         # the intra short-circuit must fire before the inter degeneracy
         space = build_space(0.5, {
-            1: {1: {1, 2}, 2: {1, 2}},
-            2: {3: {1, 2}, 4: {1, 2}},
+            1: {0: {1, 2}, 1: {1, 2}},
+            2: {2: {1, 2}, 3: {1, 2}},
         })
         assert beta_cv(space) == 0.0
 
@@ -99,8 +102,8 @@ class TestBetaCv:
         # same member mix in both clusters: centroids are parallel, but the
         # members sit at different angles so intra CV stays positive
         space = build_space(0.5, {
-            1: {1: {1}, 2: {1, 2}},
-            2: {3: {1}, 4: {1, 2}},
+            1: {0: {1}, 1: {1, 2}},
+            2: {2: {1}, 3: {1, 2}},
         })
         with pytest.raises(NotComputableError):
             beta_cv(space)
@@ -108,8 +111,8 @@ class TestBetaCv:
     def test_two_clusters_have_no_inter_spread(self):
         # a single inter-centroid distance has zero deviation
         space = build_space(0.5, {
-            1: {1: {1}, 2: {1, 2}},
-            2: {3: {3}, 4: {3, 4}},
+            1: {0: {1}, 1: {1, 2}},
+            2: {2: {3}, 3: {3, 4}},
         })
         with pytest.raises(NotComputableError):
             beta_cv(space)
@@ -146,7 +149,7 @@ class TestBetaCv:
         layout = {k + 1: {2 * k: {2 * k}, 2 * k + 1: {2 * k, 2 * k + 1}}
                   for k in range(n)}
         for k in range(0, n, 100):
-            layout[k + 1][10 * n + k] = {10 * n}
+            layout[k + 1][2 * n + k // 100] = {10 * n}
         space = build_space(0.5, layout)
         tracemalloc.start()
         try:
@@ -210,6 +213,22 @@ class TestSweeps:
         (row,) = result.rows
         assert row.classified_count == 0
         assert row.accordance_pct == 100.0  # convention for an empty set
+
+    def test_omega_sweep_records_few_bytes_per_message(self):
+        # one record repeated: the engine's state stays a single cluster per
+        # side, so the peak is the per-message record. A double and a spam
+        # flag take ~10 B a message on Python 3.10-3.13; one (rank, aux)
+        # tuple in a list took ~89-90 B
+        n = 20_000
+        record = MessageRecord("m", 0, "s.example", ("r@x.example",), SPAM)
+        tracemalloc.start()
+        try:
+            (row,) = omega_sweep(repeat(record, n), [0.85]).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row.classified_count == n
+        assert peak / n <= 16, peak
 
 
 class TestBinHeatmap:

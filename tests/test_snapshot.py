@@ -86,8 +86,8 @@ class TestStateRoundTrip:
             assert state[side].keys() == {"next_cid", "users"}
             # row i is user i: name, sorted dims, spam, total, cluster id
             assert state[side]["users"] == [
-                [name, sorted(space.user_dims[uid]), space.stats[uid].spam_count,
-                 space.stats[uid].total_count, space.user_cluster[uid]]
+                [name, sorted(space.user_dims[uid]), space.spam[uid],
+                 space.total[uid], space.user_cluster[uid]]
                 for uid, name in enumerate(interner.names())
             ]
 
@@ -206,6 +206,9 @@ class TestValidation:
         lambda s: s["recipients"]["users"][1].__setitem__(4, True),
         lambda s: s.update(version=4),
         lambda s: s.update(version=5.0),
+        # row 0 already holds dims 1 and 2, whose posting keys these would find
+        lambda s: s["senders"]["users"][1].__setitem__(1, [0, 1, 2.0]),
+        lambda s: s["senders"]["users"][1].__setitem__(1, [0, True, 2]),
     ], ids=["no-config", "config-list", "config-extra-key", "no-senders",
             "short-user-row",
             "user-in-unknown-cluster", "no-message-count", "message-count-text",
@@ -215,7 +218,8 @@ class TestValidation:
             "dim-negative", "cid-null", "dim-float",
             "repeated-name", "offset-below-message-count",
             "name-an-int", "dims-repeat", "dims-not-a-list", "cid-float", "cid-true",
-            "version-4", "version-float"])
+            "version-4", "version-float", "dim-float-of-a-held-id",
+            "dim-true-of-a-held-id"])
     def test_malformed_state_is_a_format_error(self, golden_records, mutate):
         engine, _ = run_engine(golden_records)
         state = json.loads(json.dumps(engine_state(engine)))

@@ -10,9 +10,8 @@ from spamrank import (
     WorkloadSpec,
     flip_labels,
     generate,
-    workload_layout,
 )
-from spamrank.synthgen import label_flipper
+from spamrank.synthgen import label_flipper, workload_layout
 
 
 def _cosine(a: set, b: set) -> float:
