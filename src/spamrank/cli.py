@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 configuration or usage error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -22,6 +21,7 @@ from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, replace
 from itertools import islice
+from json.encoder import encode_basestring_ascii as encode_str
 from typing import Callable, Iterator, Sequence
 
 from . import __version__
@@ -199,10 +199,11 @@ def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
                 agree += 1
             if out is not None:
                 # the line json.dumps would write for the verdict's dict: the
-                # id is the only field that may need escaping, the labels
-                # are constants, and JSON writes a finite float as its repr
+                # id is the only field that may need escaping (by the encoder
+                # json.dumps calls for a str), the labels are constants, and
+                # JSON writes a finite float as its repr
                 out.write(
-                    f'{{"id": {json.dumps(v.msg_id)}, "p_s": {v.p_s!r}, '
+                    f'{{"id": {encode_str(v.msg_id)}, "p_s": {v.p_s!r}, '
                     f'"p_r": {v.p_r!r}, "sr": {v.spam_rank!r}, '
                     f'"decision": "{v.decision}", "aux": "{v.aux_label}", '
                     f'"effective": "{v.effective_label}"}}\n'

@@ -90,6 +90,8 @@ class ClusterSpace:
     def add_dims(self, uid: int, new_dims) -> None:
         """Grow a user's vector by the ids it does not hold yet, each once,
         in first-seen order; the current cluster sum tracks it."""
+        if uid < 0:  # a negative index would reach a user counted from the end
+            raise UnknownUserError(f"user {uid} has no vector on side {self.side!r}")
         dims = self.user_dims[uid]
         held = len(dims)
         for d in new_dims:
@@ -213,6 +215,8 @@ class ClusterSpace:
 
     def record_observation(self, uid: int, is_spam: bool) -> None:
         """Bump a user's counters and keep its cluster's cache in step."""
+        if uid < 0:
+            raise UnknownUserError(f"user {uid} has no counters on side {self.side!r}")
         spam = self.spam[uid]
         old_total = self.total[uid]
         if old_total:

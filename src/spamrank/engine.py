@@ -123,15 +123,8 @@ class SpamRankEngine:
         sr = spam_rank(p_s, p_r)
         decision = decide(sr, self.config.omega)
         self.messages_processed += 1
-        return Verdict(
-            msg_id=record.msg_id,
-            p_s=p_s,
-            p_r=p_r,
-            spam_rank=sr,
-            decision=decision,
-            aux_label=record.aux_label,
-            effective_label=effective_label(decision, record.aux_label),
-        )
+        return Verdict(record.msg_id, p_s, p_r, sr, decision, record.aux_label,
+                       effective_label(decision, record.aux_label))
 
     def process_many(self, records: Iterable[MessageRecord]) -> Iterator[Verdict]:
         for record in records:

@@ -2,12 +2,16 @@
 
 Input is line oriented. Two wire formats are supported:
 
-* ``jsonl`` (default): one object per line, for example
-  ``{"id": "m1", "ts": 1074470400, "from": "ann@dept.univ.br",
-  "to": ["bob@example.com"], "aux": "spam"}``. ``id`` is optional and is
-  synthesized from the line number when absent. A ``truth`` field, when
-  present, is carried through as a side channel for evaluation tooling;
-  the engine itself never reads it. Other unknown fields are ignored.
+* ``jsonl`` (default): one JSON object per line with nothing after it,
+  for example ``{"id": "m1", "ts": 1074470400, "from": "ann@dept.univ.br",
+  "to": ["bob@example.com"], "aux": "spam"}``. A line is decoded as
+  ``json.loads`` would decode it: a leading byte-order mark, a second value
+  or a stray ``]`` after the object makes it malformed. ``id`` is optional
+  and is synthesized from the line number when absent; a string or number
+  is kept as a string, anything else (``null`` included) makes the line
+  malformed. A ``truth`` field, when present, is carried through as a side
+  channel for evaluation tooling; the engine itself never reads it. Other
+  unknown fields are ignored.
 * ``tsv``: ``ts<TAB>from<TAB>to1,to2,...<TAB>spam|ham``.
 
 Senders are identified by the domain after the last ``@`` (lower-cased);
@@ -34,8 +38,12 @@ SENDER_FULL = "full"
 # lower-cased wire label -> the shared constant, so no record holds its own
 _LABELS = {SPAM: SPAM, HAM: HAM}
 
+# the decoder json.loads uses; a stripped line must end where its value does
+_decode = json.JSONDecoder().raw_decode
+_NO_ID = object()
 
-@dataclass(slots=True, frozen=True)
+
+@dataclass(slots=True)
 class MessageRecord:
     """One normalized message event."""
 
@@ -110,27 +118,31 @@ def _label(raw: object) -> str:
 
 
 def _parse_json_line(line: str, line_no: int, identity: str) -> MessageRecord | None:
-    obj = json.loads(line)
+    obj, end = _decode(line)
+    if end != len(line):
+        raise ValueError("extra data after the object")
     if not isinstance(obj, dict):
         raise ValueError("not an object")
-    if set(obj) == {"header"}:
+    if len(obj) == 1 and "header" in obj:
         return None
-    raw_id = obj.get("id", f"m{line_no}")
-    if isinstance(raw_id, (int, float)):
+    raw_id = obj.get("id", _NO_ID)
+    if raw_id is _NO_ID:
+        raw_id = f"m{line_no}"
+    elif isinstance(raw_id, (int, float)):
         raw_id = str(raw_id)
-    if not isinstance(raw_id, str):
+    elif not isinstance(raw_id, str):
         raise ValueError("bad id")
     truth = obj.get("truth")
     to = obj["to"]
     if not isinstance(to, list):
         raise ValueError("'to' not a list")
     return MessageRecord(
-        msg_id=raw_id,
-        timestamp=_coerce_ts(obj["ts"]),
-        sender=normalize_sender(obj["from"], identity),
-        recipients=_normalize_recipients(to),
-        aux_label=_label(obj["aux"]),
-        truth=None if truth is None else _label(truth),
+        raw_id,
+        _coerce_ts(obj["ts"]),
+        normalize_sender(obj["from"], identity),
+        _normalize_recipients(to),
+        _label(obj["aux"]),
+        None if truth is None else _label(truth),
     )
 
 
@@ -145,12 +157,11 @@ def _parse_tsv_line(line: str, line_no: int, identity: str) -> MessageRecord:
         raise ValueError(f"expected 4 fields, got {len(parts)}")
     ts_raw, sender, to_raw, aux = parts
     return MessageRecord(
-        msg_id=f"m{line_no}",
-        timestamp=int(ts_raw.strip()),
-        sender=normalize_sender(sender, identity),
-        recipients=_normalize_recipients(to_raw.split(",")),
-        aux_label=_label(aux.strip()),
-        truth=None,
+        f"m{line_no}",
+        int(ts_raw.strip()),
+        normalize_sender(sender, identity),
+        _normalize_recipients(to_raw.split(",")),
+        _label(aux.strip()),
     )
 
 

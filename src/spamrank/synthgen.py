@@ -209,12 +209,8 @@ def generate(spec: WorkloadSpec) -> list[MessageRecord]:
                     rec_idx.append(j)
             truth = HAM
         records.append(MessageRecord(
-            msg_id=f"g{i + 1}",
-            timestamp=BASE_TS + i * TS_STEP,
-            sender=sender,
-            recipients=tuple(recipients[j] for j in rec_idx),
-            aux_label=truth,
-            truth=truth,
+            f"g{i + 1}", BASE_TS + i * TS_STEP, sender,
+            tuple(recipients[j] for j in rec_idx), truth, truth,
         ))
     return records
 

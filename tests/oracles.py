@@ -11,6 +11,7 @@ recorded replay stands in for a replay per omega.
 
 from __future__ import annotations
 
+import json
 import random
 from math import sqrt
 
@@ -256,3 +257,71 @@ def omega_sweep_by_replay(
             runtime_ms=0.0,
         ))
     return rows
+
+
+def reference_parse_jsonl(lines: list[str]) -> tuple[list[MessageRecord], dict[str, int]]:
+    """JSONL records and line tallies by the README's rules, one json.loads
+    per line, with domain sender identity.
+
+    The tallies are keyed like ParseStats. The caller decides whether the
+    stream as a whole is refused (skipped lines outnumber records).
+    """
+    records: list[MessageRecord] = []
+    tally = {"lines": 0, "records": 0, "skipped": 0, "comments": 0}
+    for line_no, raw in enumerate(lines, 1):
+        tally["lines"] += 1
+        line = raw.strip()
+        if line.startswith("#"):
+            tally["comments"] += 1
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError):
+            obj = None
+        if isinstance(obj, dict) and list(obj) == ["header"]:
+            tally["comments"] += 1
+            continue
+        record = _reference_record(obj, line_no) if isinstance(obj, dict) else None
+        if record is None:
+            tally["skipped"] += 1
+        else:
+            tally["records"] += 1
+            records.append(record)
+    return records, tally
+
+
+def _reference_label(value) -> str | None:
+    if isinstance(value, str) and value.lower() in (SPAM, HAM):
+        return value.lower()
+    return None
+
+
+def _reference_record(obj: dict, line_no: int) -> MessageRecord | None:
+    """The record an object describes, or None if any field is unusable."""
+    if not all(key in obj for key in ("ts", "from", "to", "aux")):
+        return None
+    msg_id = obj.get("id", f"m{line_no}")
+    if isinstance(msg_id, (bool, int, float)):
+        msg_id = str(msg_id)
+    ts = obj["ts"]
+    if isinstance(ts, float) and ts.is_integer():
+        ts = int(ts)
+    sender = obj["from"].strip().lower() if isinstance(obj["from"], str) else ""
+    if "@" in sender:
+        sender = sender.rsplit("@", 1)[1] or sender
+    to = obj["to"] if isinstance(obj["to"], list) else [None]
+    recipients = []
+    for addr in to:
+        addr = addr.strip().lower() if isinstance(addr, str) else ""
+        if "@" not in addr:
+            return None
+        if addr not in recipients:
+            recipients.append(addr)
+    aux = _reference_label(obj["aux"])
+    truth = obj.get("truth")
+    if truth is not None:
+        truth = _reference_label(truth) or ""
+    if (not isinstance(msg_id, str) or type(ts) is not int or not sender
+            or not recipients or aux is None or truth == ""):
+        return None
+    return MessageRecord(msg_id, ts, sender, tuple(recipients), aux, truth)

@@ -77,6 +77,19 @@ class TestAssignment:
         with pytest.raises(UnknownUserError):
             space.assign_user(-1)
 
+    def test_negative_uid_is_refused_before_any_change(self):
+        # a negative list index would reach the last user and corrupt it
+        space = make_space()
+        seed_user(space, 0, [1])
+        with pytest.raises(UnknownUserError):
+            space.add_dims(-1, [5])
+        with pytest.raises(UnknownUserError):
+            space.record_observation(-1, True)
+        assert space.user_dims == [[1]]
+        assert space.spam == space.total == [0]
+        assert space.index.norm_sq == {1: 1}
+        space.check_integrity()
+
     def test_assign_is_idempotent_when_nothing_changed(self):
         space = make_space()
         seed_user(space, 0, {1, 2})

@@ -1,7 +1,9 @@
 import io
 import json
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spamrank import (
     HAM,
@@ -18,6 +20,8 @@ from spamrank import (
     write_jsonl,
 )
 from spamrank.ingest import record_to_obj, write_header
+
+from oracles import reference_parse_jsonl
 
 
 class TestNormalizeSender:
@@ -91,18 +95,20 @@ class TestJsonlParsing:
         assert records[0].truth == "spam"
 
     def test_header_and_comment_lines_are_not_data(self):
-        good = json.dumps({"id": "x", "ts": 1, "from": "d.example",
-                           "to": ["a@u.example"], "aux": "ham"})
-        lines = [json.dumps({"header": {"seed": 1}}), "# note", good]
+        fields = {"id": "x", "ts": 1, "from": "d.example",
+                  "to": ["a@u.example"], "aux": "ham"}
+        # a header key beside record fields is an unknown field, not a comment
+        lines = [json.dumps({"header": {"seed": 1}}), "# note", json.dumps(fields),
+                 json.dumps({"header": {"seed": 1}, **fields, "id": "h"})]
         records, stats = parse_lines(lines)
-        assert len(records) == 1
+        assert [r.msg_id for r in records] == ["x", "h"]
         assert stats.comments == 2
         assert stats.skipped == 0
 
     @pytest.mark.parametrize("mutation", [
-        lambda o: o.pop("aux"),
-        lambda o: o.pop("to"),
-        lambda o: o.pop("ts"),
+        lambda o: o.__delitem__("aux"),
+        lambda o: o.__delitem__("to"),
+        lambda o: o.__delitem__("ts"),
         lambda o: o.update(aux="junk"),
         lambda o: o.update(ts=True),
         lambda o: o.update(ts="soon"),
@@ -110,16 +116,23 @@ class TestJsonlParsing:
         lambda o: o.update(to="a@u.example"),
         lambda o: o.update({"from": 17}),
         lambda o: o.update(truth="junk"),
+        lambda o: o.update(id=None),
+        lambda o: o.update(header={"seed": 1}, ts="soon"),
+        # the rest return the whole line: one JSON object, with nothing after it
+        lambda o: json.dumps(o) + ' {"id": "z"}',
+        lambda o: json.dumps(o) + "]",
+        lambda o: "\ufeff" + json.dumps(o),
     ])
     def test_malformed_lines_are_skipped(self, mutation):
         obj = {"id": "x", "ts": 1, "from": "d.example",
                "to": ["a@u.example"], "aux": "ham"}
-        mutation(obj)
+        line = mutation(obj) or json.dumps(obj)  # None: obj changed in place
         good = json.dumps({"id": "y", "ts": 2, "from": "d.example",
                            "to": ["a@u.example"], "aux": "ham"})
-        records, stats = parse_lines([json.dumps(obj), good, good])
+        records, stats = parse_lines([line, good, good])
         assert len(records) == 2
         assert stats.skipped == 1
+        assert stats.comments == 0
 
     def test_fractional_timestamp_rejected_integral_accepted(self):
         base = {"id": "x", "from": "d.example", "to": ["a@u.example"], "aux": "ham"}
@@ -148,6 +161,65 @@ class TestJsonlParsing:
     def test_unknown_format_rejected_up_front(self):
         with pytest.raises(FormatError):
             list(parse_stream([], fmt="csv"))
+
+
+# JSON punctuation, escapes, str.strip() whitespace that JSON does not
+# allow, a byte-order mark, and the characters of addresses and labels
+_EDIT_CHARS = '{}[]",:\\ \t\x1c\xa0\ufeff#@.-01eEnNsSpPaAmMhH'
+_TEXT = st.text(alphabet=_EDIT_CHARS, max_size=6)
+_PIECE = st.one_of(st.sampled_from(["\ufeff", "]", ' {"id": 1}', "\xa0"]), _TEXT)
+_ADDRESS = st.sampled_from(["a@u.example", " B@U.example ", "c@v.example",
+                            "d.example", "x@", "", "E@D.Example"])
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), _TEXT,
+                    st.sampled_from([2.0, 2.5, float("inf")]))
+_VALUE = st.one_of(_SCALAR, _ADDRESS, st.sampled_from(["spam", "HAM", "Spam"]),
+                   st.lists(st.one_of(_ADDRESS, _SCALAR), max_size=3))
+_GOOD = {"id": "x", "ts": 1, "from": "a@d.example", "to": ["b@u.example"],
+         "aux": "ham"}
+
+
+@st.composite
+def _edited_line(draw) -> str:
+    """A record line with some fields dropped or replaced, a header, or some
+    other JSON value; then a few characters inserted or cut."""
+    kind = draw(st.sampled_from(["record", "record", "record", "header", "other"]))
+    if kind == "record":
+        obj = dict(_GOOD)
+        keys = [*_GOOD, "truth", "header", "extra"]
+        for key in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
+            if draw(st.booleans()):
+                obj.pop(key, None)
+            else:
+                obj[key] = draw(_VALUE)
+    elif kind == "header":
+        obj = {"header": draw(_SCALAR)}
+    else:
+        obj = draw(st.one_of(_SCALAR, st.lists(_SCALAR, max_size=2)))
+    line = json.dumps(obj, ensure_ascii=draw(st.booleans()))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.one_of(st.sampled_from([0, len(line)]), st.integers(0, len(line))))
+        cut = draw(st.integers(0, 2))
+        line = line[:at] + draw(_PIECE) + line[at + cut:]
+    return line
+
+
+class TestParseMatchesReference:
+    """parse_stream against a json.loads-per-line reference (tests/oracles.py)."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_edited_line(), max_size=8))
+    def test_same_records_and_tallies(self, lines):
+        want, tally = reference_parse_jsonl(lines)
+        stats = ParseStats()
+        got: list[MessageRecord] = []
+        refused = False
+        try:
+            got.extend(parse_stream(lines, stats=stats))
+        except FormatError:
+            refused = True
+        assert got == want
+        assert asdict(stats) == tally
+        assert refused == (tally["skipped"] > tally["records"])
 
 
 class TestTsvParsing:
