@@ -19,19 +19,6 @@ from .errors import (
     SpamRankError,
     UnknownUserError,
 )
-from .evaluation import (
-    BaselineReport,
-    BinGrid,
-    NoiseReport,
-    SweepResult,
-    SweepRow,
-    beta_cv,
-    bin_heatmap,
-    noise_correction_experiment,
-    omega_sweep,
-    sender_history_baseline,
-    tau_sweep,
-)
 from .ingest import (
     SENDER_DOMAIN,
     SENDER_FULL,
@@ -54,10 +41,29 @@ from .scoring import (
     spam_rank,
 )
 from .snapshot import load_snapshot, save_snapshot
-from .synthgen import WorkloadSpec, flip_labels, generate
 from .vectorspace import Interner, InvertedIndex
 
 __version__ = "0.1.0"
+
+# The report and generator modules load on first use of one of their names
+# (PEP 562), so that a `spamrank run` process never imports them nor the
+# `statistics` and `dataclasses` modules they need.
+_LAZY = {
+    **dict.fromkeys((
+        "BaselineReport", "BinGrid", "NoiseReport", "SweepResult", "SweepRow",
+        "beta_cv", "bin_heatmap", "noise_correction_experiment", "omega_sweep",
+        "sender_history_baseline", "tau_sweep"), "evaluation"),
+    **dict.fromkeys(("WorkloadSpec", "flip_labels", "generate"), "synthgen"),
+}
+
+
+def __getattr__(name: str) -> object:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
 
 __all__ = [
     "BaselineReport",

@@ -18,11 +18,10 @@ import os
 import sys
 import time
 from collections import Counter
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, replace
 from itertools import islice
 from json.encoder import encode_basestring_ascii as encode_str
-from typing import Callable, Iterator, Sequence
 
 from . import __version__
 from .engine import DEFAULT_OMEGA, DEFAULT_TAU, EngineConfig, SpamRankEngine
@@ -32,17 +31,6 @@ from .errors import (
     InternalStateError,
     InvalidAddressError,
     SpamRankError,
-)
-from .evaluation import (
-    SweepResult,
-    bin_heatmap,
-    noise_correction_experiment,
-    omega_sweep,
-    sender_history_baseline,
-    tau_sweep,
-    write_heatmap,
-    write_report,
-    write_sweep,
 )
 from .ingest import (
     SENDER_DOMAIN,
@@ -55,7 +43,10 @@ from .ingest import (
 )
 from .scoring import DEFERRED, LEGIT, SPAM
 from .snapshot import load_snapshot, save_snapshot
-from .synthgen import WorkloadSpec, flip_labels, generate
+
+# The report commands import spamrank.evaluation, and generate imports
+# spamrank.synthgen, inside the command: `run` and the snapshot commands
+# never load them, nor the `statistics` and `dataclasses` modules they use.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,9 +100,11 @@ def _open_out(path: str | None):
 def _engine_config(args: argparse.Namespace, base: EngineConfig | None = None) -> EngineConfig:
     """Fold explicit flags over a base config (defaults, or a snapshot's).
     A field whose flag the command does not take keeps the base value."""
-    given = {name: v for name in _ENGINE_FLAGS
-             if (v := getattr(args, name, None)) is not None}
-    return replace(base or EngineConfig(), **given)
+    base = base or EngineConfig()
+    return EngineConfig(**{
+        name: getattr(base, name) if (value := getattr(args, name, None)) is None else value
+        for name in _ENGINE_FLAGS
+    })
 
 
 def _header(cfg: EngineConfig, seed: int) -> dict:
@@ -239,27 +232,33 @@ def cmd_snapshot_load(args: argparse.Namespace) -> int:
     return _run_impl(args, discard_output=False)
 
 
-# generate's corpus flags, each setting the WorkloadSpec field it names
+# generate's corpus flags: the WorkloadSpec field each sets, and its type
+# (that of the field's default). An unset flag stays None and leaves the
+# field at WorkloadSpec's default.
 _SPEC_FLAGS = {
-    "--messages": "n_messages",
-    "--legit-senders": "n_legit_senders",
-    "--spam-senders": "n_spam_senders",
-    "--recipients": "n_recipients",
-    "--communities": "n_communities",
-    "--community-size": "community_size_mean",
-    "--lists": "n_distribution_lists",
-    "--list-size": "list_size_mean",
-    "--spam-fraction": "spam_fraction",
-    "--legit-fanout": "legit_recipients_mean",
-    "--spam-fanout": "spam_recipients_mean",
-    "--churn": "sender_churn_rate",
+    "--messages": ("n_messages", int),
+    "--legit-senders": ("n_legit_senders", int),
+    "--spam-senders": ("n_spam_senders", int),
+    "--recipients": ("n_recipients", int),
+    "--communities": ("n_communities", int),
+    "--community-size": ("community_size_mean", float),
+    "--lists": ("n_distribution_lists", int),
+    "--list-size": ("list_size_mean", float),
+    "--spam-fraction": ("spam_fraction", float),
+    "--legit-fanout": ("legit_recipients_mean", float),
+    "--spam-fanout": ("spam_recipients_mean", float),
+    "--churn": ("sender_churn_rate", float),
 }
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
+    from .synthgen import WorkloadSpec, flip_labels, generate
+
     spec = WorkloadSpec(seed=args.seed, **{
-        field: getattr(args, flag[2:].replace("-", "_"))
-        for flag, field in _SPEC_FLAGS.items()
+        field: value for flag, (field, _) in _SPEC_FLAGS.items()
+        if (value := getattr(args, flag[2:].replace("-", "_"))) is not None
     })
     records = generate(spec)
     # any non-zero rate goes through flip_labels, which refuses one outside
@@ -273,9 +272,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_command(
-    args: argparse.Namespace, sweep: Callable[..., SweepResult]
-) -> int:
+def _sweep_command(args: argparse.Namespace, sweep: Callable) -> int:
+    from .evaluation import write_sweep
+
     cfg = _engine_config(args)
     grid = parse_grid(args.grid)
     with _records(args, cfg) as records:
@@ -289,14 +288,20 @@ def _sweep_command(
 
 
 def cmd_sweep_tau(args: argparse.Namespace) -> int:
+    from .evaluation import tau_sweep
+
     return _sweep_command(args, tau_sweep)
 
 
 def cmd_sweep_omega(args: argparse.Namespace) -> int:
+    from .evaluation import omega_sweep
+
     return _sweep_command(args, omega_sweep)
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
+    from .evaluation import bin_heatmap, write_heatmap
+
     cfg = _engine_config(args)
     with _records(args, cfg) as records:
         grid = bin_heatmap(SpamRankEngine(cfg).process_many(records), args.bin_size)
@@ -310,6 +315,8 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
+    from .evaluation import sender_history_baseline, write_report
+
     cfg = _engine_config(args)
     with _records(args, cfg) as records:
         report = sender_history_baseline(records)
@@ -324,6 +331,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_noise_exp(args: argparse.Namespace) -> int:
+    from .evaluation import noise_correction_experiment, write_report
+
     cfg = _engine_config(args)
     with _records(args, cfg) as records:
         report = noise_correction_experiment(
@@ -416,11 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--snapshot-out", default=None, help="state file to write at end")
 
     p = add("generate", cmd_generate, "write a seeded synthetic corpus")
-    dflt = WorkloadSpec()
     p.add_argument("--output", required=True, help="corpus jsonl path")
-    for flag, field in _SPEC_FLAGS.items():
-        value = getattr(dflt, field)
-        p.add_argument(flag, type=type(value), default=value)
+    for flag, (_, type_) in _SPEC_FLAGS.items():
+        p.add_argument(flag, type=type_)
     p.add_argument("--flip-rate", type=float, default=0.0,
                    help="flip this fraction of aux labels away from truth")
 

@@ -28,11 +28,10 @@ remove-then-create reading of the assignment step.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from math import sqrt
 from operator import mul
 
-from .errors import InternalStateError, NotAMemberError, UnknownUserError
+from .errors import InternalStateError, NotAMemberError, SlotRecord, UnknownUserError
 from .scoring import FREQ_BITS
 from .vectorspace import InvertedIndex
 
@@ -40,24 +39,30 @@ SENDER_SIDE = "sender"
 RECIPIENT_SIDE = "recipient"
 
 
-@dataclass(slots=True)
-class Cluster:
+class Cluster(SlotRecord):
     """Cluster bookkeeping. The count vector itself lives in the index."""
 
-    cid: int
-    # distinct user ids, in attach order
-    members: list[int] = field(default_factory=list)
-    # sum of fixed-point spam frequencies, (spam << FREQ_BITS) // total,
-    # over members with observations, and how many
-    freq_sum: int = 0
-    scored_members: int = 0
+    __slots__ = ("cid", "members", "freq_sum", "scored_members")
+
+    def __init__(self, cid: int, members: list[int] | None = None, freq_sum: int = 0,
+                 scored_members: int = 0) -> None:
+        self.cid = cid
+        # distinct user ids, in attach order
+        self.members = [] if members is None else members
+        # sum of fixed-point spam frequencies, (spam << FREQ_BITS) // total,
+        # over members with observations, and how many
+        self.freq_sum = freq_sum
+        self.scored_members = scored_members
 
 
-@dataclass(slots=True)
-class CensusReport:
-    num_clusters: int
-    size_histogram: dict[int, int]
-    num_singletons: int
+class CensusReport(SlotRecord):
+    __slots__ = ("num_clusters", "size_histogram", "num_singletons")
+
+    def __init__(self, num_clusters: int, size_histogram: dict[int, int],
+                 num_singletons: int) -> None:
+        self.num_clusters = num_clusters
+        self.size_histogram = size_histogram
+        self.num_singletons = num_singletons
 
 
 class ClusterSpace:
@@ -90,9 +95,15 @@ class ClusterSpace:
     def add_dims(self, uid: int, new_dims) -> None:
         """Grow a user's vector by the ids it does not hold yet, each once,
         in first-seen order; the current cluster sum tracks it."""
-        if uid < 0:  # a negative index would reach a user counted from the end
-            raise UnknownUserError(f"user {uid} has no vector on side {self.side!r}")
-        dims = self.user_dims[uid]
+        # the range test costs nothing until it fails (the engine only
+        # passes registered ids); a negative index would reach a user
+        # counted from the end
+        try:
+            if uid < 0:
+                raise IndexError(uid)
+            dims = self.user_dims[uid]
+        except IndexError:
+            raise UnknownUserError(f"user {uid} has no vector on side {self.side!r}") from None
         held = len(dims)
         for d in new_dims:
             if d not in dims:
@@ -104,7 +115,10 @@ class ClusterSpace:
             self.index.add_member_vector(cid, dims[held:])
 
     def cluster_of(self, uid: int) -> Cluster:
-        return self.clusters[self.user_cluster[uid]]
+        try:
+            return self.clusters[self.user_cluster[uid]]
+        except KeyError:
+            raise UnknownUserError(f"user {uid} has no cluster on side {self.side!r}") from None
 
     def restore_user(self, dims: list[int], spam: int, total: int, cid: int) -> None:
         """Re-add a saved user as the next uid through assign_user's attach
@@ -215,9 +229,12 @@ class ClusterSpace:
 
     def record_observation(self, uid: int, is_spam: bool) -> None:
         """Bump a user's counters and keep its cluster's cache in step."""
-        if uid < 0:
-            raise UnknownUserError(f"user {uid} has no counters on side {self.side!r}")
-        spam = self.spam[uid]
+        try:  # as in add_dims
+            if uid < 0:
+                raise IndexError(uid)
+            spam = self.spam[uid]
+        except IndexError:
+            raise UnknownUserError(f"user {uid} has no counters on side {self.side!r}") from None
         old_total = self.total[uid]
         if old_total:
             old_freq = (spam << FREQ_BITS) // old_total

@@ -12,11 +12,10 @@ engine cannot score is refused with FormatError before any state changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .clustering import RECIPIENT_SIDE, SENDER_SIDE, CensusReport, ClusterSpace
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, SlotRecord
 from .ingest import SENDER_DOMAIN, SENDER_FULL, MessageRecord
 from .scoring import (
     HAM,
@@ -33,8 +32,7 @@ DEFAULT_TAU = 0.5
 DEFAULT_OMEGA = 0.85
 
 
-@dataclass(slots=True, frozen=True)
-class EngineConfig:
+class EngineConfig(SlotRecord):
     """Immutable run settings.
 
     tau gates cluster membership (cosine must strictly exceed it), omega
@@ -42,19 +40,36 @@ class EngineConfig:
     between).
     """
 
-    tau: float = DEFAULT_TAU
-    omega: float = DEFAULT_OMEGA
-    sender_identity: str = SENDER_DOMAIN
+    __slots__ = ("tau", "omega", "sender_identity")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.tau <= 1.0:
-            raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
-        if not 0.5 <= self.omega <= 1.0:
-            raise ConfigError(f"omega must be in [0.5, 1], got {self.omega}")
-        if self.sender_identity not in (SENDER_DOMAIN, SENDER_FULL):
+    def __init__(self, tau: float = DEFAULT_TAU, omega: float = DEFAULT_OMEGA,
+                 sender_identity: str = SENDER_DOMAIN) -> None:
+        # a bool is an int: true would pass the range test as 1
+        if isinstance(tau, bool) or not 0.0 <= tau <= 1.0:
+            raise ConfigError(f"tau must be in [0, 1], got {tau}")
+        if isinstance(omega, bool) or not 0.5 <= omega <= 1.0:
+            raise ConfigError(f"omega must be in [0.5, 1], got {omega}")
+        if sender_identity not in (SENDER_DOMAIN, SENDER_FULL):
             raise ConfigError(
                 f"sender_identity must be '{SENDER_DOMAIN}' or '{SENDER_FULL}'"
             )
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "sender_identity", sender_identity)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"EngineConfig is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"EngineConfig is immutable: cannot delete {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        # unpickling rebuilds through __init__, which validates, since
+        # __setattr__ refuses the slot writes the default protocol makes
+        return EngineConfig, self._values()
 
     def fingerprint(self) -> str:
         """Settings that shape engine state. omega only affects verdicts,

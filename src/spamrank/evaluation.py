@@ -22,7 +22,7 @@ import json
 import sys
 import time
 from array import array
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from itertools import chain, combinations, repeat
 from math import sqrt
 from statistics import fmean, pstdev
@@ -219,7 +219,7 @@ def tau_sweep(
     grid = _check_grid(grid)
     base = config or EngineConfig()
     # EngineConfig refuses a bad grid point here, before any replay
-    configs = [replace(base, tau=tau) for tau in grid]
+    configs = [EngineConfig(tau, base.omega, base.sender_identity) for tau in grid]
     records = list(records)
     rows: list[SweepRow] = []
     for cfg in configs:
@@ -262,7 +262,7 @@ def omega_sweep(
     grid = _check_grid(grid)
     base = config or EngineConfig()
     # EngineConfig refuses a bad grid point here, before the replay
-    omegas = [replace(base, omega=omega).omega for omega in grid]
+    omegas = [EngineConfig(base.tau, omega, base.sender_identity).omega for omega in grid]
     engine, (ranks, spam), runtime_ms = _replay(records, base, _record_ranks)
     n_send = len(engine.sender_side.clusters)
     n_recv = len(engine.recipient_side.clusters)

@@ -26,10 +26,10 @@ means the wrong format flag.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from collections.abc import Iterable, Iterator
+from io import TextIOBase
 
-from .errors import FormatError, InvalidAddressError
+from .errors import FormatError, InvalidAddressError, SlotRecord
 from .scoring import HAM, SPAM
 
 SENDER_DOMAIN = "domain"
@@ -43,16 +43,20 @@ _decode = json.JSONDecoder().raw_decode
 _NO_ID = object()
 
 
-@dataclass(slots=True)
-class MessageRecord:
+class MessageRecord(SlotRecord):
     """One normalized message event."""
 
-    msg_id: str
-    timestamp: int
-    sender: str
-    recipients: tuple[str, ...]
-    aux_label: str          # "spam" | "ham"
-    truth: str | None = None  # generator ground truth; engine never reads it
+    __slots__ = ("msg_id", "timestamp", "sender", "recipients", "aux_label", "truth")
+
+    def __init__(self, msg_id: str, timestamp: int, sender: str,
+                 recipients: tuple[str, ...], aux_label: str,
+                 truth: str | None = None) -> None:
+        self.msg_id = msg_id
+        self.timestamp = timestamp
+        self.sender = sender
+        self.recipients = recipients
+        self.aux_label = aux_label  # "spam" | "ham"
+        self.truth = truth  # generator ground truth; the engine never reads it
 
 
 def normalize_sender(address: str, identity: str = SENDER_DOMAIN) -> str:
@@ -77,12 +81,15 @@ def normalize_recipient(address: str) -> str:
     return addr
 
 
-@dataclass(slots=True)
-class ParseStats:
-    lines: int = 0
-    records: int = 0
-    skipped: int = 0
-    comments: int = 0
+class ParseStats(SlotRecord):
+    __slots__ = ("lines", "records", "skipped", "comments")
+
+    def __init__(self, lines: int = 0, records: int = 0, skipped: int = 0,
+                 comments: int = 0) -> None:
+        self.lines = lines
+        self.records = records
+        self.skipped = skipped
+        self.comments = comments
 
 
 def _coerce_ts(v: object) -> int:
@@ -146,7 +153,7 @@ def _parse_json_line(line: str, line_no: int, identity: str) -> MessageRecord | 
     )
 
 
-def write_header(fh: TextIO, header: dict) -> None:
+def write_header(fh: TextIOBase, header: dict) -> None:
     """Write the `{"header": ...}` line that _parse_json_line reads as a comment."""
     fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
 

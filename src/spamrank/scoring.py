@@ -18,11 +18,10 @@ form used here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from .errors import DomainError, InternalStateError, SlotRecord
 
-from .errors import DomainError, InternalStateError
-
+# type checkers read this as true; `typing` is not loaded to define it
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .clustering import Cluster
 
@@ -35,17 +34,22 @@ DEFERRED = "deferred"
 FREQ_BITS = 60
 
 
-@dataclass(slots=True)
-class Verdict:
+class Verdict(SlotRecord):
     """Engine output for one message."""
 
-    msg_id: str
-    p_s: float
-    p_r: float
-    spam_rank: float
-    decision: str       # "spam" | "legit" | "deferred"
-    aux_label: str      # "spam" | "ham"
-    effective_label: str  # "spam" | "ham"; decision, or aux when deferred
+    __slots__ = ("msg_id", "p_s", "p_r", "spam_rank", "decision", "aux_label",
+                 "effective_label")
+
+    def __init__(self, msg_id: str, p_s: float, p_r: float, spam_rank: float,
+                 decision: str, aux_label: str, effective_label: str) -> None:
+        self.msg_id = msg_id
+        self.p_s = p_s
+        self.p_r = p_r
+        self.spam_rank = spam_rank
+        self.decision = decision  # "spam" | "legit" | "deferred"
+        self.aux_label = aux_label  # "spam" | "ham"
+        # "spam" | "ham"; the decision, or aux when deferred
+        self.effective_label = effective_label
 
 
 def spam_rank(p_s: float, p_r: float) -> float:

@@ -21,7 +21,7 @@ from itertools import chain
 
 from .clustering import ClusterSpace
 from .engine import EngineConfig, SpamRankEngine
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .vectorspace import Interner
 
 STATE_VERSION = 5
@@ -134,7 +134,8 @@ def engine_from_state(state: dict) -> SpamRankEngine:
             raise ValueError(f"input offset {offset} is below the message count")
         engine.records_skipped = offset - engine.messages_processed
         engine.check_integrity()
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        # ConfigError: the stored config is out of range or ill-typed
         raise FormatError(f"malformed snapshot: {exc!r}") from exc
     return engine
 

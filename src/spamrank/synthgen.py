@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from math import exp
 from typing import Callable, Sequence
@@ -226,7 +226,8 @@ def label_flipper(flip_rate: float, seed: int) -> Callable[[MessageRecord], Mess
         aux = rec.truth if rec.truth is not None else rec.aux_label
         if rng.random() < flip_rate:
             aux = HAM if aux == SPAM else SPAM
-        return replace(rec, aux_label=aux)
+        return MessageRecord(rec.msg_id, rec.timestamp, rec.sender, rec.recipients,
+                             aux, rec.truth)
 
     return flip
 

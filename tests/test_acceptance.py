@@ -381,7 +381,7 @@ def test_criterion_11_snapshot_resume_is_invisible(default_records, tmp_path):
     resumed = load_snapshot(str(path))
     tail = [resumed.process(r) for r in default_records[split:]]
 
-    assert head + tail == full  # dataclass equality: every field, exactly
+    assert head + tail == full  # Verdict equality: every field, exactly
     assert resumed.messages_processed == full_engine.messages_processed
     assert engine_state(resumed) == engine_state(full_engine)
     print(f"[acceptance] criterion 11 PASS: resume at message {split} of "

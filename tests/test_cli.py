@@ -4,6 +4,7 @@ import queue
 import subprocess
 import sys
 import threading
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from spamrank.cli import (
     EXIT_FORMAT,
     EXIT_IO,
     EXIT_OK,
+    _SPEC_FLAGS,
     build_parser,
     main,
     parse_grid,
@@ -220,6 +222,28 @@ class TestGenerateCommand:
         )
         assert 130 <= flips <= 270
 
+    def test_spec_flags_take_the_type_of_the_field_default(self):
+        default = WorkloadSpec()
+        for flag, (field, type_) in _SPEC_FLAGS.items():
+            assert type_ is type(getattr(default, field)), flag
+
+    def test_unset_spec_flags_keep_the_workload_defaults(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        assert main(["generate", "--output", str(corpus), "--messages", "20",
+                     "--churn", "0.5", "--seed", "3"]) == EXIT_OK
+        header = json.loads(corpus.read_text().splitlines()[0])["header"]
+        spec = WorkloadSpec(seed=3, n_messages=20, sender_churn_rate=0.5)
+        assert header["spec"] == asdict(spec)
+
+    @pytest.mark.parametrize("flag,value", [("--messages", "1.5"), ("--lists", "x"),
+                                            ("--churn", "half")])
+    def test_ill_typed_spec_flag_is_a_usage_error(self, tmp_path, flag, value):
+        corpus = tmp_path / "corpus.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--output", str(corpus), flag, value])
+        assert exc.value.code == EXIT_CONFIG
+        assert not corpus.exists()
+
     @pytest.mark.parametrize("rate", ["-1", "nan", "1.5"])
     def test_flip_rate_outside_the_unit_interval_is_a_config_error(self, tmp_path, rate):
         corpus = tmp_path / "noisy.jsonl"
@@ -339,8 +363,14 @@ class TestSnapshotCommands:
         lambda s: s["recipients"]["users"][1].__setitem__(4, True),
         # and row 0 already holds dim 2
         lambda s: s["senders"]["users"][1].__setitem__(1, [0, 1, 2.0]),
+        # a config the engine refuses, its fingerprint edited to match
+        lambda s: s.update(config={**s["config"], "tau": True},
+                           fingerprint=s["fingerprint"].replace("0.5", "True")),
+        lambda s: s.update(config={**s["config"], "tau": 2.0},
+                           fingerprint=s["fingerprint"].replace("0.5", "2.0")),
     ], ids=["format-3", "format-4", "null-cid", "name-not-a-string", "repeated-name",
-            "cid-float", "cid-true", "dim-float"])
+            "cid-float", "cid-true", "dim-float", "config-tau-true",
+            "config-tau-out-of-range"])
     def test_refused_snapshot_is_a_format_error(self, tmp_path, golden_path, mutate):
         state = tmp_path / "state.json"
         main(["snapshot-save", "--input", str(golden_path), "--limit", "6",
@@ -552,7 +582,43 @@ class TestReportFlags:
         assert getattr(args, flag[2:].replace("-", "_")) == value
 
 
+# run in a fresh interpreter: the three streaming commands, then the modules
+# that must not have been loaded for them
+LEAN_CHILD = """
+import sys
+from spamrank.cli import main
+golden, out, state = sys.argv[1:]
+codes = [
+    main(["run", "--input", golden, "--output", out]),
+    main(["snapshot-save", "--input", golden, "--limit", "4", "--snapshot-out", state]),
+    main(["snapshot-load", "--input", golden, "--snapshot-in", state, "--output", out]),
+]
+heavy = ("dataclasses", "statistics", "spamrank.evaluation", "spamrank.synthgen")
+print(codes, [name for name in heavy if name in sys.modules])
+"""
+
+
 class TestTopLevel:
+    def test_streaming_commands_load_no_report_or_generator_module(
+        self, tmp_path, golden_path
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", LEAN_CHILD, str(golden_path),
+             str(tmp_path / "v.jsonl"), str(tmp_path / "state.json")],
+            env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True, timeout=60, check=True,
+        )
+        assert proc.stdout.strip() == "[0, 0, 0] []"
+
+    def test_every_exported_name_resolves(self):
+        for name in spamrank.__all__:
+            assert getattr(spamrank, name) is not None, name
+        namespace: dict = {}
+        exec("from spamrank import *", namespace)
+        assert set(spamrank.__all__) <= set(namespace)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            spamrank.no_such_name
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

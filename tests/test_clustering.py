@@ -78,16 +78,26 @@ class TestAssignment:
             space.assign_user(-1)
 
     def test_negative_uid_is_refused_before_any_change(self):
-        # a negative list index would reach the last user and corrupt it
+        # a negative list index would reach the last user and corrupt it;
+        # an id past the last user, or one registered but not yet assigned,
+        # has no vector, counters or cluster to reach
         space = make_space()
         seed_user(space, 0, [1])
-        with pytest.raises(UnknownUserError):
-            space.add_dims(-1, [5])
-        with pytest.raises(UnknownUserError):
-            space.record_observation(-1, True)
+        for uid in (-1, 1):
+            with pytest.raises(UnknownUserError):
+                space.add_dims(uid, [5])
+            with pytest.raises(UnknownUserError):
+                space.record_observation(uid, True)
+            with pytest.raises(UnknownUserError):
+                space.cluster_of(uid)
         assert space.user_dims == [[1]]
         assert space.spam == space.total == [0]
         assert space.index.norm_sq == {1: 1}
+        space.check_integrity()
+        space.register_user(1)
+        with pytest.raises(UnknownUserError):
+            space.cluster_of(1)
+        assert space.user_cluster == {0: 1}
         space.check_integrity()
 
     def test_assign_is_idempotent_when_nothing_changed(self):

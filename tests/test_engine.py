@@ -1,4 +1,5 @@
 import gc
+import pickle
 import tracemalloc
 
 import pytest
@@ -55,10 +56,35 @@ class TestConfig:
         {"tau": -0.1}, {"tau": 1.5},
         {"omega": 0.49}, {"omega": 1.01},
         {"sender_identity": "hostname"},
+        {"tau": True}, {"omega": True},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             EngineConfig(**kwargs)
+
+    def test_is_an_immutable_value_that_pickles(self):
+        cfg = EngineConfig(0.4, 0.9, "full")
+        assert cfg == EngineConfig(tau=0.4, omega=0.9, sender_identity="full")
+        assert cfg != EngineConfig(0.4, 0.9)
+        assert hash(cfg) == hash(EngineConfig(0.4, 0.9, "full"))
+        assert repr(cfg) == "EngineConfig(tau=0.4, omega=0.9, sender_identity='full')"
+        with pytest.raises(AttributeError):
+            cfg.tau = 0.6
+        with pytest.raises(AttributeError):
+            del cfg.omega
+        assert pickle.loads(pickle.dumps(cfg, pickle.HIGHEST_PROTOCOL)) == cfg
+
+    def test_an_engine_pickles_mid_stream(self, golden_records):
+        engine = SpamRankEngine(EngineConfig(omega=0.9))
+        straight = SpamRankEngine(EngineConfig(omega=0.9))
+        for record in golden_records[:5]:
+            engine.process(record)
+            straight.process(record)
+        resumed = pickle.loads(pickle.dumps(engine, pickle.HIGHEST_PROTOCOL))
+        assert resumed.config == engine.config
+        rest = golden_records[5:]
+        assert [resumed.process(r) for r in rest] == [straight.process(r) for r in rest]
+        assert engine_state(resumed) == engine_state(straight)
 
     def test_fingerprint_names_the_structural_settings(self):
         assert EngineConfig().fingerprint() == "tau=0.5;identity=domain"

@@ -340,8 +340,9 @@ class TestStreamedRecords:
             noise_correction_experiment(unread(), 1.5, 0.5, 0.85)
 
     def test_truthless_record_mid_stream(self, default_records):
-        records = [*default_records[:50], replace(default_records[50], truth=None),
-                   *default_records[51:100]]
+        r = default_records[50]
+        truthless = MessageRecord(r.msg_id, r.timestamp, r.sender, r.recipients, r.aux_label)
+        records = [*default_records[:50], truthless, *default_records[51:100]]
         with pytest.raises(ConfigError, match="ground-truth"):
             noise_correction_experiment(iter(records), 0.1, 0.5, 0.85)
 

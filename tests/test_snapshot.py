@@ -25,6 +25,11 @@ def run_engine(records, cfg=None):
     return engine, verdicts
 
 
+def _set_tau(state: dict, tau: object) -> None:
+    state["config"]["tau"] = tau
+    state["fingerprint"] = state["fingerprint"].replace("tau=0.5;", f"tau={tau!r};")
+
+
 def _repeat_name(side: dict, row: int) -> None:
     users = side["users"]
     users[row][0] = users[0][0]
@@ -209,6 +214,10 @@ class TestValidation:
         # row 0 already holds dims 1 and 2, whose posting keys these would find
         lambda s: s["senders"]["users"][1].__setitem__(1, [0, 1, 2.0]),
         lambda s: s["senders"]["users"][1].__setitem__(1, [0, True, 2]),
+        # the fingerprint edited to match, so only the config is wrong
+        lambda s: _set_tau(s, True),
+        lambda s: s["config"].update(omega=True),
+        lambda s: _set_tau(s, 2.0),
     ], ids=["no-config", "config-list", "config-extra-key", "no-senders",
             "short-user-row",
             "user-in-unknown-cluster", "no-message-count", "message-count-text",
@@ -219,7 +228,8 @@ class TestValidation:
             "repeated-name", "offset-below-message-count",
             "name-an-int", "dims-repeat", "dims-not-a-list", "cid-float", "cid-true",
             "version-4", "version-float", "dim-float-of-a-held-id",
-            "dim-true-of-a-held-id"])
+            "dim-true-of-a-held-id", "config-tau-true", "config-omega-true",
+            "config-tau-out-of-range"])
     def test_malformed_state_is_a_format_error(self, golden_records, mutate):
         engine, _ = run_engine(golden_records)
         state = json.loads(json.dumps(engine_state(engine)))
