@@ -254,17 +254,17 @@ _SPEC_FLAGS = {
 def cmd_generate(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
-    from .synthgen import WorkloadSpec, flip_labels, generate
+    from .synthgen import WorkloadSpec, generate, label_flipper
 
     spec = WorkloadSpec(seed=args.seed, **{
         field: value for flag, (field, _) in _SPEC_FLAGS.items()
         if (value := getattr(args, flag[2:].replace("-", "_"))) is not None
     })
     records = generate(spec)
-    # any non-zero rate goes through flip_labels, which refuses one outside
-    # [0, 1] (NaN included)
+    # any non-zero rate goes through label_flipper, which refuses one
+    # outside [0, 1] (NaN included) before the file is opened
     if args.flip_rate:
-        records = flip_labels(records, args.flip_rate, spec.seed)
+        records = map(label_flipper(args.flip_rate, spec.seed), records)
     header = {"spamrank": __version__, "seed": spec.seed,
               "spec": asdict(spec), "flip_rate": args.flip_rate}
     n = write_jsonl(args.output, records, header)

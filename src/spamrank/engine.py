@@ -53,8 +53,9 @@ class EngineConfig(SlotRecord):
             raise ConfigError(
                 f"sender_identity must be '{SENDER_DOMAIN}' or '{SENDER_FULL}'"
             )
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "omega", omega)
+        # stored as floats, so tau=1 and tau=1.0 share a fingerprint
+        object.__setattr__(self, "tau", float(tau))
+        object.__setattr__(self, "omega", float(omega))
         object.__setattr__(self, "sender_identity", sender_identity)
 
     def __setattr__(self, name: str, value: object) -> None:

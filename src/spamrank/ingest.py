@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator
 from io import TextIOBase
+from json.encoder import encode_basestring_ascii as encode_str
 
 from .errors import FormatError, InvalidAddressError, SlotRecord
 from .scoring import HAM, SPAM
@@ -231,31 +232,27 @@ def read_records(
     return records, stats
 
 
-def record_to_obj(record: MessageRecord) -> dict:
-    """Wire-format dict for a record (jsonl line payload)."""
-    obj = {
-        "id": record.msg_id,
-        "ts": record.timestamp,
-        "from": record.sender,
-        "to": list(record.recipients),
-        "aux": record.aux_label,
-    }
-    if record.truth is not None:
-        obj["truth"] = record.truth
-    return obj
-
-
 def write_jsonl(path: str, records: Iterable[MessageRecord], header: dict | None = None) -> int:
-    """Write records as jsonl; returns the record count.
+    """Write records as jsonl, one f-string line each; returns the record count.
 
-    The optional header dict is emitted first as {"header": ...}, which
-    parse_stream treats as a comment, so the file reads back cleanly.
+    A line is what json.dumps writes for {id, ts, from, to, aux[, truth]}; a
+    field not of its declared type (str, int ts, str or None truth) raises
+    TypeError. The optional header dict is emitted first as {"header": ...},
+    which parse_stream treats as a comment, so the file reads back cleanly.
     """
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             write_header(fh, header)
+        write = fh.write
         for rec in records:
-            fh.write(json.dumps(record_to_obj(rec)) + "\n")
+            ts = rec.timestamp
+            if type(ts) is not int:  # json.dumps would write a float or a bool
+                raise TypeError(f"timestamp must be an int, got {ts!r}")
+            truth = "" if rec.truth is None else f', "truth": {encode_str(rec.truth)}'
+            write(f'{{"id": {encode_str(rec.msg_id)}, "ts": {ts!r}, '
+                  f'"from": {encode_str(rec.sender)}, '
+                  f'"to": [{", ".join(map(encode_str, rec.recipients))}], '
+                  f'"aux": {encode_str(rec.aux_label)}{truth}}}\n')
             n += 1
     return n

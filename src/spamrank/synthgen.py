@@ -78,8 +78,7 @@ class WorkloadSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        social = int(round(self.n_recipients * SOCIAL_POOL_END))
-        harvest = self.n_recipients - int(round(self.n_recipients * HARVEST_POOL_START))
+        social, harvest = map(len, _pools(self.n_recipients))
         if self.community_size_mean > social:
             raise ConfigError(
                 f"community_size_mean {self.community_size_mean} exceeds the "
@@ -92,11 +91,22 @@ class WorkloadSpec:
             )
 
 
+def recipient_address(j: int) -> str:
+    """The address of recipient index j; indices run 0..n_recipients-1."""
+    return f"u{j}@m{j % 5}.example"
+
+
+def _pools(n_recipients: int) -> tuple[range, range]:
+    # the social and harvest pools of recipient indices
+    return (range(int(round(n_recipients * SOCIAL_POOL_END))),
+            range(int(round(n_recipients * HARVEST_POOL_START)), n_recipients))
+
+
 @dataclass(slots=True, frozen=True)
 class WorkloadLayout:
     """The static population structure behind a spec's message stream."""
 
-    recipients: list[str]
+    social_pool: range
     communities: list[list[int]]
     dist_lists: list[list[int]]
     legit_domains: list[str]
@@ -122,11 +132,8 @@ def _clipped_size(rng: random.Random, mean: float, lo: int, hi: int) -> int:
 
 
 def _build_layout(spec: WorkloadSpec, rng: random.Random) -> WorkloadLayout:
-    recipients = [f"u{j}@m{j % 5}.example" for j in range(spec.n_recipients)]
-    social_pool = list(range(int(round(spec.n_recipients * SOCIAL_POOL_END))))
-    harvest_pool = list(
-        range(int(round(spec.n_recipients * HARVEST_POOL_START)), spec.n_recipients)
-    )
+    # sample and indexing draw the same values from a range as from a list
+    social_pool, harvest_pool = _pools(spec.n_recipients)
     communities = [
         rng.sample(social_pool,
                    _clipped_size(rng, spec.community_size_mean, 2, len(social_pool)))
@@ -138,7 +145,7 @@ def _build_layout(spec: WorkloadSpec, rng: random.Random) -> WorkloadLayout:
         for _ in range(spec.n_distribution_lists)
     ]
     return WorkloadLayout(
-        recipients=recipients,
+        social_pool=social_pool,
         communities=communities,
         dist_lists=dist_lists,
         legit_domains=[f"corp{i}.example" for i in range(spec.n_legit_senders)],
@@ -165,14 +172,6 @@ def generate(spec: WorkloadSpec) -> list[MessageRecord]:
     spec.validate()
     rng = random.Random(spec.seed)
     layout = _build_layout(spec, rng)
-    recipients = layout.recipients
-    social_pool = list(range(int(round(spec.n_recipients * SOCIAL_POOL_END))))
-    communities = layout.communities
-    dist_lists = layout.dist_lists
-    legit_domains = layout.legit_domains
-    sender_community = layout.sender_community
-    spam_domains = layout.spam_domains
-    spammer_list = layout.spammer_list
 
     # Zipf-ish activity: sender i gets weight 1/(i+1)^s
     cum_weights = list(accumulate(
@@ -188,29 +187,29 @@ def generate(spec: WorkloadSpec) -> list[MessageRecord]:
             if rng.random() < spec.sender_churn_rate:
                 churn_serial += 1
                 sender = f"x{churn_serial}.bulk.example"
-                lst = dist_lists[rng.randrange(spec.n_distribution_lists)]
+                lst = layout.dist_lists[rng.randrange(spec.n_distribution_lists)]
             else:
                 s = rng.randrange(spec.n_spam_senders)
-                sender = spam_domains[s]
-                lst = dist_lists[spammer_list[s]]
+                sender = layout.spam_domains[s]
+                lst = layout.dist_lists[layout.spammer_list[s]]
             k = _clipped_size(rng, spec.spam_recipients_mean, 1, len(lst))
             rec_idx = rng.sample(lst, k)
             truth = SPAM
         else:
             s = bisect_right(cum_weights, rng.random() * total_weight)
-            sender = legit_domains[min(s, spec.n_legit_senders - 1)]
-            community = communities[sender_community[s]]
+            sender = layout.legit_domains[min(s, spec.n_legit_senders - 1)]
+            community = layout.communities[layout.sender_community[s]]
             k = max(1, _poisson(rng, spec.legit_recipients_mean))
             rec_idx = []
             for _ in range(k):
-                pool = community if rng.random() < COMMUNITY_LOCALITY else social_pool
+                pool = community if rng.random() < COMMUNITY_LOCALITY else layout.social_pool
                 j = pool[rng.randrange(len(pool))]
                 if j not in rec_idx:
                     rec_idx.append(j)
             truth = HAM
         records.append(MessageRecord(
             f"g{i + 1}", BASE_TS + i * TS_STEP, sender,
-            tuple(recipients[j] for j in rec_idx), truth, truth,
+            tuple(map(recipient_address, rec_idx)), truth, truth,
         ))
     return records
 

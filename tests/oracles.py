@@ -325,3 +325,18 @@ def _reference_record(obj: dict, line_no: int) -> MessageRecord | None:
             or not recipients or aux is None or truth == ""):
         return None
     return MessageRecord(msg_id, ts, sender, tuple(recipients), aux, truth)
+
+
+def record_to_obj(record: MessageRecord) -> dict:
+    """The JSON object a jsonl line of this record holds, in key order;
+    json.dumps of it is the line write_jsonl must write."""
+    obj = {
+        "id": record.msg_id,
+        "ts": record.timestamp,
+        "from": record.sender,
+        "to": list(record.recipients),
+        "aux": record.aux_label,
+    }
+    if record.truth is not None:
+        obj["truth"] = record.truth
+    return obj

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import queue
@@ -10,7 +11,15 @@ from pathlib import Path
 import pytest
 
 import spamrank
-from spamrank import ConfigError, WorkloadSpec, generate, write_jsonl
+from spamrank import (
+    ConfigError,
+    EngineConfig,
+    SpamRankEngine,
+    WorkloadSpec,
+    generate,
+    save_snapshot,
+    write_jsonl,
+)
 from spamrank.cli import (
     EXIT_CONFIG,
     EXIT_FORMAT,
@@ -222,6 +231,15 @@ class TestGenerateCommand:
         )
         assert 130 <= flips <= 270
 
+    def test_flipped_corpus_is_pinned(self, tmp_path):
+        # the records after the header line, which names the package version
+        corpus = tmp_path / "noisy.jsonl"
+        assert main(["generate", "--output", str(corpus), "--flip-rate", "0.1"]) == EXIT_OK
+        header, records = corpus.read_bytes().split(b"\n", 1)
+        assert json.loads(header)["header"]["flip_rate"] == 0.1
+        assert hashlib.sha256(records).hexdigest() == (
+            "75289bc3f4b5a3ca398a22fe8710f0caf34e8f075181e80996507f7c418f382d")
+
     def test_spec_flags_take_the_type_of_the_field_default(self):
         default = WorkloadSpec()
         for flag, (field, type_) in _SPEC_FLAGS.items():
@@ -368,9 +386,13 @@ class TestSnapshotCommands:
                            fingerprint=s["fingerprint"].replace("0.5", "True")),
         lambda s: s.update(config={**s["config"], "tau": 2.0},
                            fingerprint=s["fingerprint"].replace("0.5", "2.0")),
+        # an int tau, as an earlier version saved it from the library: the
+        # stored fingerprint no longer matches the one its config gives
+        lambda s: s.update(config={**s["config"], "tau": 1},
+                           fingerprint=s["fingerprint"].replace("0.5", "1")),
     ], ids=["format-3", "format-4", "null-cid", "name-not-a-string", "repeated-name",
             "cid-float", "cid-true", "dim-float", "config-tau-true",
-            "config-tau-out-of-range"])
+            "config-tau-out-of-range", "int-tau-fingerprint"])
     def test_refused_snapshot_is_a_format_error(self, tmp_path, golden_path, mutate):
         state = tmp_path / "state.json"
         main(["snapshot-save", "--input", str(golden_path), "--limit", "6",
@@ -435,6 +457,22 @@ class TestSnapshotCommands:
         code = main(["snapshot-load", "--input", str(golden_path), "--skip", "4",
                      "--snapshot-in", str(state), "--omega", "0.95"])
         assert code == EXIT_OK
+
+    def test_library_snapshot_with_an_int_tau_resumes_under_that_tau(
+            self, tmp_path, golden_path, golden_records):
+        # EngineConfig(tau=1) fingerprints as --tau 1 does: tau=1.0
+        straight = tmp_path / "straight.jsonl"
+        assert main(["run", "--input", str(golden_path), "--tau", "1",
+                     "--output", str(straight)]) == EXIT_OK
+        engine = SpamRankEngine(EngineConfig(tau=1))
+        for record in golden_records[:4]:
+            engine.process(record)
+        state = tmp_path / "state.json"
+        save_snapshot(engine, str(state))
+        tail = tmp_path / "tail.jsonl"
+        assert main(["snapshot-load", "--input", str(golden_path), "--tau", "1",
+                     "--snapshot-in", str(state), "--output", str(tail)]) == EXIT_OK
+        assert tail.read_text().splitlines()[1:] == straight.read_text().splitlines()[5:]
 
 
 class TestReportCommands:

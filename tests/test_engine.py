@@ -89,6 +89,12 @@ class TestConfig:
     def test_fingerprint_names_the_structural_settings(self):
         assert EngineConfig().fingerprint() == "tau=0.5;identity=domain"
 
+    def test_an_int_tau_or_omega_is_stored_as_a_float(self):
+        cfg = EngineConfig(tau=1, omega=1)
+        assert type(cfg.tau) is float and type(cfg.omega) is float
+        assert cfg.fingerprint() == EngineConfig(tau=1.0).fingerprint() == "tau=1.0;identity=domain"
+        assert cfg == EngineConfig(tau=1.0, omega=1.0)
+
     def test_fingerprint_ignores_omega_only(self):
         base = EngineConfig()
         assert EngineConfig(omega=0.6).fingerprint() == base.fingerprint()

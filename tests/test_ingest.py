@@ -2,7 +2,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from spamrank import (
     HAM,
@@ -18,9 +18,9 @@ from spamrank import (
     read_records,
     write_jsonl,
 )
-from spamrank.ingest import record_to_obj, write_header
+from spamrank.ingest import write_header
 
-from oracles import reference_parse_jsonl
+from oracles import record_to_obj, reference_parse_jsonl
 
 
 class TestNormalizeSender:
@@ -252,6 +252,16 @@ def test_labels_are_the_shared_constants():
     assert s.aux_label is SPAM and h.aux_label is HAM
 
 
+# ids and addresses with quotes, backslashes, control characters, non-ASCII
+# text and lone surrogates, all of which json.dumps escapes
+_WIRE_TEXT = st.text(alphabet=st.one_of(
+    st.characters(), st.sampled_from(list('"\\/\x00\x1f\x7f\u2028\ud800\U0001f4e7'))))
+_WIRE_RECORD = st.builds(
+    MessageRecord, _WIRE_TEXT, st.integers(), _WIRE_TEXT,
+    st.lists(_WIRE_TEXT, max_size=3).map(tuple), st.sampled_from([SPAM, HAM]),
+    st.sampled_from([None, SPAM, HAM]))
+
+
 class TestWriteJsonl:
     def test_round_trip_with_header(self, tmp_path):
         records = [
@@ -275,8 +285,31 @@ class TestWriteJsonl:
         assert list(parse_stream(buf.getvalue().splitlines(), stats=stats)) == []
         assert stats.comments == 1
 
-    def test_record_to_obj_omits_missing_truth(self):
-        rec = MessageRecord("a1", 5, "d.example", ("a@u.example",), "spam")
-        assert "truth" not in record_to_obj(rec)
-        rec2 = MessageRecord("a1", 5, "d.example", ("a@u.example",), "spam", "spam")
-        assert record_to_obj(rec2)["truth"] == "spam"
+    def test_missing_truth_writes_no_truth_key(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        write_jsonl(str(path), [
+            MessageRecord("a1", 5, "d.example", ("a@u.example",), "spam"),
+            MessageRecord("a1", 5, "d.example", ("a@u.example",), "spam", "spam"),
+        ])
+        first, second = map(json.loads, path.read_text().splitlines())
+        assert "truth" not in first
+        assert second["truth"] == "spam"
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(_WIRE_RECORD, max_size=4))
+    def test_lines_are_what_json_dumps_writes(self, tmp_path, records):
+        path = tmp_path / "out.jsonl"
+        assert write_jsonl(str(path), records) == len(records)
+        expected = "".join(json.dumps(record_to_obj(r)) + "\n" for r in records)
+        assert path.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("field,value", [
+        (0, 7), (0, None), (0, b"a1"), (1, 5.0), (1, True), (1, "5"), (1, None),
+        (2, None), (3, ("a@u.example", 3)), (4, None), (5, 1),
+    ])
+    def test_a_field_of_the_wrong_type_is_a_type_error(self, tmp_path, field, value):
+        fields = ["a1", 5, "d.example", ("a@u.example",), "spam", "ham"]
+        fields[field] = value
+        with pytest.raises(TypeError):
+            write_jsonl(str(tmp_path / "out.jsonl"), [MessageRecord(*fields)])

@@ -1,5 +1,9 @@
+import hashlib
+import importlib
 import math
 import statistics
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +14,9 @@ from spamrank import (
     WorkloadSpec,
     flip_labels,
     generate,
+    write_jsonl,
 )
-from spamrank.synthgen import label_flipper, workload_layout
+from spamrank.synthgen import label_flipper, recipient_address, workload_layout
 
 
 def _cosine(a: set, b: set) -> float:
@@ -82,6 +87,46 @@ class TestGenerate:
                 small_spec(**{name: float("nan")}).validate()
 
 
+# the benchmark's two mixes (bench/workloads.py), cut to 2,000 messages at
+# the benchmark's default seed
+LONG_STREAM_2K = WorkloadSpec(
+    seed=1, n_messages=2000, n_legit_senders=4000, n_spam_senders=3000,
+    n_recipients=48_000, n_communities=800, community_size_mean=10.0,
+    n_distribution_lists=150, list_size_mean=14.0, spam_fraction=0.8,
+    legit_recipients_mean=1.1, spam_recipients_mean=2.2, sender_churn_rate=0.02)
+CHURN_RESUME_2K = WorkloadSpec(
+    seed=1, n_messages=2000, n_legit_senders=20_000, n_spam_senders=5000,
+    n_recipients=400_000, n_communities=8000, community_size_mean=25.0,
+    n_distribution_lists=2000, list_size_mean=40.0, spam_fraction=0.7,
+    legit_recipients_mean=2.0, spam_recipients_mean=4.0, sender_churn_rate=0.6)
+
+
+class TestGoldenCorpora:
+    """Generated corpora are pinned byte for byte: a change to the draws, the
+    address format or the writer shows here first."""
+
+    @pytest.mark.parametrize("spec,digest", [
+        (WorkloadSpec(),
+         "a19e485e7411e0b6e33f3b779561806e46e34f4194368a70e94143132d165430"),
+        (LONG_STREAM_2K,
+         "57ea12022456afbeade77cd615bb54f6236eea3e2d9c5a0d553322d099552fb1"),
+        (CHURN_RESUME_2K,
+         "13af6342d7472123a44a3a5144d24812d529b9792700a408f82da8d09d2b0d0b"),
+    ], ids=["default", "long-stream-2k", "churn-resume-2k"])
+    def test_sha256_of_the_written_corpus(self, tmp_path, spec, digest):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(str(path), generate(spec))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_the_pinned_mixes_are_the_benchmarks(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        workloads = importlib.import_module("workloads")
+        for name, spec in (("long-stream", LONG_STREAM_2K),
+                           ("churn-resume", CHURN_RESUME_2K)):
+            bench_spec = workloads.WORKLOADS[name].spec
+            assert replace(bench_spec, seed=1, n_messages=2000) == spec
+
+
 class TestFlipLabels:
     def test_zero_rate_is_identity(self, default_records):
         assert flip_labels(default_records, 0.0, seed=1) == default_records
@@ -113,7 +158,7 @@ class TestLayout:
         spec = small_spec(n_distribution_lists=1, spam_recipients_mean=6.0)
         layout = workload_layout(spec)
         (only_list,) = layout.dist_lists
-        allowed = {layout.recipients[j] for j in only_list}
+        allowed = set(map(recipient_address, only_list))
         for rec in generate(spec):
             if rec.truth == SPAM:
                 assert set(rec.recipients) <= allowed
