@@ -53,7 +53,7 @@ _LAZY = {
         "BaselineReport", "BinGrid", "NoiseReport", "SweepResult", "SweepRow",
         "beta_cv", "bin_heatmap", "noise_correction_experiment", "omega_sweep",
         "sender_history_baseline", "tau_sweep"), "evaluation"),
-    **dict.fromkeys(("WorkloadSpec", "flip_labels", "generate"), "synthgen"),
+    **dict.fromkeys(("WorkloadSpec", "generate"), "synthgen"),
 }
 
 
@@ -103,7 +103,6 @@ __all__ = [
     "bin_heatmap",
     "decide",
     "effective_label",
-    "flip_labels",
     "generate",
     "load_snapshot",
     "noise_correction_experiment",

@@ -2,10 +2,14 @@
 
 A snapshot is one versioned JSON document holding only what cannot be
 rebuilt (README lists its fields): per side, the next cluster id and one
-row per user. Loading re-adds every user through the attach step the
-engine runs, which recomputes every cluster value: count vectors, norms and
-the fixed-point spam-frequency sums, exact integers whatever the update
-order. So a loaded engine continues exactly like an uninterrupted run.
+row per user. Senders and recipients are the two readings of one contact
+relation, so only the sender rows store their vectors: a recipient's
+vector is the set of senders whose vectors name it, and loading rebuilds
+it by transposition. Loading then re-adds every user through the attach
+step the engine runs, which recomputes every cluster value: count vectors,
+norms and the fixed-point spam-frequency sums, exact integers whatever the
+update order. So a loaded engine continues exactly like an uninterrupted
+run.
 
 Save and load run with the cyclic garbage collector paused: they create
 and drop tens of thousands of containers but no reference cycles, so every
@@ -18,13 +22,14 @@ import gc
 import json
 import os
 from itertools import chain
+from operator import itemgetter, lt
 
 from .clustering import ClusterSpace
 from .engine import EngineConfig, SpamRankEngine
 from .errors import ConfigError, FormatError
 from .vectorspace import Interner
 
-STATE_VERSION = 5
+STATE_VERSION = 6
 
 
 class _GcPaused:
@@ -49,18 +54,16 @@ def _count(value: object) -> int:
     return value
 
 
-def _side_state(space: ClusterSpace, interner: Interner) -> dict:
+def _side_state(space: ClusterSpace, interner: Interner, *columns) -> dict:
     # row i is user i, and every user the engine has seen is clustered
-    user_cluster = space.user_cluster
-    columns = zip(interner.names(), space.user_dims, space.spam, space.total, strict=True)
-    return {"next_cid": space._next_cid, "users": [
-        [name, sorted(dims), spam, total, user_cluster[uid]]
-        for uid, (name, dims, spam, total) in enumerate(columns)
-    ]}
+    cids = map(space.user_cluster.__getitem__, range(len(space.user_dims)))
+    return {"next_cid": space._next_cid, "users": list(map(list, zip(
+        interner.names(), *columns, space.spam, space.total, cids, strict=True)))}
 
 
 def engine_state(engine: SpamRankEngine) -> dict:
     cfg = engine.config
+    senders = engine.sender_side
     return {
         "version": STATE_VERSION,
         "config": {
@@ -71,7 +74,7 @@ def engine_state(engine: SpamRankEngine) -> dict:
         "fingerprint": cfg.fingerprint(),
         "messages_processed": engine.messages_processed,
         "input_offset": engine.input_offset,
-        "senders": _side_state(engine.sender_side, engine.senders),
+        "senders": _side_state(senders, engine.senders, map(sorted, senders.user_dims)),
         "recipients": _side_state(engine.recipient_side, engine.recipients),
     }
 
@@ -81,54 +84,87 @@ def _ids_within(ids, lo: int, hi: int) -> bool:
     return not ids or (lo <= min(ids) and max(ids) < hi)
 
 
-def _restore_side(space: ClusterSpace, state: dict) -> Interner:
+def _restore_side(space: ClusterSpace, state: dict, fields, vectors) -> Interner:
+    """Re-add users 0, 1, ...: (name, spam, total, cid) from fields, and
+    the vectors, which the caller has checked, as their dims."""
     next_cid = _count(state["next_cid"])
     names = []
-    for uid, (name, dims, spam, total, cid) in enumerate(state["users"]):
+    for uid, ((name, spam, total, cid), dims) in enumerate(zip(fields, vectors)):
         if type(name) is not str:
-            raise ValueError(f"user {uid} has name {name!r}")
+            raise ValueError(f"{space.side} {uid} has name {name!r}")
         if type(spam) is not int or type(total) is not int or not 0 <= spam <= total:
-            raise ValueError(f"user {uid} has counts spam={spam!r} total={total!r}")
-        # a repeated id would count twice in the postings and in the
-        # integrity recount alike, so only this check can catch it
-        if type(dims) is not list or len(set(dims)) != len(dims):
-            raise ValueError(f"user {uid} dims are not a list of distinct ids")
+            raise ValueError(f"{space.side} {uid} has counts spam={spam!r} total={total!r}")
         if type(cid) is not int:  # restore_user would find cluster 1 by 1.0 or True
-            raise ValueError(f"user {uid} has cluster {cid!r}")
+            raise ValueError(f"{space.side} {uid} has cluster {cid!r}")
         names.append(name)
         space.restore_user(dims, spam, total, cid)
-    # one pass in C: a dim 2.0 or true would find the posting key 2 or 1
-    if not set(map(type, chain.from_iterable(space.user_dims))) <= {int}:
-        raise ValueError(f"a {space.side} dim is not an int")
     if not _ids_within(space.clusters, 1, next_cid):
         raise ValueError(f"a cluster id is not a positive int below next_cid {next_cid}")
     space._next_cid = next_cid
     return Interner(names)  # refuses a repeated name
 
 
+def _transpose(vectors: list[list[int]], n: int) -> list[list[int]]:
+    # ids in [0, n) by now; row j lists the i whose vector holds j, in
+    # ascending order, as the sender rows store their dims
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for i, dims in enumerate(vectors):
+        for j in dims:
+            rows[j].append(i)
+    return rows
+
+
 def engine_from_state(state: dict) -> SpamRankEngine:
     """Rebuild an engine from engine_state() output.
 
-    A wrong version, a fingerprint that does not match the config, or a
-    missing, ill-typed or out-of-range field raises FormatError; state
-    that parses but is inconsistent fails check_integrity, which always
-    runs, with InternalStateError.
+    A wrong version, a fingerprint that does not match the config, a
+    missing, ill-typed or out-of-range field, or counts that no run of
+    process() reaches raise FormatError; state that parses but is
+    inconsistent fails check_integrity, which always runs, with
+    InternalStateError.
     """
     version = state.get("version")
-    if type(version) is not int or version != STATE_VERSION:  # 5.0 == 5 as well
+    if type(version) is not int or version != STATE_VERSION:  # 6.0 == 6 as well
         raise FormatError(f"unsupported snapshot version {version!r}")
     try:
         cfg = EngineConfig(**state["config"])
         if state.get("fingerprint") != cfg.fingerprint():
             raise FormatError("snapshot fingerprint does not match its own config")
         engine = SpamRankEngine(cfg)
-        engine.senders = _restore_side(engine.sender_side, state["senders"])
-        engine.recipients = _restore_side(engine.recipient_side, state["recipients"])
-        for space, other in ((engine.sender_side, engine.recipients),
-                             (engine.recipient_side, engine.senders)):
-            if not _ids_within(space.index.postings.keys(), 0, len(other)):
-                raise ValueError(f"a {space.side} dimension names no user of the other side")
+        s_space, r_space = engine.sender_side, engine.recipient_side
+        senders, recipients = state["senders"], state["recipients"]
+        s_rows, r_rows = senders["users"], recipients["users"]
+        n_recipients = len(r_rows)
+        # whole-column passes in C, before any user is restored
+        if not set(map(len, s_rows)) <= {5}:
+            raise ValueError("a sender row does not have five fields")
+        s_dims = list(map(itemgetter(1), s_rows))
+        # every user a message has named has a contact
+        if not set(map(type, s_dims)) <= {list} or not all(s_dims):
+            raise ValueError("a sender's dims are not a non-empty list")
+        # a dim 2.0 or true would find the posting key 2 or 1
+        if not set(map(type, chain.from_iterable(s_dims))) <= {int}:
+            raise ValueError("a sender dim is not an int")
+        # a repeated id would count twice in the postings and in the
+        # integrity recount alike, so only this check can catch it
+        if sum(map(len, map(set, s_dims))) != sum(map(len, s_dims)):
+            raise ValueError("a sender's dims repeat an id")
+        if not (0 <= min(chain.from_iterable(s_dims), default=0)
+                and max(chain.from_iterable(s_dims), default=0) < n_recipients):
+            raise ValueError("a sender dim names no recipient row")
+        vectors = _transpose(s_dims, n_recipients)
+        if not all(vectors):
+            raise ValueError("a recipient is named by no sender")
+        engine.senders = _restore_side(
+            s_space, senders, map(itemgetter(0, 2, 3, 4), s_rows), s_dims)
+        engine.recipients = _restore_side(r_space, recipients, r_rows, vectors)
         engine.messages_processed = _count(state["messages_processed"])
+        # each message counts once for its sender, and once for each of its
+        # recipients, which it names once each
+        if sum(s_space.total) != engine.messages_processed:
+            raise ValueError("sender totals do not sum to the message count")
+        if any(map(lt, r_space.total, map(len, vectors))):
+            raise ValueError("a recipient's total is below the senders that name it")
         offset = _count(state["input_offset"])
         if offset < engine.messages_processed:
             raise ValueError(f"input offset {offset} is below the message count")

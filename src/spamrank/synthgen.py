@@ -14,8 +14,8 @@ small deliberate overlap, so most recipients see one kind of traffic and a
 minority see both. Generation is a pure function of its WorkloadSpec,
 including the seed; the same WorkloadSpec yields a byte-identical stream.
 
-Records come out with ``aux == truth``; apply flip_labels to model a noisy
-upstream filter.
+Records come out with ``aux == truth``; map label_flipper over them to
+model a noisy upstream filter.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from math import exp
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import ConfigError
 from .ingest import MessageRecord
@@ -215,8 +215,10 @@ def generate(spec: WorkloadSpec) -> list[MessageRecord]:
 
 
 def label_flipper(flip_rate: float, seed: int) -> Callable[[MessageRecord], MessageRecord]:
-    """flip_labels one record at a time: each call copies one record, drawing
-    once from a stream seeded here. A rate outside [0, 1] is refused at once."""
+    """A function that copies one record per call, its aux label the truth
+    flipped with probability flip_rate, drawing once from a stream seeded
+    here; the truth field is left intact. Deterministic in the seed and the
+    record order. A rate outside [0, 1] is refused at once."""
     if not 0.0 <= flip_rate <= 1.0:
         raise ConfigError(f"flip_rate must be in [0, 1], got {flip_rate}")
     rng = random.Random(seed)
@@ -229,15 +231,3 @@ def label_flipper(flip_rate: float, seed: int) -> Callable[[MessageRecord], Mess
                              aux, rec.truth)
 
     return flip
-
-
-def flip_labels(
-    records: Sequence[MessageRecord], flip_rate: float, seed: int
-) -> list[MessageRecord]:
-    """Return copies whose aux label is truth flipped with prob flip_rate.
-
-    The truth field is left intact; only aux changes. Deterministic in the
-    seed and the record order.
-    """
-    flip = label_flipper(flip_rate, seed)
-    return [flip(rec) for rec in records]

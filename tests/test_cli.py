@@ -271,9 +271,22 @@ class TestGenerateCommand:
         assert not corpus.exists()
 
 
+def _as_format_5(state: dict) -> None:
+    """Rewrite a snapshot in the previous layout: version 5, and each
+    recipient row holding its sorted dims, the senders that name it."""
+    state["version"] = 5
+    named_by: list[list[int]] = [[] for _ in state["recipients"]["users"]]
+    for sid, (_, dims, *_) in enumerate(state["senders"]["users"]):
+        for rid in dims:
+            named_by[rid].append(sid)
+    for row, dims in zip(state["recipients"]["users"], named_by):
+        row.insert(1, dims)
+
+
 def _as_format_3(state: dict) -> None:
     """Rewrite a snapshot in the previous layout: a names list per side,
     rows that start with the user's index, and the longer fingerprint."""
+    _as_format_5(state)
     state["version"] = 3
     state["fingerprint"] += ";assign_pre=0;score_pre=0"
     for side in (state["senders"], state["recipients"]):
@@ -283,8 +296,10 @@ def _as_format_3(state: dict) -> None:
 
 
 def _as_format_4(state: dict) -> None:
-    """Rewrite a snapshot in the previous layout: version 4, and a
-    [cid, freq_sum] row per cluster holding a float sum of frequencies."""
+    """Rewrite a snapshot in the previous layout: version 4, format 5's
+    rows, and a [cid, freq_sum] row per cluster holding a float sum of
+    frequencies."""
+    _as_format_5(state)
     state["version"] = 4
     for side in (state["senders"], state["recipients"]):
         sums: dict[int, float] = {}
@@ -363,7 +378,7 @@ class TestSnapshotCommands:
                          "--snapshot-in", str(state)]) == EXIT_FORMAT
 
     @pytest.mark.parametrize("doc", ['{"version": 2}', '{"version": 1}', '{"version": 3}',
-                                     '{"version": 4}'])
+                                     '{"version": 4}', '{"version": 5}'])
     def test_snapshot_missing_fields_is_a_format_error(self, tmp_path, golden_path, doc):
         state = tmp_path / "state.json"
         state.write_text(doc)
@@ -373,12 +388,13 @@ class TestSnapshotCommands:
     @pytest.mark.parametrize("mutate", [
         _as_format_3,
         _as_format_4,
+        _as_format_5,
         lambda s: s["senders"]["users"][0].__setitem__(4, None),
         lambda s: s["recipients"]["users"][1].__setitem__(0, 1),
         lambda s: s["senders"]["users"][1].__setitem__(0, s["senders"]["users"][0][0]),
         # row 0 has already registered cluster 1, which these would find
-        lambda s: s["recipients"]["users"][1].__setitem__(4, 1.0),
-        lambda s: s["recipients"]["users"][1].__setitem__(4, True),
+        lambda s: s["recipients"]["users"][1].__setitem__(3, 1.0),
+        lambda s: s["recipients"]["users"][1].__setitem__(3, True),
         # and row 0 already holds dim 2
         lambda s: s["senders"]["users"][1].__setitem__(1, [0, 1, 2.0]),
         # a config the engine refuses, its fingerprint edited to match
@@ -390,7 +406,7 @@ class TestSnapshotCommands:
         # stored fingerprint no longer matches the one its config gives
         lambda s: s.update(config={**s["config"], "tau": 1},
                            fingerprint=s["fingerprint"].replace("0.5", "1")),
-    ], ids=["format-3", "format-4", "null-cid", "name-not-a-string", "repeated-name",
+    ], ids=["format-3", "format-4", "format-5", "null-cid", "name-not-a-string", "repeated-name",
             "cid-float", "cid-true", "dim-float", "config-tau-true",
             "config-tau-out-of-range", "int-tau-fingerprint"])
     def test_refused_snapshot_is_a_format_error(self, tmp_path, golden_path, mutate):

@@ -30,6 +30,12 @@ def _set_tau(state: dict, tau: object) -> None:
     state["fingerprint"] = state["fingerprint"].replace("tau=0.5;", f"tau={tau!r};")
 
 
+def _append_user(side: dict, row: list) -> None:
+    # a user in a cluster of its own, so only the row itself can be wrong
+    side["users"].append(row + [side["next_cid"]])
+    side["next_cid"] += 1
+
+
 def _repeat_name(side: dict, row: int) -> None:
     users = side["users"]
     users[row][0] = users[0][0]
@@ -57,11 +63,10 @@ _LIST_EDITS = ("drop", "duplicate")
 
 
 def _same_document(doc: dict) -> str:
-    # type-strict through the JSON text; dims compared as sets
+    # type-strict through the JSON text; sender dims compared as sets
     doc = json.loads(json.dumps(doc))
-    for side in ("senders", "recipients"):
-        for row in doc[side]["users"]:
-            row[1] = sorted(row[1])
+    for row in doc["senders"]["users"]:
+        row[1] = sorted(row[1])
     return json.dumps(doc, sort_keys=True)
 
 
@@ -82,19 +87,32 @@ class TestStateRoundTrip:
     def test_each_side_holds_one_row_per_user(self, golden_records):
         engine, _ = run_engine(golden_records)
         state = engine_state(engine)
-        assert state["version"] == STATE_VERSION == 5
+        assert state["version"] == STATE_VERSION == 6
         for side, space, interner in (
             ("senders", engine.sender_side, engine.senders),
             ("recipients", engine.recipient_side, engine.recipients),
         ):
             # cluster values are all rebuilt from the users on load
             assert state[side].keys() == {"next_cid", "users"}
-            # row i is user i: name, sorted dims, spam, total, cluster id
+            # row i is user i: name, [sorted dims for senders,] spam,
+            # total, cluster id
             assert state[side]["users"] == [
-                [name, sorted(space.user_dims[uid]), space.spam[uid],
-                 space.total[uid], space.user_cluster[uid]]
+                [name, *([sorted(space.user_dims[uid])] if side == "senders" else []),
+                 space.spam[uid], space.total[uid], space.user_cluster[uid]]
                 for uid, name in enumerate(interner.names())
             ]
+
+    def test_recipient_vectors_are_the_transposed_sender_vectors(self, golden_records):
+        engine, _ = run_engine(golden_records)
+        transposed = [[] for _ in range(len(engine.recipients))]
+        for sid, dims in enumerate(engine.sender_side.user_dims):
+            for rid in dims:
+                transposed[rid].append(sid)
+        assert [sorted(dims) for dims in engine.recipient_side.user_dims] == transposed
+        clone = engine_from_state(json.loads(json.dumps(engine_state(engine))))
+        assert clone.recipient_side.user_dims == transposed
+        assert clone.sender_side.user_dims == [
+            sorted(dims) for dims in engine.sender_side.user_dims]
 
     def test_resume_mid_stream_is_invisible(self, golden_records):
         _, straight = run_engine(golden_records)
@@ -198,19 +216,19 @@ class TestValidation:
         lambda s: s["senders"]["users"][0].__setitem__(4, "1"),
         lambda s: s["senders"]["users"][5].__setitem__(1, [0, "2"]),
         lambda s: s["senders"]["users"][5].__setitem__(1, [0, 2, 5]),
-        lambda s: s["recipients"]["users"][3].__setitem__(1, [-1, 2]),
+        lambda s: s["senders"]["users"][3].__setitem__(1, [-1, 2]),
         lambda s: s["senders"]["users"][5].__setitem__(4, None),
         lambda s: s["senders"]["users"][5].__setitem__(1, [0, 2.5]),
         lambda s: _repeat_name(s["recipients"], -1),
         lambda s: s.update(input_offset=3),
         lambda s: s["senders"]["users"][0].__setitem__(0, 7),
         lambda s: s["senders"]["users"][5].__setitem__(1, [0, 2, 0]),
-        lambda s: s["recipients"]["users"][3].__setitem__(1, (2, 3)),
+        lambda s: s["senders"]["users"][3].__setitem__(1, (2, 3)),
         # row 0 has already registered cluster 1, which these would find
-        lambda s: s["recipients"]["users"][1].__setitem__(4, 1.0),
-        lambda s: s["recipients"]["users"][1].__setitem__(4, True),
+        lambda s: s["recipients"]["users"][1].__setitem__(3, 1.0),
+        lambda s: s["recipients"]["users"][1].__setitem__(3, True),
         lambda s: s.update(version=4),
-        lambda s: s.update(version=5.0),
+        lambda s: s.update(version=6.0),
         # row 0 already holds dims 1 and 2, whose posting keys these would find
         lambda s: s["senders"]["users"][1].__setitem__(1, [0, 1, 2.0]),
         lambda s: s["senders"]["users"][1].__setitem__(1, [0, True, 2]),
@@ -218,6 +236,15 @@ class TestValidation:
         lambda s: _set_tau(s, True),
         lambda s: s["config"].update(omega=True),
         lambda s: _set_tau(s, 2.0),
+        # states no run of process() reaches: a user with no contact
+        lambda s: _append_user(s["senders"], ["ghost.example", [], 0, 0]),
+        lambda s: s["senders"]["users"][3].__setitem__(1, []),
+        lambda s: _append_user(s["recipients"], ["ghost@u.example", 0, 0]),
+        # sender totals that do not sum to the message count
+        lambda s: s["senders"]["users"][0].__setitem__(3, 4),
+        lambda s: s.update(messages_processed=11, input_offset=11),
+        # recipient c is named by six senders
+        lambda s: s["recipients"]["users"][2].__setitem__(2, 5),
     ], ids=["no-config", "config-list", "config-extra-key", "no-senders",
             "short-user-row",
             "user-in-unknown-cluster", "no-message-count", "message-count-text",
@@ -229,7 +256,10 @@ class TestValidation:
             "name-an-int", "dims-repeat", "dims-not-a-list", "cid-float", "cid-true",
             "version-4", "version-float", "dim-float-of-a-held-id",
             "dim-true-of-a-held-id", "config-tau-true", "config-omega-true",
-            "config-tau-out-of-range"])
+            "config-tau-out-of-range", "new-sender-with-no-contact",
+            "sender-with-no-contact", "recipient-no-sender-names",
+            "sender-total-above-message-count", "message-count-above-sender-totals",
+            "recipient-total-below-its-senders"])
     def test_malformed_state_is_a_format_error(self, golden_records, mutate):
         engine, _ = run_engine(golden_records)
         state = json.loads(json.dumps(engine_state(engine)))

@@ -12,7 +12,6 @@ from spamrank import (
     SPAM,
     ConfigError,
     WorkloadSpec,
-    flip_labels,
     generate,
     write_jsonl,
 )
@@ -127,6 +126,10 @@ class TestGoldenCorpora:
             assert replace(bench_spec, seed=1, n_messages=2000) == spec
 
 
+def flip_labels(records, flip_rate, seed):
+    return list(map(label_flipper(flip_rate, seed), records))
+
+
 class TestFlipLabels:
     def test_zero_rate_is_identity(self, default_records):
         assert flip_labels(default_records, 0.0, seed=1) == default_records
@@ -143,11 +146,12 @@ class TestFlipLabels:
         n = sum(1 for f, r in zip(flipped, records) if f.aux_label != r.aux_label)
         assert 850 <= n <= 1150
 
-    def test_rate_validated(self, default_records):
+    def test_rate_validated(self):
+        # refused when the flipper is made, before any record is read
         with pytest.raises(ConfigError):
-            flip_labels(default_records, -0.1, seed=1)
+            label_flipper(-0.1, seed=1)
         with pytest.raises(ConfigError):
-            flip_labels(default_records, 1.0001, seed=1)
+            label_flipper(1.0001, seed=1)
         with pytest.raises(ConfigError):
             label_flipper(float("nan"), seed=1)
 
