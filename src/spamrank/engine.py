@@ -102,6 +102,13 @@ class SpamRankEngine:
         recipients = record.recipients
         if not recipients:
             raise FormatError(f"message {record.msg_id!r} has no recipients")
+        # the snapshot loader's name test, so every name scored can be
+        # saved and loaded back
+        if type(record.sender) is not str:
+            raise FormatError(f"message {record.msg_id!r} has sender {record.sender!r}, not a str")
+        for name in recipients:
+            if type(name) is not str:
+                raise FormatError(f"message {record.msg_id!r} has recipient {name!r}, not a str")
         if len(set(recipients)) != len(recipients):
             raise FormatError(f"message {record.msg_id!r} repeats a recipient")
         if record.aux_label != SPAM and record.aux_label != HAM:

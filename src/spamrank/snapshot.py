@@ -104,14 +104,14 @@ def _restore_side(space: ClusterSpace, state: dict, fields, vectors) -> Interner
     return Interner(names)  # refuses a repeated name
 
 
-def _transpose(vectors: list[list[int]], n: int) -> list[list[int]]:
+def _transpose(vectors: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     # ids in [0, n) by now; row j lists the i whose vector holds j, in
     # ascending order, as the sender rows store their dims
     rows: list[list[int]] = [[] for _ in range(n)]
     for i, dims in enumerate(vectors):
         for j in dims:
             rows[j].append(i)
-    return rows
+    return list(map(tuple, rows))
 
 
 def engine_from_state(state: dict) -> SpamRankEngine:
@@ -142,6 +142,7 @@ def engine_from_state(state: dict) -> SpamRankEngine:
         # every user a message has named has a contact
         if not set(map(type, s_dims)) <= {list} or not all(s_dims):
             raise ValueError("a sender's dims are not a non-empty list")
+        s_dims = list(map(tuple, s_dims))
         # a dim 2.0 or true would find the posting key 2 or 1
         if not set(map(type, chain.from_iterable(s_dims))) <= {int}:
             raise ValueError("a sender dim is not an int")

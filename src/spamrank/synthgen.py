@@ -102,19 +102,6 @@ def _pools(n_recipients: int) -> tuple[range, range]:
             range(int(round(n_recipients * HARVEST_POOL_START)), n_recipients))
 
 
-@dataclass(slots=True, frozen=True)
-class WorkloadLayout:
-    """The static population structure behind a spec's message stream."""
-
-    social_pool: range
-    communities: list[list[int]]
-    dist_lists: list[list[int]]
-    legit_domains: list[str]
-    sender_community: list[int]
-    spam_domains: list[str]
-    spammer_list: list[int]
-
-
 def _poisson(rng: random.Random, mean: float) -> int:
     # Knuth's product method; fine for the small means used here
     limit = exp(-mean)
@@ -131,8 +118,12 @@ def _clipped_size(rng: random.Random, mean: float, lo: int, hi: int) -> int:
     return min(hi, max(lo, _poisson(rng, mean)))
 
 
-def _build_layout(spec: WorkloadSpec, rng: random.Random) -> WorkloadLayout:
-    # sample and indexing draw the same values from a range as from a list
+def generate(spec: WorkloadSpec) -> list[MessageRecord]:
+    """Produce the full message stream for a spec, ground truth attached."""
+    spec.validate()
+    rng = random.Random(spec.seed)
+    # the population structure comes first in the seeded stream; sample
+    # and indexing draw the same values from a range as from a list
     social_pool, harvest_pool = _pools(spec.n_recipients)
     communities = [
         rng.sample(social_pool,
@@ -144,34 +135,12 @@ def _build_layout(spec: WorkloadSpec, rng: random.Random) -> WorkloadLayout:
                    _clipped_size(rng, spec.list_size_mean, 2, len(harvest_pool)))
         for _ in range(spec.n_distribution_lists)
     ]
-    return WorkloadLayout(
-        social_pool=social_pool,
-        communities=communities,
-        dist_lists=dist_lists,
-        legit_domains=[f"corp{i}.example" for i in range(spec.n_legit_senders)],
-        sender_community=[rng.randrange(spec.n_communities)
-                          for _ in range(spec.n_legit_senders)],
-        spam_domains=[f"promo{i}.example" for i in range(spec.n_spam_senders)],
-        spammer_list=[rng.randrange(spec.n_distribution_lists)
-                      for _ in range(spec.n_spam_senders)],
-    )
-
-
-def workload_layout(spec: WorkloadSpec) -> WorkloadLayout:
-    """Rebuild the population structure generate() used for this spec.
-
-    The layout draws come first in the seeded stream, so this matches the
-    structure behind generate(spec) exactly.
-    """
-    spec.validate()
-    return _build_layout(spec, random.Random(spec.seed))
-
-
-def generate(spec: WorkloadSpec) -> list[MessageRecord]:
-    """Produce the full message stream for a spec, ground truth attached."""
-    spec.validate()
-    rng = random.Random(spec.seed)
-    layout = _build_layout(spec, rng)
+    legit_domains = [f"corp{i}.example" for i in range(spec.n_legit_senders)]
+    sender_community = [rng.randrange(spec.n_communities)
+                        for _ in range(spec.n_legit_senders)]
+    spam_domains = [f"promo{i}.example" for i in range(spec.n_spam_senders)]
+    spammer_list = [rng.randrange(spec.n_distribution_lists)
+                    for _ in range(spec.n_spam_senders)]
 
     # Zipf-ish activity: sender i gets weight 1/(i+1)^s
     cum_weights = list(accumulate(
@@ -187,22 +156,22 @@ def generate(spec: WorkloadSpec) -> list[MessageRecord]:
             if rng.random() < spec.sender_churn_rate:
                 churn_serial += 1
                 sender = f"x{churn_serial}.bulk.example"
-                lst = layout.dist_lists[rng.randrange(spec.n_distribution_lists)]
+                lst = dist_lists[rng.randrange(spec.n_distribution_lists)]
             else:
                 s = rng.randrange(spec.n_spam_senders)
-                sender = layout.spam_domains[s]
-                lst = layout.dist_lists[layout.spammer_list[s]]
+                sender = spam_domains[s]
+                lst = dist_lists[spammer_list[s]]
             k = _clipped_size(rng, spec.spam_recipients_mean, 1, len(lst))
             rec_idx = rng.sample(lst, k)
             truth = SPAM
         else:
             s = bisect_right(cum_weights, rng.random() * total_weight)
-            sender = layout.legit_domains[min(s, spec.n_legit_senders - 1)]
-            community = layout.communities[layout.sender_community[s]]
+            sender = legit_domains[min(s, spec.n_legit_senders - 1)]
+            community = communities[sender_community[s]]
             k = max(1, _poisson(rng, spec.legit_recipients_mean))
             rec_idx = []
             for _ in range(k):
-                pool = community if rng.random() < COMMUNITY_LOCALITY else layout.social_pool
+                pool = community if rng.random() < COMMUNITY_LOCALITY else social_pool
                 j = pool[rng.randrange(len(pool))]
                 if j not in rec_idx:
                     rec_idx.append(j)

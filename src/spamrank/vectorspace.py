@@ -23,30 +23,27 @@ from .errors import InternalStateError
 
 
 class Interner:
-    """Bidirectional string <-> dense int table. Ids are allocation order."""
+    """Bidirectional string <-> dense int table. Ids are allocation order,
+    which is also the key order of its one dict, so names() reads the keys."""
 
-    __slots__ = ("_ids", "_names")
+    __slots__ = ("_ids",)
 
     def __init__(self, names: Iterable[str] = ()) -> None:
         """An empty table, or the one whose names() is `names`."""
-        self._names: list[str] = list(names)
-        self._ids: dict[str, int] = dict(zip(self._names, range(len(self._names))))
-        if len(self._ids) != len(self._names):
+        names = list(names)
+        self._ids: dict[str, int] = dict(zip(names, range(len(names))))
+        if len(self._ids) != len(names):
             raise ValueError("interned names repeat")
 
     def intern(self, name: str) -> int:
-        i = self._ids.get(name)
-        if i is None:
-            i = len(self._names)
-            self._ids[name] = i
-            self._names.append(name)
-        return i
+        ids = self._ids
+        return ids.setdefault(name, len(ids))
 
     def names(self) -> list[str]:
-        return list(self._names)
+        return list(self._ids)
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._ids)
 
 
 class InvertedIndex:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import random
-from math import sqrt
+from math import exp, sqrt
+from types import SimpleNamespace
 
 from spamrank import (
     DEFERRED,
@@ -24,6 +25,7 @@ from spamrank import (
     NotComputableError,
     SpamRankEngine,
     SweepRow,
+    WorkloadSpec,
     beta_cv,
 )
 
@@ -340,3 +342,41 @@ def record_to_obj(record: MessageRecord) -> dict:
     if record.truth is not None:
         obj["truth"] = record.truth
     return obj
+
+
+def reference_layout(spec: WorkloadSpec) -> SimpleNamespace:
+    """The population structure generate(spec) draws before its first
+    message, redrawn from random.Random(spec.seed) in the same order: the
+    communities, sampled from the social pool (recipient indices below 60%
+    of n_recipients), the distribution lists, sampled from the harvest pool
+    (from 50% up), then each legit sender's community and each spammer's
+    list. Community and list sizes are Poisson draws (Knuth's product
+    method) clipped to [2, pool size]. Returns the distribution lists, the
+    sender names (legit sender i is corp{i}.example, spammer i
+    promo{i}.example) and each spammer's list index."""
+    rng = random.Random(spec.seed)
+
+    def clipped_poisson(mean: float, hi: int) -> int:
+        k, p = 0, rng.random()
+        while p > exp(-mean):
+            k += 1
+            p *= rng.random()
+        return min(hi, max(2, k))
+
+    n = spec.n_recipients
+    social, harvest = range(round(n * 0.6)), range(round(n * 0.5), n)
+    for _ in range(spec.n_communities):
+        rng.sample(social, clipped_poisson(spec.community_size_mean, len(social)))
+    dist_lists = [
+        rng.sample(harvest, clipped_poisson(spec.list_size_mean, len(harvest)))
+        for _ in range(spec.n_distribution_lists)
+    ]
+    for _ in range(spec.n_legit_senders):
+        rng.randrange(spec.n_communities)
+    return SimpleNamespace(
+        dist_lists=dist_lists,
+        legit_domains=[f"corp{i}.example" for i in range(spec.n_legit_senders)],
+        spam_domains=[f"promo{i}.example" for i in range(spec.n_spam_senders)],
+        spammer_list=[rng.randrange(spec.n_distribution_lists)
+                      for _ in range(spec.n_spam_senders)],
+    )

@@ -72,7 +72,7 @@ class TestAssignment:
             with pytest.raises(UnknownUserError):
                 space.register_user(gap)
         space.register_user(1)
-        assert space.user_dims == [[], []]
+        assert space.user_dims == [(), ()]
         assert space.spam == space.total == [0, 0]
         with pytest.raises(UnknownUserError):
             space.assign_user(-1)
@@ -90,7 +90,7 @@ class TestAssignment:
                 space.record_observation(uid, True)
             with pytest.raises(UnknownUserError):
                 space.cluster_of(uid)
-        assert space.user_dims == [[1]]
+        assert space.user_dims == [(1,)]
         assert space.spam == space.total == [0]
         assert space.index.norm_sq == {1: 1}
         space.check_integrity()
@@ -145,7 +145,7 @@ class TestReseedAndMoves:
         space.add_dims(0, [5, 7, 5, 2])
         assert space.index.postings[5] == {1: 1}
         assert space.index.norm_sq[1] == 4
-        assert space.user_dims[0] == [1, 2, 5, 7]
+        assert space.user_dims[0] == (1, 2, 5, 7)
         space.check_integrity()
 
     def test_detach_unknown_membership_raises(self):

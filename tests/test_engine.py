@@ -1,4 +1,5 @@
 import gc
+import json
 import pickle
 import tracemalloc
 
@@ -16,7 +17,7 @@ from spamrank import (
     WorkloadSpec,
     generate,
 )
-from spamrank.snapshot import engine_state
+from spamrank.snapshot import engine_from_state, engine_state
 from golden_trace import (
     GOLDEN_EXPECTED,
     GOLDEN_NEXT_CIDS,
@@ -162,9 +163,9 @@ class TestEngineBasics:
         assert report["sender"].num_clusters == 2
 
     def test_state_stays_small_per_user(self, default_records):
-        # with vectors and member rosters as lists the engine holds
-        # ~1,010-1,060 B a user on Python 3.10-3.13; one set per vector and
-        # roster would hold over 2,400 B
+        # with vectors and member rosters as tuples the engine holds ~946 B
+        # a user on Python 3.11; as lists it held ~1,010-1,060 B on Python
+        # 3.10-3.13, and one set per vector and roster over 2,400 B
         users, per_user = retained_per_user(default_records)
         assert users == 700
         assert per_user <= 1600
@@ -172,9 +173,11 @@ class TestEngineBasics:
     def test_sparse_mix_state_per_user(self):
         # 4,000 messages of the churn-resume benchmark mix (bench/workloads.py):
         # most users are seen once or twice, so per-user overhead dominates.
-        # With uid-indexed columns for vectors and spam/total counts the
-        # engine holds ~638-661 B a user on Python 3.10-3.13; dicts keyed by
-        # uid and one counter object per user held ~760-782 B
+        # With uid-indexed columns for vectors and spam/total counts, and
+        # vectors and rosters as tuples, the engine holds ~578 B a user on
+        # Python 3.11; with them as lists it held ~638-661 B on Python
+        # 3.10-3.13, and dicts keyed by uid and one counter object per user
+        # ~760-782 B
         spec = WorkloadSpec(
             seed=7, n_messages=4000, n_legit_senders=20_000, n_spam_senders=5000,
             n_recipients=400_000, n_communities=8000, community_size_mean=25.0,
@@ -236,3 +239,22 @@ class TestRefusedRecords:
             with pytest.raises(FormatError):
                 engine.process(record)
             assert engine_state(engine) == before
+
+    @pytest.mark.parametrize("sender, recipients", [
+        (5, (FRESH_RECIPIENT,)),
+        (None, (FRESH_RECIPIENT,)),
+        (SENDERS[0], (FRESH_RECIPIENT, 7)),
+        (SENDERS[0], (FRESH_RECIPIENT, b"u0@x.example")),
+        (type("Name", (str,), {})(FRESH_SENDER), (FRESH_RECIPIENT,)),
+    ])
+    def test_a_name_that_is_not_a_str_is_refused(self, golden_records, sender, recipients):
+        # the snapshot loader's test: an int or None name was scored and
+        # then left a snapshot that could not load
+        engine = SpamRankEngine()
+        for record in golden_records:
+            engine.process(record)
+        before = engine_state(engine)
+        with pytest.raises(FormatError):
+            engine.process(MessageRecord("bad-name", 9004, sender, recipients, SPAM))
+        assert engine_state(engine) == before
+        assert engine_state(engine_from_state(json.loads(json.dumps(before)))) == before

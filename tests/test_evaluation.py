@@ -45,9 +45,9 @@ def build_space(tau: float, layout: dict[int, dict[int, set]]) -> ClusterSpace:
         cluster = Cluster(cid)
         space.clusters[cid] = cluster
         for uid, dims in members.items():
-            space.user_dims[uid] = list(dims)
+            space.user_dims[uid] = tuple(dims)
             space.index.add_member_vector(cid, dims)
-            cluster.members.append(uid)
+            cluster.members += (uid,)
             space.user_cluster[uid] = cid
         next_cid = max(next_cid, cid + 1)
     space._next_cid = next_cid

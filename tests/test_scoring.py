@@ -91,8 +91,7 @@ class TestEffectiveLabel:
 
 class TestClusterSpamProbability:
     def _cluster(self, freq_sum: int, scored: int, members: int) -> Cluster:
-        c = Cluster(1)
-        c.members.extend(range(members))
+        c = Cluster(1, members=range(members))
         c.freq_sum = freq_sum
         c.scored_members = scored
         return c

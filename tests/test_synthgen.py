@@ -15,7 +15,9 @@ from spamrank import (
     generate,
     write_jsonl,
 )
-from spamrank.synthgen import label_flipper, recipient_address, workload_layout
+from spamrank.synthgen import label_flipper, recipient_address
+
+from oracles import reference_layout
 
 
 def _cosine(a: set, b: set) -> float:
@@ -160,7 +162,7 @@ class TestLayout:
     def test_layout_matches_the_generated_stream(self):
         # one list, no churn: every spam recipient set sits inside that list
         spec = small_spec(n_distribution_lists=1, spam_recipients_mean=6.0)
-        layout = workload_layout(spec)
+        layout = reference_layout(spec)
         (only_list,) = layout.dist_lists
         allowed = set(map(recipient_address, only_list))
         for rec in generate(spec):
@@ -169,7 +171,7 @@ class TestLayout:
 
     def test_sender_names_come_from_the_layout(self):
         spec = small_spec()
-        layout = workload_layout(spec)
+        layout = reference_layout(spec)
         known = set(layout.legit_domains) | set(layout.spam_domains)
         for rec in generate(spec):
             assert rec.sender in known  # no churn in this spec
@@ -177,7 +179,7 @@ class TestLayout:
     def test_spammers_on_one_list_look_alike(self, default_records):
         """Structural separability: shared-list spammers vs spam-legit pairs."""
         spec = WorkloadSpec()
-        layout = workload_layout(spec)
+        layout = reference_layout(spec)
         vectors: dict[str, set[str]] = {}
         for rec in default_records:
             vectors.setdefault(rec.sender, set()).update(rec.recipients)

@@ -23,6 +23,13 @@ class TestInterner:
         assert it.names() == ["a", "b"]
         assert it.names()[1] == "b"
 
+    def test_names_keep_id_order(self):
+        it = Interner(["b", "a"])
+        assert it.names() == ["b", "a"]
+        assert (it.intern("c"), it.intern("a"), it.intern("0")) == (2, 1, 3)
+        assert it.names() == ["b", "a", "c", "0"]
+        assert len(it) == 4
+
 
 def _count(index: InvertedIndex, cid: int, d: int) -> int:
     return index.postings.get(d, {}).get(cid, 0)
