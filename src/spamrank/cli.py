@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands wire the pieces into reproducible runs: `run` streams verdicts,
-one line per message as soon as it is scored, `generate` writes a seeded
-synthetic corpus, the sweep/heatmap/baseline/noise-exp commands write
-report files, and `snapshot-save`/`snapshot-load` persist and resume
-engine state. Every output file starts with a header carrying the
+one line per message, written a block of messages at a time, `generate`
+writes a seeded synthetic corpus, the sweep/heatmap/baseline/noise-exp
+commands write report files, and `snapshot-save`/`snapshot-load` persist
+and resume engine state. Every output file starts with a header carrying the
 version, the config fingerprint, and the seed.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 I/O error,
@@ -53,6 +53,10 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_FORMAT = 4
 EXIT_STATE = 5
+
+# how many records `run` parses, then scores, then writes at a time; one at
+# a time, the parser and the engine evict each other's working set
+BLOCK = 64
 
 
 def parse_grid(text: str) -> list[float]:
@@ -132,25 +136,48 @@ def _print_summary(
 # -- commands -----------------------------------------------------------------
 
 
+def _blocks(items: Iterator, size: int) -> Iterator[list]:
+    """Yield the items in lists of `size`, the last one shorter; if `items`
+    raises, the partial list is yielded before the error."""
+    block: list = []
+    try:
+        for item in items:
+            block.append(item)
+            if len(block) == size:
+                yield block
+                block = []
+    except Exception:  # not GeneratorExit, when the consumer stops early
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
 def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
-    """Stream records through the engine, writing each verdict line as it is
-    made. A run that fails part-way leaves the lines already written."""
+    """Stream records through the engine, BLOCK at a time, or one at a time
+    and flushed from a pipe. A run that fails part-way still writes the
+    verdict of every record it scored."""
     for flag, value in (("--skip", args.skip), ("--limit", args.limit)):
         if value is not None and value < 0:
             raise ConfigError(f"{flag} must not be negative, got {value}")
-    # a written path is truncated or replaced, so it must not name the file
-    # still to be read, nor the other written path
-    given = (("--input", args.input), ("--output", args.output),
-             ("--snapshot-out", args.snapshot_out))
-    paths = [(flag, path) for flag, path in given if path not in (None, "-")]
-    for i, (flag, path) in enumerate(paths):
-        for other_flag, other in paths[:i]:
-            try:
-                same = os.path.samefile(path, other)
-            except OSError:  # a missing file can be named twice only by spelling
-                same = os.path.realpath(path) == os.path.realpath(other)
-            if same:
-                raise ConfigError(f"{flag} {path} is the {other_flag} file")
+    # a written path is replaced, so it must not name a file still to be read
+    # nor the other written path (--snapshot-out may name the --snapshot-in
+    # file, read first); "-" is stdin or stdout for --input and --output only
+    named = {"--input": None if args.input == "-" else args.input,
+             "--output": None if args.output == "-" else args.output,
+             "--snapshot-in": args.snapshot_in, "--snapshot-out": args.snapshot_out}
+    for flag, other_flag in (("--output", "--input"), ("--output", "--snapshot-in"),
+                             ("--snapshot-out", "--input"), ("--snapshot-out", "--output")):
+        path, other = named[flag], named[other_flag]
+        if path is None or other is None:
+            continue
+        try:
+            same = os.path.samefile(path, other)
+        except OSError:  # a missing file can be named twice only by spelling
+            same = os.path.realpath(path) == os.path.realpath(other)
+        if same:
+            raise ConfigError(f"{flag} {path} is the {other_flag} file")
     if args.snapshot_in:
         engine = load_snapshot(args.snapshot_in)
         cfg = _engine_config(args, engine.config)
@@ -174,8 +201,9 @@ def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
     stats = ParseStats()
     decisions: Counter = Counter()
     agree = 0
-    # a live pipe sees each verdict before the next record arrives
-    flush = args.input == "-"
+    # a live pipe sees each verdict before the next record arrives; a file
+    # redirected to stdin is read like a file named by --input
+    flush = args.input == "-" and not sys.stdin.seekable()
     write_output = not discard_output or args.output is not None
     start = time.perf_counter()
     with _records(args, cfg, stats) as records, (
@@ -186,23 +214,28 @@ def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
             if flush:
                 out.flush()
         stop = skip + args.limit if args.limit is not None else None
-        for v in engine.process_many(islice(records, skip, stop)):
-            decisions[v.decision] += 1
-            if v.decision != DEFERRED and v.effective_label == v.aux_label:
-                agree += 1
-            if out is not None:
-                # the line json.dumps would write for the verdict's dict: the
-                # id is the only field that may need escaping (by the encoder
-                # json.dumps calls for a str), the labels are constants, and
-                # JSON writes a finite float as its repr
-                out.write(
-                    f'{{"id": {encode_str(v.msg_id)}, "p_s": {v.p_s!r}, '
-                    f'"p_r": {v.p_r!r}, "sr": {v.spam_rank!r}, '
-                    f'"decision": "{v.decision}", "aux": "{v.aux_label}", '
-                    f'"effective": "{v.effective_label}"}}\n'
-                )
-                if flush:
-                    out.flush()
+        for block in _blocks(islice(records, skip, stop), 1 if flush else BLOCK):
+            verdicts = []
+            try:
+                for record in block:
+                    verdicts.append(v := engine.process(record))
+                    decisions[v.decision] += 1
+                    if v.decision != DEFERRED and v.effective_label == v.aux_label:
+                        agree += 1
+            finally:  # an engine error still leaves the verdicts made before it
+                if out is not None:
+                    # the line json.dumps would write: only the id may need
+                    # escaping (by the encoder json.dumps calls for a str), the
+                    # labels are constants, a finite float is written as its repr
+                    out.write("".join([
+                        f'{{"id": {encode_str(v.msg_id)}, "p_s": {v.p_s!r}, '
+                        f'"p_r": {v.p_r!r}, "sr": {v.spam_rank!r}, '
+                        f'"decision": "{v.decision}", "aux": "{v.aux_label}", '
+                        f'"effective": "{v.effective_label}"}}\n'
+                        for v in verdicts
+                    ]))
+                    if flush:
+                        out.flush()
     elapsed = time.perf_counter() - start
     if not args.snapshot_in:
         # an input shorter than --skip passes over only the records it has

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import queue
@@ -14,18 +15,23 @@ import spamrank
 from spamrank import (
     ConfigError,
     EngineConfig,
+    InternalStateError,
     SpamRankEngine,
     WorkloadSpec,
     generate,
     save_snapshot,
     write_jsonl,
 )
+import spamrank.cli as cli
 from spamrank.cli import (
+    BLOCK,
     EXIT_CONFIG,
     EXIT_FORMAT,
     EXIT_IO,
     EXIT_OK,
+    EXIT_STATE,
     _SPEC_FLAGS,
+    _blocks,
     build_parser,
     main,
     parse_grid,
@@ -60,6 +66,25 @@ def _child_env() -> dict:
     return env
 
 
+@pytest.fixture(scope="module")
+def corpus_200(tmp_path_factory, default_records):
+    """A 200-record corpus (more than three blocks) and its straight run's
+    verdict lines, header left out."""
+    root = tmp_path_factory.mktemp("corpus_200")
+    corpus = root / "corpus.jsonl"
+    write_jsonl(str(corpus), default_records[:200])
+    out = root / "straight.jsonl"
+    assert main(["run", "--input", str(corpus), "--output", str(out)]) == EXIT_OK
+    return corpus, out.read_text().splitlines()[1:]
+
+
+class _Pipe(io.StringIO):
+    """Text on stdin that cannot seek, as a pipe's."""
+
+    def seekable(self):
+        return False
+
+
 class TestRunCommand:
     def test_verdicts_match_the_golden_trace(self, tmp_path, golden_path, capsys):
         out = tmp_path / "verdicts.jsonl"
@@ -82,13 +107,24 @@ class TestRunCommand:
         assert "messages=10" in summary
         assert "accordance=100.00" in summary
 
-    def test_skip_and_limit_window_the_stream(self, tmp_path, golden_path):
+    def test_skip_and_limit_window_the_stream(
+            self, tmp_path, golden_path, corpus_200, default_records):
         out = tmp_path / "v.jsonl"
         code = main(["run", "--input", str(golden_path), "--output", str(out),
                      "--skip", "2", "--limit", "3"])
         assert code == EXIT_OK
         ids = [json.loads(l)["id"] for l in out.read_text().splitlines()[1:]]
         assert ids == ["m03", "m04", "m05"]
+        # a window from one record short of a block to one past the next is
+        # scored as a straight run of those records alone
+        window = tmp_path / "window.jsonl"
+        write_jsonl(str(window), default_records[BLOCK - 1:2 * BLOCK])
+        alone = tmp_path / "alone.jsonl"
+        assert main(["run", "--input", str(window), "--output", str(alone)]) == EXIT_OK
+        assert main(["run", "--input", str(corpus_200[0]), "--output", str(out),
+                     "--skip", str(BLOCK - 1), "--limit", str(BLOCK + 1)]) == EXIT_OK
+        assert len(out.read_text().splitlines()) == 1 + BLOCK + 1
+        assert out.read_text() == alone.read_text()
 
     def test_deeply_nested_line_is_skipped(self, tmp_path, golden_path, capsys):
         lines = golden_path.read_text().splitlines(keepends=True)
@@ -160,9 +196,12 @@ class TestRunCommand:
         assert lines[1:] == expect + [""]
         assert [json.loads(l)["id"] for l in lines[1:-1]] == ids
 
-    def test_failure_part_way_keeps_the_lines_written(self, tmp_path, golden_path):
-        # three good records, then more malformed lines than good ones: the
-        # parser rejects the stream only once it has seen the whole input
+    def test_failure_part_way_keeps_the_lines_written(
+            self, tmp_path, golden_path, corpus_200, monkeypatch):
+        # good records, then more malformed lines than good ones: the parser
+        # rejects the stream only once it has seen the whole input; 100
+        # records fill one block and part of the next, read from a file and
+        # from a pipe on stdin
         good = golden_path.read_text().splitlines()[:3]
         corpus = tmp_path / "mostly_bad.jsonl"
         corpus.write_text("\n".join(good + ["{not json"] * 4) + "\n")
@@ -172,6 +211,27 @@ class TestRunCommand:
         lines = out.read_text().splitlines()
         assert "header" in json.loads(lines[0])
         assert [json.loads(l)["id"] for l in lines[1:]] == ["m01", "m02", "m03"]
+        good = corpus_200[0].read_text().splitlines()[:100]
+        corpus.write_text("\n".join(good + ["{not json"] * 101) + "\n")
+        for source in (str(corpus), "-"):
+            monkeypatch.setattr(sys, "stdin", _Pipe(corpus.read_text()))
+            assert main(["run", "--input", source, "--output", str(out)]) == EXIT_FORMAT
+            assert out.read_text().splitlines()[1:] == corpus_200[1][:100]
+
+    @pytest.mark.parametrize("stdin,size", [(io.StringIO, BLOCK), (_Pipe, 1)])
+    def test_stdin_from_a_file_takes_blocks_and_a_pipe_one_record(
+            self, tmp_path, corpus_200, monkeypatch, stdin, size):
+        # a pipe may be live, so each of its records is scored and flushed
+        # before the next is read; a seekable stdin holds every record already
+        corpus, straight = corpus_200
+        sizes = []
+        blocks = cli._blocks
+        monkeypatch.setattr(cli, "_blocks", lambda items, n: sizes.append(n) or blocks(items, n))
+        monkeypatch.setattr(sys, "stdin", stdin(corpus.read_text()))
+        out = tmp_path / "v.jsonl"
+        assert main(["run", "--input", "-", "--output", str(out)]) == EXIT_OK
+        assert sizes == [size]
+        assert out.read_text().splitlines()[1:] == straight
 
     def test_live_pipe_sees_each_verdict_before_stdin_closes(self, golden_path):
         proc = subprocess.Popen(
@@ -202,6 +262,69 @@ class TestRunCommand:
                 proc.kill()
                 proc.wait()
             reader.join(timeout=5)
+
+
+def _then_fail(items):
+    """Yield the items, then raise as the parser does at the end of a mostly
+    malformed stream."""
+    yield from items
+    raise spamrank.FormatError("bad tail")
+
+
+class TestBlocks:
+    def test_blocks_keep_order_and_end_with_the_partial_block(self):
+        assert list(_blocks(iter(range(7)), 3)) == [[0, 1, 2], [3, 4, 5], [6]]
+        assert list(_blocks(iter(range(6)), 3)) == [[0, 1, 2], [3, 4, 5]]
+
+    def test_size_one_yields_each_item_alone(self):
+        assert list(_blocks(iter("abc"), 1)) == [["a"], ["b"], ["c"]]
+
+    def test_empty_input_yields_no_block(self):
+        assert list(_blocks(iter(()), BLOCK)) == []
+
+    @pytest.mark.parametrize("n,expect", [
+        (5, [[0, 1, 2], [3, 4]]), (6, [[0, 1, 2], [3, 4, 5]]), (0, []),
+    ])
+    def test_partial_block_comes_before_the_error(self, n, expect):
+        got = []
+        with pytest.raises(spamrank.FormatError, match="bad tail"):
+            for block in _blocks(_then_fail(range(n)), 3):
+                got.append(block)
+        assert got == expect
+
+
+class TestRunBlocks:
+    def test_engine_failure_mid_block_writes_the_verdicts_before_it(
+            self, tmp_path, corpus_200, monkeypatch):
+        corpus, straight = corpus_200
+        process = SpamRankEngine.process
+        calls = []
+
+        def failing(engine, record):
+            calls.append(record.msg_id)
+            if len(calls) == 70:
+                raise InternalStateError("injected")
+            return process(engine, record)
+
+        monkeypatch.setattr(SpamRankEngine, "process", failing)
+        out = tmp_path / "v.jsonl"
+        assert main(["run", "--input", str(corpus), "--output", str(out)]) == EXIT_STATE
+        assert out.read_text().splitlines()[1:] == straight[:69]
+
+    @pytest.mark.parametrize("k", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_snapshot_save_at_a_block_edge_is_a_library_save(
+            self, tmp_path, corpus_200, k):
+        corpus, _ = corpus_200
+        cli_state = tmp_path / "cli.json"
+        assert main(["snapshot-save", "--input", str(corpus), "--limit", str(k),
+                     "--snapshot-out", str(cli_state)]) == EXIT_OK
+        records, _ = spamrank.read_records(str(corpus))
+        engine = SpamRankEngine()
+        for record in records[:k]:
+            engine.process(record)
+        lib_state = tmp_path / "lib.json"
+        save_snapshot(engine, str(lib_state))
+        assert cli_state.read_bytes() == lib_state.read_bytes()
 
 
 class TestGenerateCommand:
@@ -451,6 +574,38 @@ class TestSnapshotCommands:
         assert main(argv + ["--snapshot-out", str(link)]) == EXIT_CONFIG
         assert out.read_text() == "kept\n"
         assert "--snapshot-out" in capsys.readouterr().err
+
+    def test_output_onto_the_snapshot_in_is_a_config_error(
+            self, tmp_path, golden_path, capsys):
+        # the verdict lines would replace the saved state
+        state = tmp_path / "state.json"
+        main(["snapshot-save", "--input", str(golden_path), "--limit", "4",
+              "--snapshot-out", str(state)])
+        saved = state.read_bytes()
+        link = tmp_path / "link.json"
+        link.symlink_to(state)
+        for output in (state, link):
+            assert main(["snapshot-load", "--input", str(golden_path),
+                         "--snapshot-in", str(state), "--output", str(output)]) == EXIT_CONFIG
+            assert state.read_bytes() == saved
+        assert "is the --snapshot-in file" in capsys.readouterr().err
+
+    def test_a_snapshot_flag_reads_dash_as_a_file_name(
+            self, tmp_path, golden_path, monkeypatch):
+        # only --input and --output take "-" for stdin or stdout, so a clash
+        # with a snapshot file named "-" is refused like any other
+        monkeypatch.chdir(tmp_path)
+        dash = tmp_path / "-"
+        assert main(["snapshot-save", "--input", str(golden_path), "--limit", "4",
+                     "--snapshot-out", "-"]) == EXIT_OK
+        saved = dash.read_bytes()
+        assert main(["snapshot-load", "--input", str(golden_path),
+                     "--snapshot-in", "-", "--output", "./-"]) == EXIT_CONFIG
+        assert dash.read_bytes() == saved
+        dash.write_bytes(golden_path.read_bytes())
+        assert main(["run", "--input", "./-", "--output", os.devnull,
+                     "--snapshot-out", "-"]) == EXIT_CONFIG
+        assert dash.read_bytes() == golden_path.read_bytes()
 
     def test_snapshot_out_may_replace_the_snapshot_in(self, tmp_path, golden_path):
         # the snapshot is read before anything is written
