@@ -41,7 +41,7 @@ from .ingest import (
     write_header,
     write_jsonl,
 )
-from .scoring import DEFERRED, LEGIT, SPAM
+from .scoring import DEFERRED, HAM, LEGIT, SPAM, accordance
 from .snapshot import load_snapshot, save_snapshot
 
 # The report commands import spamrank.evaluation, and generate imports
@@ -115,19 +115,16 @@ def _header(cfg: EngineConfig, seed: int) -> dict:
     return {"spamrank": __version__, "fingerprint": cfg.fingerprint(), "seed": seed}
 
 
-def _print_summary(
-    decisions: Counter, agree: int, stats: ParseStats, elapsed: float
-) -> None:
-    spam = decisions[SPAM]
-    legit = decisions[LEGIT]
-    deferred = decisions[DEFERRED]
+def _print_summary(tally: Counter, stats: ParseStats, elapsed: float) -> None:
+    """One stderr line from a tally of (decision, aux label) pairs."""
+    spam, legit, deferred = (tally[d, SPAM] + tally[d, HAM]
+                             for d in (SPAM, LEGIT, DEFERRED))
     n = spam + legit + deferred
-    classified = spam + legit
-    accordance = 100.0 * agree / classified if classified else 100.0
+    accordance_pct, classified = accordance(tally)
     throughput = n / elapsed if elapsed > 0 else 0.0
     print(
         f"messages={n} spam={spam} legit={legit} deferred={deferred} "
-        f"accordance={accordance:.2f} classified={classified} "
+        f"accordance={accordance_pct:.2f} classified={classified} "
         f"skipped_lines={stats.skipped} throughput={throughput:.0f} msg/s",
         file=sys.stderr,
     )
@@ -199,8 +196,7 @@ def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
         skip = args.skip or 0
 
     stats = ParseStats()
-    decisions: Counter = Counter()
-    agree = 0
+    tally: Counter = Counter()  # (decision, aux label) pairs
     # a live pipe sees each verdict before the next record arrives; a file
     # redirected to stdin is read like a file named by --input
     flush = args.input == "-" and not sys.stdin.seekable()
@@ -219,9 +215,7 @@ def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
             try:
                 for record in block:
                     verdicts.append(v := engine.process(record))
-                    decisions[v.decision] += 1
-                    if v.decision != DEFERRED and v.effective_label == v.aux_label:
-                        agree += 1
+                    tally[v.decision, v.aux_label] += 1
             finally:  # an engine error still leaves the verdicts made before it
                 if out is not None:
                     # the line json.dumps would write: only the id may need
@@ -243,7 +237,7 @@ def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
 
     if args.snapshot_out:
         save_snapshot(engine, args.snapshot_out)
-    _print_summary(decisions, agree, stats, elapsed)
+    _print_summary(tally, stats, elapsed)
     return EXIT_OK
 
 

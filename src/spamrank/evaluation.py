@@ -1,7 +1,7 @@
 """Replay analyses over record streams.
 
 Everything here replays a corpus through fresh engine state and reports
-aggregate behavior: cluster censuses and beta CV across a tau sweep,
+aggregate behavior: cluster counts and beta CV across a tau sweep,
 accordance/classified tradeoffs across an omega sweep, (Ps, Pr) bin grids,
 a no-clustering sender-history baseline, and a label-noise correction
 experiment against generator ground truth. Outputs are plain TSV matrices
@@ -22,20 +22,19 @@ import json
 import sys
 import time
 from array import array
+from collections import Counter
 from dataclasses import asdict, astuple, dataclass, fields
 from itertools import chain, combinations, repeat
 from math import sqrt
 from statistics import fmean, pstdev
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 from .clustering import ClusterSpace
 from .engine import EngineConfig, SpamRankEngine
 from .errors import ConfigError, NotComputableError
 from .ingest import MessageRecord, write_header
-from .scoring import DEFERRED, HAM, LEGIT, SPAM, Verdict, decide
+from .scoring import DEFERRED, HAM, LEGIT, SPAM, Verdict, accordance, decide
 from .synthgen import label_flipper
-
-T = TypeVar("T")
 
 
 @dataclass(slots=True)
@@ -154,33 +153,7 @@ def beta_cv(space: ClusterSpace) -> float:
     return intra_cv / inter_cv
 
 
-def _beta_or_none(space: ClusterSpace) -> float | None:
-    try:
-        return beta_cv(space)
-    except NotComputableError:
-        return None
-
-
 # -- sweeps ------------------------------------------------------------------
-
-
-def _accordance(pairs: Iterable[tuple[str, str]]) -> tuple[float, int]:
-    """(accordance_pct, classified_count) over (decision, aux) pairs.
-
-    Zero classified messages reports 100.0 by convention; the caller keeps
-    the count so the degenerate case stays visible.
-    """
-    classified = 0
-    agree = 0
-    for decision, aux in pairs:
-        if decision == DEFERRED:
-            continue
-        classified += 1
-        if (decision == SPAM) == (aux == SPAM):
-            agree += 1
-    if classified == 0:
-        return 100.0, 0
-    return 100.0 * agree / classified, classified
 
 
 def _check_grid(grid: Sequence[float]) -> list[float]:
@@ -195,18 +168,34 @@ def _check_grid(grid: Sequence[float]) -> list[float]:
 def _replay(
     records: Iterable[MessageRecord],
     cfg: EngineConfig,
-    fold: Callable[[Iterator[Verdict]], T],
-) -> tuple[SpamRankEngine, T, float]:
-    """Stream records through a fresh engine into fold.
-
-    Returns the engine, fold's result over the verdict stream, and the
-    replay's wall time in milliseconds.
+    points: Sequence[tuple[float, float]],
+) -> list[SweepRow]:
+    """Stream records once through a fresh engine, recording each message's
+    spam rank, then one row per (value, omega) point: the end state's cluster
+    counts and beta CV, and accordance with every message re-decided at that
+    omega. runtime_ms is the replay's wall time, recording included.
     """
     engine = SpamRankEngine(cfg)
+    ranks = array("d")
+    spam = bytearray()
     start = time.perf_counter()
-    folded = fold(engine.process_many(records))
+    for v in engine.process_many(records):
+        ranks.append(v.spam_rank)
+        spam.append(v.aux_label == SPAM)
     runtime_ms = (time.perf_counter() - start) * 1000.0
-    return engine, folded, runtime_ms
+    n_send = len(engine.sender_side.clusters)
+    n_recv = len(engine.recipient_side.clusters)
+    try:
+        beta = beta_cv(engine.sender_side)
+    except NotComputableError:
+        beta = None
+    rows: list[SweepRow] = []
+    for value, omega in points:
+        tally = Counter(
+            (decide(sr, omega), SPAM if is_spam else HAM) for sr, is_spam in zip(ranks, spam)
+        )
+        rows.append(SweepRow(value, n_send, n_recv, beta, *accordance(tally), runtime_ms))
+    return rows
 
 
 def tau_sweep(
@@ -221,32 +210,8 @@ def tau_sweep(
     # EngineConfig refuses a bad grid point here, before any replay
     configs = [EngineConfig(tau, base.omega, base.sender_identity) for tau in grid]
     records = list(records)
-    rows: list[SweepRow] = []
-    for cfg in configs:
-        engine, (acc, classified), runtime_ms = _replay(
-            records,
-            cfg,
-            lambda verdicts: _accordance((v.decision, v.aux_label) for v in verdicts),
-        )
-        rows.append(SweepRow(
-            value=cfg.tau,
-            num_sender_clusters=len(engine.sender_side.clusters),
-            num_recipient_clusters=len(engine.recipient_side.clusters),
-            beta_cv=_beta_or_none(engine.sender_side),
-            accordance_pct=acc,
-            classified_count=classified,
-            runtime_ms=runtime_ms,
-        ))
+    rows = [row for cfg in configs for row in _replay(records, cfg, [(cfg.tau, cfg.omega)])]
     return SweepResult(parameter="tau", grid=grid, rows=rows)
-
-
-def _record_ranks(verdicts: Iterator[Verdict]) -> tuple[array, bytearray]:
-    ranks = array("d")
-    spam = bytearray()
-    for v in verdicts:
-        ranks.append(v.spam_rank)
-        spam.append(v.aux_label == SPAM)
-    return ranks, spam
 
 
 def omega_sweep(
@@ -263,24 +228,7 @@ def omega_sweep(
     base = config or EngineConfig()
     # EngineConfig refuses a bad grid point here, before the replay
     omegas = [EngineConfig(base.tau, omega, base.sender_identity).omega for omega in grid]
-    engine, (ranks, spam), runtime_ms = _replay(records, base, _record_ranks)
-    n_send = len(engine.sender_side.clusters)
-    n_recv = len(engine.recipient_side.clusters)
-    beta = _beta_or_none(engine.sender_side)
-    rows: list[SweepRow] = []
-    for omega in omegas:
-        acc, classified = _accordance(
-            (decide(sr, omega), SPAM if is_spam else HAM) for sr, is_spam in zip(ranks, spam)
-        )
-        rows.append(SweepRow(
-            value=omega,
-            num_sender_clusters=n_send,
-            num_recipient_clusters=n_recv,
-            beta_cv=beta,
-            accordance_pct=acc,
-            classified_count=classified,
-            runtime_ms=runtime_ms,
-        ))
+    rows = _replay(records, base, [(omega, omega) for omega in omegas])
     return SweepResult(parameter="omega", grid=grid, rows=rows)
 
 
@@ -323,25 +271,22 @@ def sender_history_baseline(records: Iterable[MessageRecord]) -> BaselineReport:
     after scoring. Accordance is measured against the aux labels.
     """
     history: dict[str, list[int]] = {}  # sender -> [spam, total]
-
-    def decisions() -> Iterator[tuple[str, str]]:
-        for rec in records:
-            st = history.setdefault(rec.sender, [0, 0])  # unseen: a dead heat
-            if 2 * st[0] > st[1]:
-                decision = SPAM
-            elif 2 * st[0] < st[1]:
-                decision = LEGIT
-            else:
-                decision = DEFERRED
-            st[1] += 1
-            if rec.aux_label == SPAM:
-                st[0] += 1
-            yield decision, rec.aux_label
-
-    acc, classified = _accordance(decisions())
-    total = sum(st[1] for st in history.values())
+    tally: Counter = Counter()  # (decision, aux label) pairs
+    for rec in records:
+        st = history.setdefault(rec.sender, [0, 0])  # unseen: a dead heat
+        if 2 * st[0] > st[1]:
+            decision = SPAM
+        elif 2 * st[0] < st[1]:
+            decision = LEGIT
+        else:
+            decision = DEFERRED
+        st[1] += 1
+        if rec.aux_label == SPAM:
+            st[0] += 1
+        tally[decision, rec.aux_label] += 1
+    acc, classified = accordance(tally)
     return BaselineReport(
-        accordance_pct=acc, classified_count=classified, total_messages=total
+        accordance_pct=acc, classified_count=classified, total_messages=tally.total()
     )
 
 
@@ -359,43 +304,28 @@ def noise_correction_experiment(
     effective labels against the hidden truth, one record at a time. fp_*
     rows are about ground-truth ham, fn_* about ground-truth spam;
     corrected means the engine overrode a wrong aux label, introduced
-    means it broke a right one.
+    means it broke a right one. A record whose truth is not "spam" or
+    "ham" is refused before it is scored.
     """
     flip = label_flipper(flip_rate, seed)
     engine = SpamRankEngine(EngineConfig(tau=tau, omega=omega))
-    total = 0
-    aux_errors = 0
-    engine_errors = 0
-    fp_corrected = fp_introduced = 0
-    fn_corrected = fn_introduced = 0
-    for total, rec in enumerate(records, 1):
-        truth = rec.truth
-        if truth is None:
-            raise ConfigError("noise experiment needs ground-truth labels")
+    tally: Counter = Counter()  # (truth, aux, effective) triples
+    for rec in records:
+        if rec.truth != SPAM and rec.truth != HAM:
+            raise ConfigError("noise experiment needs ground-truth labels "
+                              f"('spam' or 'ham'), got {rec.truth!r}")
         noisy = flip(rec)
-        aux = noisy.aux_label
-        eff = engine.process(noisy).effective_label
-        if aux != truth:
-            aux_errors += 1
-        if eff != truth:
-            engine_errors += 1
-        if truth == HAM:
-            if aux == SPAM and eff == HAM:
-                fp_corrected += 1
-            elif aux == HAM and eff == SPAM:
-                fp_introduced += 1
-        else:
-            if aux == HAM and eff == SPAM:
-                fn_corrected += 1
-            elif aux == SPAM and eff == HAM:
-                fn_introduced += 1
+        tally[rec.truth, noisy.aux_label, engine.process(noisy).effective_label] += 1
+    total = tally.total()
+    aux_errors = sum(n for (truth, aux, _), n in tally.items() if aux != truth)
+    engine_errors = sum(n for (truth, _, eff), n in tally.items() if eff != truth)
     return NoiseReport(
         aux_error_rate=aux_errors / total if total else 0.0,
         engine_error_rate=engine_errors / total if total else 0.0,
-        fp_corrected=fp_corrected,
-        fp_introduced=fp_introduced,
-        fn_corrected=fn_corrected,
-        fn_introduced=fn_introduced,
+        fp_corrected=tally[HAM, SPAM, HAM],
+        fp_introduced=tally[HAM, HAM, SPAM],
+        fn_corrected=tally[SPAM, HAM, SPAM],
+        fn_introduced=tally[SPAM, SPAM, HAM],
         total_messages=total,
     )
 

@@ -1,4 +1,5 @@
-"""Spam probabilities, spam rank, and the three-way decision rule.
+"""Spam probabilities, spam rank, the three-way decision rule, and the
+accordance of decisions with the aux labels.
 
 Probabilities live on users as running spam/total counters. A cluster's
 spam probability is the unweighted mean of its members' spam frequencies,
@@ -23,6 +24,8 @@ from .errors import DomainError, InternalStateError, SlotRecord
 # type checkers read this as true; `typing` is not loaded to define it
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections import Counter
+
     from .clustering import Cluster
 
 SPAM = "spam"
@@ -87,6 +90,25 @@ def effective_label(decision: str, aux_label: str) -> str:
     if decision == LEGIT:
         return HAM
     return aux_label
+
+
+def accordance(tally: "Counter[tuple[str, str]]") -> tuple[float, int]:
+    """(accordance_pct, classified_count) from a tally of (decision, aux
+    label) pairs: the share of classified (not deferred) messages whose
+    decision agrees with the aux label.
+
+    Zero classified messages reports 100.0 by convention; the count keeps
+    the degenerate case visible.
+    """
+    classified = agree = 0
+    for (decision, aux), n in tally.items():
+        if decision != DEFERRED:
+            classified += n
+            if (decision == SPAM) == (aux == SPAM):
+                agree += n
+    if classified == 0:
+        return 100.0, 0
+    return 100.0 * agree / classified, classified
 
 
 def cluster_spam_probability(cluster: "Cluster") -> float:

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from spamrank import WorkloadSpec, generate, read_records
+from spamrank.synthgen import label_flipper
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -23,3 +24,10 @@ def golden_records(golden_path):
 def default_records():
     """The seed-42 default synthetic corpus, shared across the suite."""
     return generate(WorkloadSpec())
+
+
+@pytest.fixture(scope="session")
+def noisy_records(default_records):
+    """The default corpus with 10% of aux labels flipped away from truth, the
+    records of `spamrank generate --flip-rate 0.1`."""
+    return list(map(label_flipper(0.1, 42), default_records))

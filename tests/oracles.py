@@ -5,8 +5,8 @@ from member lists on every query, candidate search scans all clusters,
 self-similarity is handled by physically removing the user's vector, and
 statistics come straight from their definitions. None of it shares code
 with the package under test beyond the MessageRecord container, except
-omega_sweep_by_replay, which drives the engine itself to check that one
-recorded replay stands in for a replay per omega.
+sweep_row_by_replay, which drives the engine itself to check that one
+recorded replay stands in for a replay per tau or per omega.
 """
 
 from __future__ import annotations
@@ -227,38 +227,35 @@ def random_corpus(seed: int, max_users: int = 200) -> tuple[list[MessageRecord],
     return records, tau
 
 
-def omega_sweep_by_replay(
-    records: list[MessageRecord], grid: list[float]
-) -> list[SweepRow]:
-    """Omega sweep rows from a fresh engine replay per grid point.
+def sweep_row_by_replay(
+    records: list[MessageRecord], cfg: EngineConfig, value: float
+) -> SweepRow:
+    """The sweep row at one grid value from a fresh engine replay at cfg.
 
-    Each replay runs at its own omega, so every decision comes from the
-    engine rather than from a recorded spam rank. runtime_ms is left at 0.
+    Every decision comes from the engine rather than from a recorded spam
+    rank, and accordance is counted here. runtime_ms is left at 0.
     """
-    rows = []
-    for omega in grid:
-        engine = SpamRankEngine(EngineConfig(omega=omega))
-        classified = agree = 0
-        for verdict in engine.process_many(records):
-            if verdict.decision == DEFERRED:
-                continue
-            classified += 1
-            if (verdict.decision == SPAM) == (verdict.aux_label == SPAM):
-                agree += 1
-        try:
-            beta = beta_cv(engine.sender_side)
-        except NotComputableError:
-            beta = None
-        rows.append(SweepRow(
-            value=omega,
-            num_sender_clusters=len(engine.sender_side.clusters),
-            num_recipient_clusters=len(engine.recipient_side.clusters),
-            beta_cv=beta,
-            accordance_pct=100.0 * agree / classified if classified else 100.0,
-            classified_count=classified,
-            runtime_ms=0.0,
-        ))
-    return rows
+    engine = SpamRankEngine(cfg)
+    classified = agree = 0
+    for verdict in engine.process_many(records):
+        if verdict.decision == DEFERRED:
+            continue
+        classified += 1
+        if (verdict.decision == SPAM) == (verdict.aux_label == SPAM):
+            agree += 1
+    try:
+        beta = beta_cv(engine.sender_side)
+    except NotComputableError:
+        beta = None
+    return SweepRow(
+        value=value,
+        num_sender_clusters=len(engine.sender_side.clusters),
+        num_recipient_clusters=len(engine.recipient_side.clusters),
+        beta_cv=beta,
+        accordance_pct=100.0 * agree / classified if classified else 100.0,
+        classified_count=classified,
+        runtime_ms=0.0,
+    )
 
 
 def reference_parse_jsonl(lines: list[str]) -> tuple[list[MessageRecord], dict[str, int]]:

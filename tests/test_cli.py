@@ -107,6 +107,23 @@ class TestRunCommand:
         assert "messages=10" in summary
         assert "accordance=100.00" in summary
 
+    def test_summary_on_a_label_noisy_corpus_matches_both_sweeps(self, tmp_path, capsys):
+        # run's summary and the sweep rows share one definition of accordance;
+        # here, unlike on the golden corpus, some decisions disagree with aux
+        corpus = tmp_path / "noisy.jsonl"
+        assert main(["generate", "--output", str(corpus), "--messages", "3650",
+                     "--flip-rate", "0.1"]) == EXIT_OK
+        assert main(["run", "--input", str(corpus),
+                     "--output", str(tmp_path / "v.jsonl")]) == EXIT_OK
+        summary = capsys.readouterr().err
+        assert " accordance=92.65 classified=2967 " in summary
+        records, _ = spamrank.read_records(str(corpus))
+        (tau_row,) = spamrank.tau_sweep(records, [0.5]).rows
+        (omega_row,) = spamrank.omega_sweep(records, [0.85]).rows
+        for row in (tau_row, omega_row):
+            assert (f" accordance={row.accordance_pct:.2f} "
+                    f"classified={row.classified_count} ") in summary
+
     def test_skip_and_limit_window_the_stream(
             self, tmp_path, golden_path, corpus_200, default_records):
         out = tmp_path / "v.jsonl"

@@ -30,7 +30,7 @@ from spamrank import (
 from spamrank.clustering import Cluster
 from spamrank.evaluation import write_heatmap, write_report, write_sweep
 
-from oracles import naive_beta_cv, omega_sweep_by_replay, random_corpus
+from oracles import naive_beta_cv, random_corpus, sweep_row_by_replay
 
 
 def build_space(tau: float, layout: dict[int, dict[int, set]]) -> ClusterSpace:
@@ -169,31 +169,28 @@ class TestSweeps:
         with pytest.raises(ConfigError):
             omega_sweep(golden_records, [0.9, 0.8])
 
-    def test_tau_sweep_rows_match_direct_replays(self, golden_records):
-        result = tau_sweep(golden_records, [0.3, 0.5])
+    # tau rows re-decide each message from its recorded spam rank; on the
+    # label-noisy corpus a decision disagrees with the aux label
+    @pytest.mark.parametrize("corpus", ["golden_records", "noisy_records"])
+    def test_tau_sweep_rows_match_direct_replays(self, request, corpus):
+        records = request.getfixturevalue(corpus)
+        grid = [0.3, 0.5]
+        result = tau_sweep(records, grid)
         assert result.parameter == "tau"
-        assert [row.value for row in result.rows] == [0.3, 0.5]
-        engine = SpamRankEngine(EngineConfig(tau=0.5))
-        for r in golden_records:
-            engine.process(r)
-        row = result.rows[1]
-        assert row.num_sender_clusters == len(engine.sender_side.clusters)
-        assert row.num_recipient_clusters == len(engine.recipient_side.clusters)
-        assert row.classified_count == 8
-        assert row.accordance_pct == 100.0
+        assert [replace(row, runtime_ms=0.0) for row in result.rows] == [
+            sweep_row_by_replay(records, EngineConfig(tau=tau), tau) for tau in grid
+        ]
+        if corpus == "golden_records":
+            assert result.rows[1].classified_count == 8
+            assert result.rows[1].accordance_pct == 100.0
 
     def test_omega_sweep_recorded_equals_naive(self, golden_records):
         grid = [0.5, 0.65, 0.85, 1.0]
         fast = omega_sweep(golden_records, grid)
-        slow = omega_sweep_by_replay(golden_records, grid)
-        assert len(fast.rows) == len(slow) == len(grid)
-        for a, b in zip(fast.rows, slow):
-            assert a.value == b.value
-            assert a.num_sender_clusters == b.num_sender_clusters
-            assert a.num_recipient_clusters == b.num_recipient_clusters
-            assert a.beta_cv == b.beta_cv
-            assert a.accordance_pct == b.accordance_pct
-            assert a.classified_count == b.classified_count
+        assert [replace(row, runtime_ms=0.0) for row in fast.rows] == [
+            sweep_row_by_replay(golden_records, EngineConfig(omega=omega), omega)
+            for omega in grid
+        ]
 
     @pytest.mark.parametrize("sweep,grid", [
         (omega_sweep, [0.2]), (omega_sweep, [0.6, 1.2]), (tau_sweep, [0.5, 1.5]),
@@ -306,6 +303,16 @@ class TestNoiseCorrection:
         sample = default_records[:200]
         report = noise_correction_experiment(sample, 1.0, 0.5, 0.85)
         assert report.aux_error_rate == 1.0
+
+    # a truth that is neither "spam" nor "ham" would flip to an aux label
+    # of "spam" and count every message as an error
+    @pytest.mark.parametrize("truth", ["Spam", "junk", ""])
+    @pytest.mark.parametrize("flip_rate", [0.0, 1.0])
+    def test_refuses_a_truth_other_than_spam_or_ham(self, truth, flip_rate):
+        records = [msg(1, "d.example", ["a@u.example"], SPAM, SPAM),
+                   msg(2, "d.example", ["a@u.example"], SPAM, truth)]
+        with pytest.raises(ConfigError, match="ground-truth"):
+            noise_correction_experiment(records, flip_rate, 0.5, 0.85)
 
 
 class TestStreamedRecords:
