@@ -6,7 +6,7 @@ touches, deferring to an upstream filter only when the structure is
 ambiguous. See README.md for the model and the CLI.
 """
 
-from .clustering import CensusReport, Cluster, ClusterSpace
+from .clustering import Cluster, ClusterSpace
 from .engine import DEFAULT_OMEGA, DEFAULT_TAU, EngineConfig, SpamRankEngine
 from .errors import (
     ConfigError,
@@ -68,7 +68,6 @@ def __getattr__(name: str) -> object:
 __all__ = [
     "BaselineReport",
     "BinGrid",
-    "CensusReport",
     "Cluster",
     "ClusterSpace",
     "ConfigError",

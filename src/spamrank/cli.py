@@ -92,15 +92,6 @@ def _records(args: argparse.Namespace, cfg: EngineConfig,
         yield parse_stream(fh, args.format, cfg.sender_identity, stats)
 
 
-@contextmanager
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-
-
 def _engine_config(args: argparse.Namespace, base: EngineConfig | None = None) -> EngineConfig:
     """Fold explicit flags over a base config (defaults, or a snapshot's).
     A field whose flag the command does not take keeps the base value."""
@@ -151,10 +142,10 @@ def _blocks(items: Iterator, size: int) -> Iterator[list]:
         yield block
 
 
-def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
     """Stream records through the engine, BLOCK at a time, or one at a time
-    and flushed from a pipe. A run that fails part-way still writes the
-    verdict of every record it scored."""
+    and flushed from a pipe, writing verdicts unless --output is None. A run
+    that fails part-way still writes the verdict of every record it scored."""
     for flag, value in (("--skip", args.skip), ("--limit", args.limit)):
         if value is not None and value < 0:
             raise ConfigError(f"{flag} must not be negative, got {value}")
@@ -200,10 +191,11 @@ def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
     # a live pipe sees each verdict before the next record arrives; a file
     # redirected to stdin is read like a file named by --input
     flush = args.input == "-" and not sys.stdin.seekable()
-    write_output = not discard_output or args.output is not None
     start = time.perf_counter()
     with _records(args, cfg, stats) as records, (
-        _open_out(args.output) if write_output else nullcontext()
+        nullcontext() if args.output is None else
+        nullcontext(sys.stdout) if args.output == "-" else
+        open(args.output, "w", encoding="utf-8")
     ) as out:
         if out is not None:
             write_header(out, _header(cfg, args.seed))
@@ -234,6 +226,11 @@ def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
     if not args.snapshot_in:
         # an input shorter than --skip passes over only the records it has
         engine.records_skipped = min(skip, stats.records)
+    elif stats.records < skip:  # a resume would re-save an offset it never reached
+        raise ConfigError(
+            f"--input holds {stats.records} records, fewer than the "
+            f"{skip} the snapshot was saved after"
+        )
 
     if args.snapshot_out:
         save_snapshot(engine, args.snapshot_out)
@@ -241,22 +238,18 @@ def _run_impl(args: argparse.Namespace, discard_output: bool) -> int:
     return EXIT_OK
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    return _run_impl(args, discard_output=False)
-
-
 def cmd_snapshot_save(args: argparse.Namespace) -> int:
     """Process input (optionally bounded by --limit) and persist the state."""
     if not args.snapshot_out:
         raise ConfigError("snapshot-save requires --snapshot-out")
-    return _run_impl(args, discard_output=True)
+    return cmd_run(args)
 
 
 def cmd_snapshot_load(args: argparse.Namespace) -> int:
     """Resume from --snapshot-in at the input offset the snapshot records."""
     if not args.snapshot_in:
         raise ConfigError("snapshot-load requires --snapshot-in")
-    return _run_impl(args, discard_output=False)
+    return cmd_run(args)
 
 
 # generate's corpus flags: the WorkloadSpec field each sets, and its type
@@ -331,7 +324,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 
     cfg = _engine_config(args)
     with _records(args, cfg) as records:
-        grid = bin_heatmap(SpamRankEngine(cfg).process_many(records), args.bin_size)
+        grid = bin_heatmap(map(SpamRankEngine(cfg).process, records), args.bin_size)
     header = _header(cfg, args.seed)
     prefix = args.output
     write_heatmap(grid, f"{prefix}.messages.tsv", f"{prefix}.spam.tsv",
@@ -413,10 +406,10 @@ def _add_engine_flags(
         p.add_argument("--" + name.replace("_", "-"), **_ENGINE_FLAGS[name])
 
 
-def _add_io_flags(p: argparse.ArgumentParser, output_help: str) -> None:
+def _add_io_flags(p: argparse.ArgumentParser, output: str | None, output_help: str) -> None:
     p.add_argument("--input", default="-", help="input path, '-' for stdin")
     p.add_argument("--format", choices=["jsonl", "tsv"], default="jsonl")
-    p.add_argument("--output", default=None, help=output_help)
+    p.add_argument("--output", default=output, help=output_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,14 +428,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed recorded in output headers (default 42)")
         return p
 
-    for name, func, help_ in (
-        ("run", cmd_run, "stream verdicts for a message log"),
-        ("snapshot-save", cmd_snapshot_save, "process input and save engine state"),
-        ("snapshot-load", cmd_snapshot_load, "resume from a saved engine state"),
+    # the default --output: verdicts to stdout, or none written (None)
+    for name, func, help_, output in (
+        ("run", cmd_run, "stream verdicts for a message log", "-"),
+        ("snapshot-save", cmd_snapshot_save, "process input and save engine state", None),
+        ("snapshot-load", cmd_snapshot_load, "resume from a saved engine state", "-"),
     ):
         p = add(name, func, help_)
         _add_engine_flags(p)
-        _add_io_flags(p, "verdict jsonl path, '-'/default for stdout")
+        _add_io_flags(p, output, "verdict jsonl path, '-' for stdout "
+                                 f"(default {'stdout' if output else 'none written'})")
         p.add_argument("--skip", type=int, default=None,
                        help="skip this many leading records (default 0, or with "
                             "--snapshot-in the records the snapshot consumed)")
@@ -461,10 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, help_, prefix, engine_flags, own_flags in _REPORTS:
         p = add(name, func, help_)
         _add_engine_flags(p, engine_flags)
-        _add_io_flags(p, f"report path prefix (default {prefix})")
+        _add_io_flags(p, prefix, f"report path prefix (default {prefix})")
         for flag, kwargs in own_flags.items():
             p.add_argument(flag, **kwargs)
-        p.set_defaults(output=prefix)
 
     return parser
 

@@ -58,16 +58,6 @@ class Cluster(SlotRecord):
         self.scored_members = scored_members
 
 
-class CensusReport(SlotRecord):
-    __slots__ = ("num_clusters", "size_histogram", "num_singletons")
-
-    def __init__(self, num_clusters: int, size_histogram: dict[int, int],
-                 num_singletons: int) -> None:
-        self.num_clusters = num_clusters
-        self.size_histogram = size_histogram
-        self.num_singletons = num_singletons
-
-
 class ClusterSpace:
     """All clustering state for one side of the traffic."""
 
@@ -259,13 +249,10 @@ class ClusterSpace:
 
     # -- reporting and verification -----------------------------------------
 
-    def census(self) -> CensusReport:
+    def census(self) -> dict[int, int]:
+        """How many clusters there are of each size, by size."""
         hist = Counter(len(c.members) for c in self.clusters.values())
-        return CensusReport(
-            num_clusters=len(self.clusters),
-            size_histogram=dict(sorted(hist.items())),
-            num_singletons=hist.get(1, 0),
-        )
+        return dict(sorted(hist.items()))
 
     def check_integrity(self) -> None:
         """Revalidate every incremental structure against a rebuild."""

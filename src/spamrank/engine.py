@@ -12,9 +12,7 @@ engine cannot score is refused with FormatError before any state changes.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-
-from .clustering import RECIPIENT_SIDE, SENDER_SIDE, CensusReport, ClusterSpace
+from .clustering import RECIPIENT_SIDE, SENDER_SIDE, ClusterSpace
 from .errors import ConfigError, FormatError, SlotRecord
 from .ingest import SENDER_DOMAIN, SENDER_FULL, MessageRecord
 from .scoring import (
@@ -149,11 +147,8 @@ class SpamRankEngine:
         return Verdict(record.msg_id, p_s, p_r, sr, decision, record.aux_label,
                        effective_label(decision, record.aux_label))
 
-    def process_many(self, records: Iterable[MessageRecord]) -> Iterator[Verdict]:
-        for record in records:
-            yield self.process(record)
-
-    def census(self) -> dict[str, CensusReport]:
+    def census(self) -> dict[str, dict[int, int]]:
+        """Each side's {cluster size: clusters} histogram."""
         return {
             SENDER_SIDE: self.sender_side.census(),
             RECIPIENT_SIDE: self.recipient_side.census(),

@@ -51,7 +51,6 @@ class SweepRow:
 @dataclass(slots=True)
 class SweepResult:
     parameter: str  # "tau" or "omega"
-    grid: list[float]
     rows: list[SweepRow]
 
 
@@ -69,9 +68,6 @@ class BinGrid:
         if m == 0:
             return None
         return self.spam_count[i][j] / m
-
-    def total_messages(self) -> int:
-        return sum(sum(row) for row in self.message_count)
 
 
 @dataclass(slots=True)
@@ -179,7 +175,7 @@ def _replay(
     ranks = array("d")
     spam = bytearray()
     start = time.perf_counter()
-    for v in engine.process_many(records):
+    for v in map(engine.process, records):
         ranks.append(v.spam_rank)
         spam.append(v.aux_label == SPAM)
     runtime_ms = (time.perf_counter() - start) * 1000.0
@@ -211,7 +207,7 @@ def tau_sweep(
     configs = [EngineConfig(tau, base.omega, base.sender_identity) for tau in grid]
     records = list(records)
     rows = [row for cfg in configs for row in _replay(records, cfg, [(cfg.tau, cfg.omega)])]
-    return SweepResult(parameter="tau", grid=grid, rows=rows)
+    return SweepResult(parameter="tau", rows=rows)
 
 
 def omega_sweep(
@@ -229,7 +225,7 @@ def omega_sweep(
     # EngineConfig refuses a bad grid point here, before the replay
     omegas = [EngineConfig(base.tau, omega, base.sender_identity).omega for omega in grid]
     rows = _replay(records, base, [(omega, omega) for omega in omegas])
-    return SweepResult(parameter="omega", grid=grid, rows=rows)
+    return SweepResult(parameter="omega", rows=rows)
 
 
 # -- bin heatmap ---------------------------------------------------------------

@@ -83,11 +83,9 @@ def normalize_recipient(address: str) -> str:
 
 
 class ParseStats(SlotRecord):
-    __slots__ = ("lines", "records", "skipped", "comments")
+    __slots__ = ("records", "skipped", "comments")
 
-    def __init__(self, lines: int = 0, records: int = 0, skipped: int = 0,
-                 comments: int = 0) -> None:
-        self.lines = lines
+    def __init__(self, records: int = 0, skipped: int = 0, comments: int = 0) -> None:
         self.records = records
         self.skipped = skipped
         self.comments = comments
@@ -191,7 +189,6 @@ def parse_stream(
         stats = ParseStats()
     json_mode = fmt == "jsonl"
     for line_no, raw in enumerate(lines, 1):
-        stats.lines += 1
         line = raw.strip()
         if not line:
             stats.skipped += 1

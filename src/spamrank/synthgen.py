@@ -165,8 +165,9 @@ def generate(spec: WorkloadSpec) -> list[MessageRecord]:
             rec_idx = rng.sample(lst, k)
             truth = SPAM
         else:
+            # random() < 1 rounds the product below total_weight, so s < n
             s = bisect_right(cum_weights, rng.random() * total_weight)
-            sender = legit_domains[min(s, spec.n_legit_senders - 1)]
+            sender = legit_domains[s]
             community = communities[sender_community[s]]
             k = max(1, _poisson(rng, spec.legit_recipients_mean))
             rec_idx = []

@@ -237,7 +237,7 @@ def sweep_row_by_replay(
     """
     engine = SpamRankEngine(cfg)
     classified = agree = 0
-    for verdict in engine.process_many(records):
+    for verdict in map(engine.process, records):
         if verdict.decision == DEFERRED:
             continue
         classified += 1
@@ -262,8 +262,9 @@ def reference_parse_jsonl(lines: list[str]) -> tuple[list[MessageRecord], dict[s
     """JSONL records and line tallies by the README's rules, one json.loads
     per line, with domain sender identity.
 
-    The tallies are keyed like ParseStats. The caller decides whether the
-    stream as a whole is refused (skipped lines outnumber records).
+    The tallies are keyed like ParseStats, plus "lines", every line seen.
+    The caller decides whether the stream as a whole is refused (skipped
+    lines outnumber records).
     """
     records: list[MessageRecord] = []
     tally = {"lines": 0, "records": 0, "skipped": 0, "comments": 0}

@@ -207,7 +207,7 @@ class TestRunCommand:
             json.dumps({"id": v.msg_id, "p_s": v.p_s, "p_r": v.p_r, "sr": v.spam_rank,
                         "decision": v.decision, "aux": v.aux_label,
                         "effective": v.effective_label})
-            for v in spamrank.SpamRankEngine().process_many(records)
+            for v in map(spamrank.SpamRankEngine().process, records)
         ]
         lines = out.read_text(encoding="utf-8").split("\n")
         assert lines[1:] == expect + [""]
@@ -503,6 +503,25 @@ class TestSnapshotCommands:
                      "--snapshot-in", str(state), "--output", str(tail)])
         assert code == EXIT_CONFIG
         assert not tail.exists()
+
+    def test_resume_on_an_input_shorter_than_the_offset_is_refused(
+            self, tmp_path, golden_path, capsys):
+        state = tmp_path / "state.json"
+        main(["snapshot-save", "--input", str(golden_path), "--limit", "6",
+              "--snapshot-out", str(state)])
+        lines = golden_path.read_text().splitlines(keepends=True)
+        short, resaved = tmp_path / "short.jsonl", tmp_path / "resaved.json"
+        argv = ["snapshot-load", "--input", str(short), "--snapshot-in", str(state),
+                "--output", str(tmp_path / "tail.jsonl"), "--snapshot-out", str(resaved)]
+        short.write_text("".join(lines[:4]))
+        capsys.readouterr()
+        assert main(argv) == EXIT_CONFIG
+        assert not resaved.exists()
+        assert "holds 4 records, fewer than the 6" in capsys.readouterr().err
+        # an input that ends at the offset resumes, with nothing left to score
+        short.write_text("".join(lines[:6]))
+        assert main(argv) == EXIT_OK
+        assert json.loads(resaved.read_text())["input_offset"] == 6
 
     def test_save_requires_a_target(self, golden_path):
         assert main(["snapshot-save", "--input", str(golden_path)]) == EXIT_CONFIG

@@ -217,7 +217,10 @@ class TestParseMatchesReference:
         except FormatError:
             refused = True
         assert got == want
+        lines = tally.pop("lines")
         assert stats == ParseStats(**tally)
+        # every line is a record, a skip or a comment
+        assert stats.records + stats.skipped + stats.comments == lines
         assert refused == (tally["skipped"] > tally["records"])
 
 
