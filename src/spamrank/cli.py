@@ -192,45 +192,47 @@ def cmd_run(args: argparse.Namespace) -> int:
     # redirected to stdin is read like a file named by --input
     flush = args.input == "-" and not sys.stdin.seekable()
     start = time.perf_counter()
-    with _records(args, cfg, stats) as records, (
-        nullcontext() if args.output is None else
-        nullcontext(sys.stdout) if args.output == "-" else
-        open(args.output, "w", encoding="utf-8")
-    ) as out:
-        if out is not None:
-            write_header(out, _header(cfg, args.seed))
-            if flush:
-                out.flush()
-        stop = skip + args.limit if args.limit is not None else None
-        for block in _blocks(islice(records, skip, stop), 1 if flush else BLOCK):
-            verdicts = []
-            try:
-                for record in block:
-                    verdicts.append(v := engine.process(record))
-                    tally[v.decision, v.aux_label] += 1
-            finally:  # an engine error still leaves the verdicts made before it
-                if out is not None:
-                    # the line json.dumps would write: only the id may need
-                    # escaping (by the encoder json.dumps calls for a str), the
-                    # labels are constants, a finite float is written as its repr
-                    out.write("".join([
-                        f'{{"id": {encode_str(v.msg_id)}, "p_s": {v.p_s!r}, '
-                        f'"p_r": {v.p_r!r}, "sr": {v.spam_rank!r}, '
-                        f'"decision": "{v.decision}", "aux": "{v.aux_label}", '
-                        f'"effective": "{v.effective_label}"}}\n'
-                        for v in verdicts
-                    ]))
-                    if flush:
-                        out.flush()
+    with _records(args, cfg, stats) as records:
+        # read past the skipped records before --output is opened, so that a
+        # resume refused for a short input leaves the file as it was
+        next(islice(records, skip, skip), None)
+        if not args.snapshot_in:
+            # an input shorter than --skip passes over only the records it has
+            engine.records_skipped = stats.records
+        elif stats.records < skip:  # a resume would re-save an offset it never reached
+            raise ConfigError(
+                f"--input holds {stats.records} records, fewer than the "
+                f"{skip} the snapshot was saved after"
+            )
+        with (nullcontext() if args.output is None else
+              nullcontext(sys.stdout) if args.output == "-" else
+              open(args.output, "w", encoding="utf-8")) as out:
+            if out is not None:
+                write_header(out, _header(cfg, args.seed))
+                if flush:
+                    out.flush()
+            for block in _blocks(islice(records, args.limit), 1 if flush else BLOCK):
+                verdicts = []
+                try:
+                    for record in block:
+                        verdicts.append(v := engine.process(record))
+                        tally[v.decision, v.aux_label] += 1
+                finally:  # an engine error still leaves the verdicts made before it
+                    if out is not None:
+                        # the line json.dumps would write: only the id may need
+                        # escaping (by the encoder json.dumps calls for a str),
+                        # the labels are constants, a finite float is written
+                        # as its repr
+                        out.write("".join([
+                            f'{{"id": {encode_str(v.msg_id)}, "p_s": {v.p_s!r}, '
+                            f'"p_r": {v.p_r!r}, "sr": {v.spam_rank!r}, '
+                            f'"decision": "{v.decision}", "aux": "{v.aux_label}", '
+                            f'"effective": "{v.effective_label}"}}\n'
+                            for v in verdicts
+                        ]))
+                        if flush:
+                            out.flush()
     elapsed = time.perf_counter() - start
-    if not args.snapshot_in:
-        # an input shorter than --skip passes over only the records it has
-        engine.records_skipped = min(skip, stats.records)
-    elif stats.records < skip:  # a resume would re-save an offset it never reached
-        raise ConfigError(
-            f"--input holds {stats.records} records, fewer than the "
-            f"{skip} the snapshot was saved after"
-        )
 
     if args.snapshot_out:
         save_snapshot(engine, args.snapshot_out)

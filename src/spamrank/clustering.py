@@ -29,7 +29,7 @@ remove-then-create reading of the assignment step.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, _count_elements
 from collections.abc import Iterable
 from math import sqrt
 from operator import mul
@@ -260,15 +260,7 @@ class ClusterSpace:
         user_dims, spam, total = self.user_dims, self.spam, self.total
         index = self.index
         # each cluster's count vector as the postings hold it
-        vectors: dict[int, dict[int, int]] = {cid: {} for cid in self.clusters}
-        for d, p in index.postings.items():
-            if not p:
-                raise InternalStateError(f"empty posting retained for dim {d}")
-            for cid, cnt in p.items():
-                vec = vectors.get(cid)
-                if vec is None:
-                    raise InternalStateError(f"posting for dead cluster {cid}")
-                vec[d] = cnt
+        vectors = index.vectors(self.clusters)
         n_members = 0
         for cid, cluster in self.clusters.items():
             if cluster.cid != cid:
@@ -281,8 +273,8 @@ class ClusterSpace:
             for uid in cluster.members:
                 if user_cluster.get(uid) != cid:
                     raise InternalStateError(f"membership map out of sync for {uid}")
-                for d in user_dims[uid]:
-                    expect[d] = expect.get(d, 0) + 1
+                # one per id, in place: the C loop that Counter.update runs
+                _count_elements(expect, user_dims[uid])
                 if total[uid]:
                     freq_sum += (spam[uid] << FREQ_BITS) // total[uid]
                     scored += 1

@@ -120,11 +120,12 @@ def beta_cv(space: ClusterSpace) -> float:
         raise NotComputableError("need at least two clusters")
     if not any(len(c.members) > 1 for c in clusters.values()):
         raise NotComputableError("no multi-member cluster")
-    postings = space.index.postings
-    norm_sq = space.index.norm_sq
+    index = space.index
+    counts = index.counts
+    norm_sq = index.norm_sq
     user_dims = space.user_dims
     intra = [
-        _distance(sum(postings[d][cid] for d in dims), len(dims), norm_sq[cid])
+        _distance(sum(counts(d)[cid] for d in dims), len(dims), norm_sq[cid])
         for cid, cluster in clusters.items()
         for dims in (user_dims[uid] for uid in cluster.members)
     ]
@@ -134,8 +135,8 @@ def beta_cv(space: ClusterSpace) -> float:
     # only centroids that share a dimension have a nonzero dot; every other
     # pair sits at distance exactly 1.0, so it is counted, not listed
     dots: dict[tuple[int, int], int] = {}
-    for p in postings.values():
-        for (a, ca), (b, cb) in combinations(sorted(p.items()), 2):
+    for d in index.postings:
+        for (a, ca), (b, cb) in combinations(sorted(counts(d).items()), 2):
             dots[a, b] = dots.get((a, b), 0) + ca * cb
     near = [_distance(dot, norm_sq[a], norm_sq[b]) for (a, b), dot in dots.items()]
     far = len(clusters) * (len(clusters) - 1) // 2 - len(near)

@@ -1,13 +1,19 @@
 """Sparse contact vectors and the cluster-side inverted index.
 
-A user's contact vector is the list of distinct interned dimension ids the
+A user's contact vector is the tuple of distinct interned dimension ids the
 user has exchanged mail with; every present coordinate is 1, so its squared
-norm is just the list's length. A cluster vector is the element-wise sum of
-its member vectors and lives inside the inverted index: ``postings[d][cid]``
-is cluster ``cid``'s count for dimension ``d``. The posting map for a
-dimension and the cluster count vectors are therefore one structure, and the
-key set of ``postings[d]`` is exactly the set of clusters whose vector
-touches ``d``.
+norm is just the tuple's length. A cluster vector is the element-wise sum of
+its member vectors and lives inside the inverted index: the posting for
+dimension ``d`` holds the count of every cluster whose vector touches ``d``.
+The posting map for a dimension and the cluster count vectors are therefore
+one structure.
+
+A posting takes one of two forms. Most dimensions are touched by a single
+cluster once, so a new posting is the 1-tuple ``(cid,)``, meaning count 1
+for cluster ``cid``; it becomes the dict ``{cid: count}`` when a second count
+arrives, and a dict is never turned back. Either form's ``len`` is the number
+of clusters it holds. Only this module knows the forms: ``counts`` and
+``vectors`` read the index as plain dicts.
 
 Squared norms are maintained incrementally in integer arithmetic (a count
 step c -> c+1 changes the squared norm by 2c+1), so every cosine built on
@@ -49,14 +55,16 @@ class Interner:
 class InvertedIndex:
     """Cluster count vectors stored as inverted postings.
 
-    postings: dimension id -> {cluster id: count}, counts always >= 1.
+    postings: dimension id -> the clusters touching it, as the 1-tuple
+        (cid,) for one cluster with count 1, else as {cluster id: count},
+        counts always >= 1; a dimension no cluster touches has no posting.
     norm_sq: cluster id -> exact squared norm of that cluster's vector.
     """
 
     __slots__ = ("postings", "norm_sq")
 
     def __init__(self) -> None:
-        self.postings: dict[int, dict[int, int]] = {}
+        self.postings: dict[int, tuple[int] | dict[int, int]] = {}
         self.norm_sq: dict[int, int] = {}
 
     def register_cluster(self, cid: int) -> None:
@@ -69,10 +77,18 @@ class InvertedIndex:
         for d in dims:
             p = postings.get(d)
             if p is None:
-                p = postings[d] = {}
-            c = p.get(cid, 0)
-            p[cid] = c + 1
-            nsq += 2 * c + 1
+                postings[d] = (cid,)
+                nsq += 1
+            elif type(p) is dict:
+                c = p.get(cid, 0)
+                p[cid] = c + 1
+                nsq += 2 * c + 1
+            elif p[0] == cid:
+                postings[d] = {cid: 2}
+                nsq += 3
+            else:
+                postings[d] = {p[0]: 1, cid: 1}
+                nsq += 1
         self.norm_sq[cid] = nsq
 
     def remove_member_vector(self, cid: int, dims: Iterable[int]) -> None:
@@ -85,18 +101,19 @@ class InvertedIndex:
         nsq = self.norm_sq[cid]
         for d in dims:
             p = postings.get(d)
-            c = p.get(cid, 0) if p is not None else 0
-            if c <= 0:
-                raise InternalStateError(
-                    f"cluster {cid} has no count for dimension {d}"
-                )
-            if c == 1:
-                del p[cid]
-                if not p:
-                    del postings[d]
+            if type(p) is dict and (c := p.get(cid, 0)):
+                if c > 1:
+                    p[cid] = c - 1
+                else:
+                    del p[cid]
+                    if not p:
+                        del postings[d]
+                nsq -= 2 * c - 1
+            elif p == (cid,):
+                del postings[d]
+                nsq -= 1
             else:
-                p[cid] = c - 1
-            nsq -= 2 * c - 1
+                raise InternalStateError(f"cluster {cid} has no count for dimension {d}")
         self.norm_sq[cid] = nsq
 
     def drop_cluster(self, cid: int) -> None:
@@ -109,7 +126,10 @@ class InvertedIndex:
         postings = self.postings
         for d in dims:
             p = postings[d]
-            p[new] = p.pop(old)
+            if type(p) is dict:
+                p[new] = p.pop(old)
+            else:
+                postings[d] = (new,)
         self.norm_sq[new] = self.norm_sq.pop(old)
 
     def score_candidates(self, dims: Iterable[int]) -> dict[int, int]:
@@ -120,12 +140,45 @@ class InvertedIndex:
         pget = self.postings.get
         for d in dims:
             p = pget(d)
-            if not p:
+            if p is None:
                 continue
             if scores is None:
-                scores = dict(p)
+                scores = dict(p) if type(p) is dict else {p[0]: 1}
                 get = scores.get
-                continue
-            for cid, cnt in p.items():
-                scores[cid] = get(cid, 0) + cnt
+            elif type(p) is dict:
+                for cid, cnt in p.items():
+                    scores[cid] = get(cid, 0) + cnt
+            else:
+                cid = p[0]
+                scores[cid] = get(cid, 0) + 1
         return scores if scores is not None else {}
+
+    def counts(self, d: int) -> dict[int, int]:
+        """{cluster id: count} for dimension d, empty if no cluster touches
+        it; read-only, as it may be the posting itself."""
+        p = self.postings.get(d)
+        if p is None:
+            return {}
+        return p if type(p) is dict else {p[0]: 1}
+
+    def vectors(self, cids: Iterable[int]) -> dict[int, dict[int, int]]:
+        """{cluster id: {dimension id: count}}, each cluster's count vector
+        read back from the postings in one pass. Raises InternalStateError
+        for a posting that holds no cluster, or one outside `cids`."""
+        vectors: dict[int, dict[int, int]] = {cid: {} for cid in cids}
+        get = vectors.get
+        for d, p in self.postings.items():
+            if type(p) is dict:
+                if not p:
+                    raise InternalStateError(f"empty posting retained for dim {d}")
+                for cid, cnt in p.items():
+                    vec = get(cid)
+                    if vec is None:
+                        raise InternalStateError(f"posting for dead cluster {cid}")
+                    vec[d] = cnt
+            else:
+                vec = get(p[0])
+                if vec is None:
+                    raise InternalStateError(f"posting for dead cluster {p[0]}")
+                vec[d] = 1
+        return vectors

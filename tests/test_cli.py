@@ -511,12 +511,16 @@ class TestSnapshotCommands:
               "--snapshot-out", str(state)])
         lines = golden_path.read_text().splitlines(keepends=True)
         short, resaved = tmp_path / "short.jsonl", tmp_path / "resaved.json"
+        tail = tmp_path / "tail.jsonl"
         argv = ["snapshot-load", "--input", str(short), "--snapshot-in", str(state),
-                "--output", str(tmp_path / "tail.jsonl"), "--snapshot-out", str(resaved)]
+                "--output", str(tail), "--snapshot-out", str(resaved)]
         short.write_text("".join(lines[:4]))
+        tail.write_bytes(b"old\n")
         capsys.readouterr()
         assert main(argv) == EXIT_CONFIG
         assert not resaved.exists()
+        # the refusal comes before --output is opened
+        assert tail.read_bytes() == b"old\n"
         assert "holds 4 records, fewer than the 6" in capsys.readouterr().err
         # an input that ends at the offset resumes, with nothing left to score
         short.write_text("".join(lines[:6]))

@@ -143,7 +143,7 @@ class TestReseedAndMoves:
         space = make_space()
         seed_user(space, 0, [1, 2])
         space.add_dims(0, [5, 7, 5, 2])
-        assert space.index.postings[5] == {1: 1}
+        assert space.index.counts(5) == {1: 1}
         assert space.index.norm_sq[1] == 4
         assert space.user_dims[0] == (1, 2, 5, 7)
         space.check_integrity()
@@ -232,6 +232,14 @@ def dense_ids(ops):
     return [(ids.setdefault(uid, len(ids)), *rest) for uid, *rest in ops]
 
 
+def _stray_count(space: ClusterSpace, cid: int, d: int) -> None:
+    """Count cluster cid once more on dimension d, which none of its members
+    holds, and leave its squared norm as it was."""
+    nsq = space.index.norm_sq[cid]
+    space.index.add_member_vector(cid, [d])
+    space.index.norm_sq[cid] = nsq
+
+
 class TestInvariants:
     @settings(max_examples=60, deadline=None)
     @given(events)
@@ -254,19 +262,28 @@ class TestInvariants:
         assert seen == set(space.user_cluster)
         space.check_integrity()
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda s: s.index.postings.setdefault(99, {}).__setitem__(1, 1),
-        lambda s: setattr(s.clusters[1], "freq_sum", s.clusters[1].freq_sum - 1),
-        lambda s: s.user_cluster.__setitem__(7, 1),
-    ], ids=["stray-posting", "freq-sum-off-by-one", "clustered-non-member"])
-    def test_integrity_rejects_corruption(self, corrupt):
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda s: _stray_count(s, 1, 99), "cluster 1 count vector diverged"),
+        (lambda s: _stray_count(s, 2, 1), "cluster 2 count vector diverged"),
+        (lambda s: (s.index.register_cluster(99), s.index.add_member_vector(99, [77])),
+         "posting for dead cluster 99"),
+        (lambda s: (s.index.register_cluster(99), s.index.add_member_vector(99, [1])),
+         "posting for dead cluster 99"),
+        (lambda s: setattr(s.clusters[1], "freq_sum", s.clusters[1].freq_sum - 1),
+         "cluster 1 stats cache diverged"),
+        (lambda s: s.user_cluster.__setitem__(7, 1), "clustered users do not partition"),
+    ], ids=["stray-posting", "stray-count-in-shared-posting", "one-entry-posting-for-dead-cluster",
+            "shared-posting-for-dead-cluster", "freq-sum-off-by-one", "clustered-non-member"])
+    def test_integrity_rejects_corruption(self, corrupt, message):
+        # clusters 1 (users 0 and 1, dimension 1 counted twice) and 2 (user
+        # 2); dimensions 99 and 77 hold no posting before the corruption
         space = make_space()
         for uid, dims in ((0, {1, 2}), (1, {1, 2}), (2, {5})):
             seed_user(space, uid, dims)
             space.record_observation(uid, True)
         space.check_integrity()
         corrupt(space)
-        with pytest.raises(InternalStateError):
+        with pytest.raises(InternalStateError, match=message):
             space.check_integrity()
 
     @settings(max_examples=30, deadline=None)

@@ -32,16 +32,12 @@ class TestInterner:
 
 
 def _count(index: InvertedIndex, cid: int, d: int) -> int:
-    return index.postings.get(d, {}).get(cid, 0)
+    return index.counts(d).get(cid, 0)
 
 
 def _vectors(index: InvertedIndex) -> dict[int, dict[int, int]]:
-    """Each cluster's count vector, read back from the postings."""
-    out: dict[int, dict[int, int]] = {cid: {} for cid in index.norm_sq}
-    for d, p in index.postings.items():
-        for cid, cnt in p.items():
-            out[cid][d] = cnt
-    return out
+    """Each registered cluster's count vector, read back from the postings."""
+    return index.vectors(index.norm_sq)
 
 
 def _rebuild_norms(index: InvertedIndex) -> dict[int, int]:
@@ -97,17 +93,19 @@ class TestInvertedIndex:
             ix.register_cluster(cid)
             ix.add_member_vector(cid, dims)
         ix.add_member_vector(2, {4, 5})
-        query = {3, 4, 7}
-        naive: dict[int, int] = {}
-        for cid in vectors:
-            dot = sum(_count(ix, cid, d) for d in query)
-            if dot:
-                naive[cid] = dot
-        assert ix.score_candidates(query) == naive
+        # dimensions 1, 2, 5 and 9 hold one cluster once, 3 and 4 hold more; a
+        # query may start on either form
+        for query in ({3, 4, 7}, [1, 3, 5], [5, 4, 9, 1], [7, 2, 9], [4, 3]):
+            naive: dict[int, int] = {}
+            for cid in vectors:
+                dot = sum(_count(ix, cid, d) for d in query)
+                if dot:
+                    naive[cid] = dot
+            assert ix.score_candidates(query) == naive
         assert ix.score_candidates({99}) == {}
 
-    @given(st.lists(st.tuples(st.integers(1, 3), dims_sets), max_size=20))
-    def test_norms_track_random_adds(self, ops):
+    @given(st.lists(st.tuples(st.integers(1, 3), dims_sets), max_size=20), dims_sets)
+    def test_norms_track_random_adds(self, ops, query):
         ix = InvertedIndex()
         added: list[tuple[int, frozenset]] = []
         for cid in (1, 2, 3):
@@ -116,9 +114,80 @@ class TestInvertedIndex:
             ix.add_member_vector(cid, dims)
             added.append((cid, frozenset(dims)))
         assert ix.norm_sq == _rebuild_norms(ix)
+        naive = {cid: dot for cid, vec in _vectors(ix).items()
+                 if (dot := sum(vec.get(d, 0) for d in query))}
+        assert ix.score_candidates(query) == naive
         # removing everything in reverse restores a clean slate
         for cid, dims in reversed(added):
             ix.remove_member_vector(cid, dims)
         assert all(n == 0 for n in ix.norm_sq.values())
         assert all(not counts for counts in _vectors(ix).values())
+        assert not ix.postings
 
+
+class TestPostingForms:
+    """A dimension's posting is stored in one form while a single cluster
+    counts it once and in another after that; both read back the same."""
+
+    def test_counts_through_adds_and_removes(self):
+        ix = InvertedIndex()
+        ix.register_cluster(1)
+        ix.register_cluster(2)
+        steps = [
+            (ix.add_member_vector, 1, {1: 1}, {1: 1, 2: 0}),
+            (ix.add_member_vector, 1, {1: 2}, {1: 4, 2: 0}),
+            (ix.add_member_vector, 2, {1: 2, 2: 1}, {1: 4, 2: 1}),
+            (ix.remove_member_vector, 1, {1: 1, 2: 1}, {1: 1, 2: 1}),
+            (ix.remove_member_vector, 2, {1: 1}, {1: 1, 2: 0}),
+            (ix.remove_member_vector, 1, {}, {1: 0, 2: 0}),
+        ]
+        for update, cid, counts, norms in steps:
+            update(cid, [5])
+            assert ix.counts(5) == counts
+            # bench/tracing.py counts the clusters on a posting by its len
+            assert len(ix.postings.get(5, ())) == len(counts)
+            assert ix.norm_sq == norms
+            assert ix.score_candidates([5]) == counts
+            assert _vectors(ix) == {cid: {5: counts[cid]} if cid in counts else {}
+                                    for cid in (1, 2)}
+        assert 5 not in ix.postings
+
+    def test_a_second_cluster_joins_a_one_entry_posting(self):
+        ix = InvertedIndex()
+        for cid in (1, 2):
+            ix.register_cluster(cid)
+            ix.add_member_vector(cid, [5])
+        assert ix.counts(5) == {1: 1, 2: 1}
+        assert ix.norm_sq == {1: 1, 2: 1}
+        ix.remove_member_vector(1, [5])
+        assert ix.counts(5) == {2: 1}
+        ix.remove_member_vector(2, [5])
+        assert ix.counts(5) == {}
+        assert not ix.postings
+
+    def test_relabel_moves_a_one_entry_and_a_shared_posting(self):
+        ix = InvertedIndex()
+        for cid, dims in ((1, [5, 6]), (2, [6])):
+            ix.register_cluster(cid)
+            ix.add_member_vector(cid, dims)
+        ix.relabel_cluster(1, 9, [5, 6])
+        assert ix.counts(5) == {9: 1}
+        assert ix.counts(6) == {2: 1, 9: 1}
+        assert ix.norm_sq == {2: 1, 9: 2}
+        assert ix.score_candidates([5, 6]) == {9: 2, 2: 1}
+        ix.remove_member_vector(9, [5, 6])
+        assert ix.counts(5) == {}
+        assert ix.counts(6) == {2: 1}
+
+    @pytest.mark.parametrize("counted", [1, 2], ids=["one-entry", "dict"])
+    def test_removing_a_vector_never_added_raises(self, counted):
+        ix = InvertedIndex()
+        for cid in (1, 2):
+            ix.register_cluster(cid)
+        for _ in range(counted):
+            ix.add_member_vector(1, [5])
+        for cid, dims in ((2, [5]), (1, [6])):
+            with pytest.raises(InternalStateError, match=f"cluster {cid} has no count"):
+                ix.remove_member_vector(cid, dims)
+        assert ix.counts(5) == {1: counted}
+        assert ix.norm_sq == {1: counted * counted, 2: 0}
