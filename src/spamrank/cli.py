@@ -107,7 +107,9 @@ def _header(cfg: EngineConfig, seed: int) -> dict:
 
 
 def _print_summary(tally: Counter, stats: ParseStats, elapsed: float) -> None:
-    """One stderr line from a tally of (decision, aux label) pairs."""
+    """One stderr line from a tally of (decision, aux label) pairs. It ends
+    with the auxiliary labels the clusters overturned: spam decided legit,
+    then ham decided spam."""
     spam, legit, deferred = (tally[d, SPAM] + tally[d, HAM]
                              for d in (SPAM, LEGIT, DEFERRED))
     n = spam + legit + deferred
@@ -116,7 +118,8 @@ def _print_summary(tally: Counter, stats: ParseStats, elapsed: float) -> None:
     print(
         f"messages={n} spam={spam} legit={legit} deferred={deferred} "
         f"accordance={accordance_pct:.2f} classified={classified} "
-        f"skipped_lines={stats.skipped} throughput={throughput:.0f} msg/s",
+        f"skipped_lines={stats.skipped} throughput={throughput:.0f} msg/s "
+        f"overturned_spam={tally[LEGIT, SPAM]} overturned_ham={tally[SPAM, HAM]}",
         file=sys.stderr,
     )
 

@@ -75,44 +75,34 @@ class ClusterSpace:
 
     # -- user registry ----------------------------------------------------
 
-    def register_user(self, uid: int) -> None:
-        """Append the next uid; a known uid passes, a gap raises UnknownUserError."""
-        n = len(self.user_dims)
-        if uid == n:
-            self.user_dims.append(())
-            self.spam.append(0)
-            self.total.append(0)
-        elif not 0 <= uid < n:
-            raise UnknownUserError(f"user {uid} is not the next id {n} on side {self.side!r}")
-
     def add_dims(self, uid: int, new_dims) -> None:
         """Grow a user's vector by the ids it does not hold yet, each once,
-        in first-seen order; the current cluster sum tracks it."""
-        # the range test costs nothing until it fails (the engine only
-        # passes registered ids); a negative index would reach a user
-        # counted from the end
-        try:
-            if uid < 0:
-                raise IndexError(uid)
-            dims = self.user_dims[uid]
-        except IndexError:
-            raise UnknownUserError(f"user {uid} has no vector on side {self.side!r}") from None
+        in first-seen order; the current cluster sum tracks it. The next
+        uid is registered here, with these ids as its vector (a one-id
+        tuple is kept, not copied); a negative uid or a gap raises
+        UnknownUserError before anything changes."""
+        user_dims = self.user_dims
+        n = len(user_dims)
+        if uid == n:
+            user_dims.append(new_dims if type(new_dims) is tuple and len(new_dims) == 1
+                             else tuple(dict.fromkeys(new_dims)))
+            self.spam.append(0)
+            self.total.append(0)
+            return
+        # a negative index would reach a user counted from the end
+        if not 0 <= uid < n:
+            raise UnknownUserError(f"user {uid} is not the next id {n} on side {self.side!r}")
+        dims = user_dims[uid]
         fresh = []
         for d in new_dims:
             if d not in dims and d not in fresh:
                 fresh.append(d)
         if not fresh:
             return
-        self.user_dims[uid] = dims + tuple(fresh)
+        user_dims[uid] = dims + tuple(fresh)
         cid = self.user_cluster.get(uid)
         if cid is not None:
             self.index.add_member_vector(cid, fresh)
-
-    def cluster_of(self, uid: int) -> Cluster:
-        try:
-            return self.clusters[self.user_cluster[uid]]
-        except KeyError:
-            raise UnknownUserError(f"user {uid} has no cluster on side {self.side!r}") from None
 
     def restore_user(self, dims: tuple[int, ...], spam: int, total: int, cid: int) -> None:
         """Re-add a saved user as the next uid through assign_user's attach
@@ -223,9 +213,12 @@ class ClusterSpace:
 
     # -- scoring hooks -----------------------------------------------------
 
-    def record_observation(self, uid: int, is_spam: bool) -> None:
-        """Bump a user's counters and keep its cluster's cache in step."""
-        try:  # as in add_dims
+    def record_observation(self, uid: int, is_spam: bool) -> Cluster | None:
+        """Bump a user's counters and keep its cluster's cache in step;
+        returns that cluster, or None for a user not yet assigned."""
+        # the range test costs nothing until it fails; a negative index
+        # would reach a user counted from the end
+        try:
             if uid < 0:
                 raise IndexError(uid)
             spam = self.spam[uid]
@@ -239,13 +232,15 @@ class ClusterSpace:
         total = self.total[uid] = old_total + 1
         new_freq = (spam << FREQ_BITS) // total
         cid = self.user_cluster.get(uid)
-        if cid is not None:
-            cluster = self.clusters[cid]
-            if old_total:
-                cluster.freq_sum += new_freq - old_freq
-            else:
-                cluster.freq_sum += new_freq
-                cluster.scored_members += 1
+        if cid is None:
+            return None
+        cluster = self.clusters[cid]
+        if old_total:
+            cluster.freq_sum += new_freq - old_freq
+        else:
+            cluster.freq_sum += new_freq
+            cluster.scored_members += 1
+        return cluster
 
     # -- reporting and verification -----------------------------------------
 
@@ -261,6 +256,8 @@ class ClusterSpace:
         index = self.index
         # each cluster's count vector as the postings hold it
         vectors = index.vectors(self.clusters)
+        if len(index.norm_sq) != len(self.clusters):
+            raise InternalStateError("index norms out of step with the clusters")
         n_members = 0
         for cid, cluster in self.clusters.items():
             if cluster.cid != cid:
@@ -282,7 +279,7 @@ class ClusterSpace:
             if vectors[cid] != expect:
                 raise InternalStateError(f"cluster {cid} count vector diverged")
             counts = expect.values()
-            if index.norm_sq[cid] != sum(map(mul, counts, counts)):
+            if index.norm_sq.get(cid) != sum(map(mul, counts, counts)):
                 raise InternalStateError(f"cluster {cid} norm diverged")
             if scored != cluster.scored_members or freq_sum != cluster.freq_sum:
                 raise InternalStateError(f"cluster {cid} stats cache diverged")

@@ -118,27 +118,24 @@ class SpamRankEngine:
         r_space = self.recipient_side
         sid = self.senders.intern(record.sender)
         rids = [self.recipients.intern(r) for r in recipients]
-        s_space.register_user(sid)
-        for rid in rids:
-            r_space.register_user(rid)
 
         # structural phase: sender sees the recipients, recipients see the
-        # sender, then everyone touched is re-assigned (sender first)
+        # sender (one shared one-id tuple; a first sighting registers the
+        # user), then everyone touched is re-assigned (sender first)
         s_space.add_dims(sid, rids)
+        sid_dims = (sid,)
         for rid in rids:
-            r_space.add_dims(rid, (sid,))
+            r_space.add_dims(rid, sid_dims)
         s_space.assign_user(sid)
         for rid in rids:
             r_space.assign_user(rid)
 
         # scoring phase: counters first, then the probabilities they feed
         is_spam = record.aux_label == SPAM
-        s_space.record_observation(sid, is_spam)
-        p_s = cluster_spam_probability(s_space.cluster_of(sid))
+        p_s = cluster_spam_probability(s_space.record_observation(sid, is_spam))
         acc = 0.0
         for rid in rids:
-            r_space.record_observation(rid, is_spam)
-            acc += cluster_spam_probability(r_space.cluster_of(rid))
+            acc += cluster_spam_probability(r_space.record_observation(rid, is_spam))
         p_r = acc / len(rids)
 
         sr = spam_rank(p_s, p_r)

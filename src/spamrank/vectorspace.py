@@ -74,10 +74,11 @@ class InvertedIndex:
         """Add a binary member vector into cluster cid's sum."""
         postings = self.postings
         nsq = self.norm_sq[cid]
+        one = (cid,)  # every posting this call opens shares it
         for d in dims:
             p = postings.get(d)
             if p is None:
-                postings[d] = (cid,)
+                postings[d] = one
                 nsq += 1
             elif type(p) is dict:
                 c = p.get(cid, 0)
@@ -124,12 +125,13 @@ class InvertedIndex:
     def relabel_cluster(self, old: int, new: int, dims: Iterable[int]) -> None:
         """Move a sole-member cluster's postings to a fresh id."""
         postings = self.postings
+        one = (new,)
         for d in dims:
             p = postings[d]
             if type(p) is dict:
                 p[new] = p.pop(old)
             else:
-                postings[d] = (new,)
+                postings[d] = one
         self.norm_sq[new] = self.norm_sq.pop(old)
 
     def score_candidates(self, dims: Iterable[int]) -> dict[int, int]:

@@ -47,12 +47,8 @@ class NaiveClusterer:
         self.clusters: dict[int, set[int]] = {}
         self.next_cid = 1
 
-    def register_user(self, uid: int) -> None:
-        if uid not in self.user_dims:
-            self.user_dims[uid] = set()
-
     def add_dims(self, uid: int, new_dims) -> None:
-        self.user_dims[uid].update(new_dims)
+        self.user_dims.setdefault(uid, set()).update(new_dims)
 
     def _cluster_sum(self, cid: int, skip: int | None) -> dict[int, int]:
         total: dict[int, int] = {}

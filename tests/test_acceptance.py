@@ -112,9 +112,6 @@ def test_criterion_03_clustering_matches_the_naive_oracle():
             # mirror the engine's structural phase on the oracle
             sid = s_ids.setdefault(record.sender, len(s_ids))
             rids = [r_ids.setdefault(r, len(r_ids)) for r in record.recipients]
-            naive_s.register_user(sid)
-            for rid in rids:
-                naive_r.register_user(rid)
             naive_s.add_dims(sid, rids)
             for rid in rids:
                 naive_r.add_dims(rid, (sid,))

@@ -124,6 +124,19 @@ class TestRunCommand:
             assert (f" accordance={row.accordance_pct:.2f} "
                     f"classified={row.classified_count} ") in summary
 
+    def test_summary_ends_with_the_overturn_counts(self, tmp_path, noisy_records, capsys):
+        # aux spam decided legit, then aux ham decided spam, counted from the
+        # verdict file; the label-noisy corpus that CI pins has both
+        corpus, out = tmp_path / "noisy.jsonl", tmp_path / "v.jsonl"
+        write_jsonl(str(corpus), noisy_records)
+        assert main(["run", "--input", str(corpus), "--output", str(out)]) == EXIT_OK
+        verdicts = [json.loads(l) for l in out.read_text().splitlines()[1:]]
+        pairs = [(v["decision"], v["aux"]) for v in verdicts]
+        overturned = pairs.count(("legit", "spam")), pairs.count(("spam", "ham"))
+        assert overturned == (87, 131)
+        summary = capsys.readouterr().err
+        assert summary.endswith(" msg/s overturned_spam=87 overturned_ham=131\n")
+
     def test_skip_and_limit_window_the_stream(
             self, tmp_path, golden_path, corpus_200, default_records):
         out = tmp_path / "v.jsonl"
@@ -684,6 +697,93 @@ class TestSnapshotCommands:
         assert main(["snapshot-load", "--input", str(golden_path), "--tau", "1",
                      "--snapshot-in", str(state), "--output", str(tail)]) == EXIT_OK
         assert tail.read_text().splitlines()[1:] == straight.read_text().splitlines()[5:]
+
+
+def _refusal_files(root: Path, golden_path: Path) -> None:
+    """The inputs every refusal row reads, and an --output and a
+    --snapshot-out target that already hold bytes."""
+    lines = golden_path.read_text().splitlines(keepends=True)
+    (root / "corpus.jsonl").write_text("".join(lines))
+    (root / "short.jsonl").write_text("".join(lines[:4]))
+    (root / "junk.jsonl").write_text("".join(lines[:3]) + "{not json\n" * 4)
+    assert main(["snapshot-save", "--input", str(root / "corpus.jsonl"), "--limit", "6",
+                 "--snapshot-out", str(root / "state.json")]) == EXIT_OK
+    doc = json.loads((root / "state.json").read_text())
+    doc["senders"]["users"][0][4] = None
+    (root / "null-cid.json").write_text(json.dumps(doc))
+    (root / "broken.json").write_bytes(b"{broken")
+    (root / "format-2.json").write_text('{"version": 2}')
+    (root / "out.jsonl").write_bytes(b"old verdicts\n")
+    (root / "snap.json").write_bytes(b"old state\n")
+
+
+# Each documented exit-2 or exit-4 refusal of run, snapshot-save and
+# snapshot-load. {name} is a file of _refusal_files; {new} names no file.
+_RESUME = "snapshot-load --input {corpus.jsonl} --snapshot-in {state.json} --output {out.jsonl} "
+_REFUSALS = [
+    ("run-negative-skip", "run --input {corpus.jsonl} --output {new} --skip -1", EXIT_CONFIG),
+    ("run-negative-limit",
+     "run --input {corpus.jsonl} --output {out.jsonl} --snapshot-out {snap.json} --limit -1",
+     EXIT_CONFIG),
+    ("load-negative-limit", _RESUME + "--snapshot-out {snap.json} --limit -1", EXIT_CONFIG),
+    ("run-tau-out-of-range", "run --input {corpus.jsonl} --output {out.jsonl} --tau 1.5",
+     EXIT_CONFIG),
+    ("output-is-input", "run --input {corpus.jsonl} --output {corpus.jsonl}", EXIT_CONFIG),
+    ("snapshot-out-is-input", "snapshot-save --input {corpus.jsonl} --snapshot-out {corpus.jsonl}",
+     EXIT_CONFIG),
+    ("snapshot-out-is-output",
+     "run --input {corpus.jsonl} --output {out.jsonl} --snapshot-out {out.jsonl}", EXIT_CONFIG),
+    ("output-is-snapshot-in",
+     "snapshot-load --input {corpus.jsonl} --snapshot-in {state.json} --output {state.json}",
+     EXIT_CONFIG),
+    ("save-without-snapshot-out", "snapshot-save --input {corpus.jsonl} --output {out.jsonl}",
+     EXIT_CONFIG),
+    ("load-without-snapshot-in",
+     "snapshot-load --input {corpus.jsonl} --output {out.jsonl} --snapshot-out {snap.json}",
+     EXIT_CONFIG),
+    ("load-conflicting-skip", _RESUME + "--snapshot-out {snap.json} --skip 3", EXIT_CONFIG),
+    ("load-conflicting-tau", _RESUME + "--snapshot-out {snap.json} --tau 0.9", EXIT_CONFIG),
+    ("load-short-input",
+     "snapshot-load --input {short.jsonl} --snapshot-in {state.json} --output {out.jsonl} "
+     "--snapshot-out {snap.json}", EXIT_CONFIG),
+    ("load-unparsable-snapshot",
+     "snapshot-load --input {corpus.jsonl} --snapshot-in {broken.json} --output {out.jsonl}",
+     EXIT_FORMAT),
+    ("load-old-format",
+     "snapshot-load --input {corpus.jsonl} --snapshot-in {format-2.json} --output {out.jsonl} "
+     "--snapshot-out {snap.json}", EXIT_FORMAT),
+    ("load-ill-typed-snapshot",
+     "snapshot-load --input {corpus.jsonl} --snapshot-in {null-cid.json} --output {out.jsonl} "
+     "--snapshot-out {snap.json}", EXIT_FORMAT),
+    ("save-mostly-malformed", "snapshot-save --input {junk.jsonl} --snapshot-out {snap.json}",
+     EXIT_FORMAT),
+]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv, code", [row[1:] for row in _REFUSALS],
+                             ids=[row[0] for row in _REFUSALS])
+    def test_a_refusal_leaves_every_file_as_it_was(self, tmp_path, golden_path, argv, code):
+        _refusal_files(tmp_path, golden_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        args = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv.split()]
+        assert main(args) == code
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_a_part_way_failure_keeps_the_verdicts_it_wrote(self, tmp_path, golden_path):
+        # the one documented exception: --output holds the verdicts written
+        # before the parse error, and --snapshot-out is untouched
+        _refusal_files(tmp_path, golden_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(["run", "--input", str(tmp_path / "junk.jsonl"),
+                     "--output", str(tmp_path / "out.jsonl"),
+                     "--snapshot-out", str(tmp_path / "snap.json")]) == EXIT_FORMAT
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        written = after.pop("out.jsonl").splitlines()
+        assert "header" in json.loads(written[0])
+        assert [json.loads(l)["id"] for l in written[1:]] == ["m01", "m02", "m03"]
+        del before["out.jsonl"]
+        assert after == before
 
 
 class TestReportCommands:

@@ -18,22 +18,25 @@ def make_space(tau: float = 0.5) -> ClusterSpace:
 
 
 def seed_user(space: ClusterSpace, uid: int, dims) -> int:
-    space.register_user(uid)
     space.add_dims(uid, dims)
     return space.assign_user(uid)
+
+
+def cluster_of(space: ClusterSpace, uid: int):
+    return space.clusters[space.user_cluster[uid]]
 
 
 class TestAssignment:
     def test_first_user_seeds_cluster_one(self):
         space = make_space()
         assert seed_user(space, 0, {1, 2}) == 1
-        assert sorted(space.cluster_of(0).members) == [0]
+        assert sorted(cluster_of(space, 0).members) == [0]
 
     def test_identical_vector_joins(self):
         space = make_space()
         seed_user(space, 0, {1, 2})
         assert seed_user(space, 1, {1, 2}) == 1
-        assert sorted(space.cluster_of(1).members) == [0, 1]
+        assert sorted(cluster_of(space, 1).members) == [0, 1]
 
     def test_disjoint_vector_stays_apart(self):
         space = make_space()
@@ -65,39 +68,52 @@ class TestAssignment:
             space.assign_user(7)
 
     def test_register_user_takes_only_the_next_id(self):
+        # add_dims registers the next id; a gap or a negative id is refused
         space = make_space()
-        space.register_user(0)
-        space.register_user(0)  # already registered: nothing to do
+        space.add_dims(0, ())
+        space.add_dims(0, ())  # already registered: nothing to do
         for gap in (2, -1):
             with pytest.raises(UnknownUserError):
-                space.register_user(gap)
-        space.register_user(1)
-        assert space.user_dims == [(), ()]
+                space.add_dims(gap, [5])
+        assert space.user_dims == [()]
+        space.add_dims(1, [4, 3, 4])
+        assert space.user_dims == [(), (4, 3)]
         assert space.spam == space.total == [0, 0]
         with pytest.raises(UnknownUserError):
             space.assign_user(-1)
 
+    def test_a_first_one_id_tuple_is_shared(self):
+        space = make_space()
+        one = (7,)
+        space.add_dims(0, one)
+        space.add_dims(1, one)
+        assert space.user_dims[0] is one and space.user_dims[1] is one
+        seed_user(space, 2, [8, 9])
+        space.add_dims(0, [8])  # growth builds a new vector; the shared one stays
+        assert space.user_dims[0] == (7, 8)
+        assert space.user_dims[1] is one and one == (7,)
+
     def test_negative_uid_is_refused_before_any_change(self):
         # a negative list index would reach the last user and corrupt it;
-        # an id past the last user, or one registered but not yet assigned,
-        # has no vector, counters or cluster to reach
+        # an id past the next one has no vector to grow, and one past the
+        # last user no counters; add_dims registers the next id, which has
+        # no cluster until it is assigned
         space = make_space()
         seed_user(space, 0, [1])
-        for uid in (-1, 1):
+        for uid in (-1, 2):
             with pytest.raises(UnknownUserError):
                 space.add_dims(uid, [5])
+        for uid in (-1, 1):
             with pytest.raises(UnknownUserError):
                 space.record_observation(uid, True)
-            with pytest.raises(UnknownUserError):
-                space.cluster_of(uid)
         assert space.user_dims == [(1,)]
         assert space.spam == space.total == [0]
         assert space.index.norm_sq == {1: 1}
         space.check_integrity()
-        space.register_user(1)
-        with pytest.raises(UnknownUserError):
-            space.cluster_of(1)
+        space.add_dims(1, [5])
+        assert space.record_observation(1, True) is None
         assert space.user_cluster == {0: 1}
+        assert space.index.norm_sq == {1: 1}
         space.check_integrity()
 
     def test_assign_is_idempotent_when_nothing_changed(self):
@@ -116,7 +132,7 @@ class TestReseedAndMoves:
         assert space.assign_user(0) == 2
         assert space.assign_user(0) == 3
         assert set(space.clusters) == {3}
-        assert space.cluster_of(0).cid == 3
+        assert cluster_of(space, 0).cid == 3
 
     def test_ids_never_reused_after_moves(self):
         space = make_space()
@@ -128,7 +144,7 @@ class TestReseedAndMoves:
         cid = space.assign_user(1)
         assert cid == 3
         seed_user(space, 3, {20})
-        assert space.cluster_of(3).cid == 4
+        assert cluster_of(space, 3).cid == 4
 
     def test_move_empties_and_destroys_old_cluster(self):
         space = make_space(tau=0.3)
@@ -137,7 +153,7 @@ class TestReseedAndMoves:
         space.add_dims(1, {1, 2})
         assert space.assign_user(1) == 1
         assert 2 not in space.clusters
-        assert sorted(space.cluster_of(1).members) == [0, 1]
+        assert sorted(cluster_of(space, 1).members) == [0, 1]
 
     def test_an_id_repeated_in_one_call_is_added_once(self):
         space = make_space()
@@ -162,18 +178,17 @@ class TestScoringHooks:
         seed_user(space, 0, {1, 2})
         space.record_observation(0, True)
         space.record_observation(0, False)
-        cluster = space.cluster_of(0)
+        cluster = cluster_of(space, 0)
         assert cluster.freq_sum == 1 << (FREQ_BITS - 1)  # 1/2 in fixed point
         assert cluster.scored_members == 1
         # a second user carries its history into the cluster on join
-        space.register_user(1)
         space.add_dims(1, {1, 2})
         space.record_observation(1, True)
         space.assign_user(1)
         assert cluster.scored_members == 2
         assert cluster.freq_sum == (1 << FREQ_BITS) + (1 << (FREQ_BITS - 1))
         assert (space.spam, space.total) == ([1, 1], [2, 1])
-        assert space.record_observation(1, False) is None
+        assert space.record_observation(1, False) is cluster
         space.check_integrity()
 
     def test_update_order_does_not_change_the_sum(self):
@@ -194,12 +209,11 @@ class TestScoringHooks:
         # observed first, so each frequency arrives whole on attach
         joining = make_space()
         for uid, labels in history.items():
-            joining.register_user(uid)
+            joining.add_dims(uid, {1, 2})
             for is_spam in labels:
                 joining.record_observation(uid, is_spam)
-            joining.add_dims(uid, {1, 2})
             joining.assign_user(uid)
-        a, b = inside.cluster_of(0), joining.cluster_of(0)
+        a, b = cluster_of(inside, 0), cluster_of(joining, 0)
         assert sorted(a.members) == sorted(b.members) == [0, 1, 2]
         assert type(a.freq_sum) is int and a.freq_sum == b.freq_sum
         assert cluster_spam_probability(a) == cluster_spam_probability(b)
@@ -246,7 +260,6 @@ class TestInvariants:
     def test_partition_and_integrity_under_random_streams(self, ops):
         space = make_space()
         for uid, dims, is_spam in dense_ids(ops):
-            space.register_user(uid)
             space.add_dims(uid, dims)
             space.assign_user(uid)
             space.record_observation(uid, is_spam)
@@ -272,8 +285,12 @@ class TestInvariants:
         (lambda s: setattr(s.clusters[1], "freq_sum", s.clusters[1].freq_sum - 1),
          "cluster 1 stats cache diverged"),
         (lambda s: s.user_cluster.__setitem__(7, 1), "clustered users do not partition"),
+        (lambda s: s.index.register_cluster(99), "index norms out of step with the clusters"),
+        (lambda s: s.index.norm_sq.__setitem__(99, s.index.norm_sq.pop(2)),
+         "cluster 2 norm diverged"),
     ], ids=["stray-posting", "stray-count-in-shared-posting", "one-entry-posting-for-dead-cluster",
-            "shared-posting-for-dead-cluster", "freq-sum-off-by-one", "clustered-non-member"])
+            "shared-posting-for-dead-cluster", "freq-sum-off-by-one", "clustered-non-member",
+            "stray-norm", "norm-under-a-dead-cluster-id"])
     def test_integrity_rejects_corruption(self, corrupt, message):
         # clusters 1 (users 0 and 1, dimension 1 counted twice) and 2 (user
         # 2); dimensions 99 and 77 hold no posting before the corruption
@@ -291,7 +308,6 @@ class TestInvariants:
     def test_integrity_across_tau_extremes(self, ops, tau):
         space = make_space(tau)
         for uid, dims, _ in dense_ids(ops):
-            space.register_user(uid)
             space.add_dims(uid, dims)
             space.assign_user(uid)
         if tau == 1.0:

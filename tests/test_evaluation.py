@@ -38,7 +38,7 @@ def build_space(tau: float, layout: dict[int, dict[int, set]]) -> ClusterSpace:
     space = ClusterSpace("test", tau)
     # a layout numbers its users 0..n-1, as the engine's Interner does
     for uid in sorted(uid for members in layout.values() for uid in members):
-        space.register_user(uid)
+        space.add_dims(uid, ())
     next_cid = 1
     for cid, members in layout.items():
         space.index.register_cluster(cid)

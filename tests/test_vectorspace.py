@@ -179,6 +179,19 @@ class TestPostingForms:
         assert ix.counts(5) == {}
         assert ix.counts(6) == {2: 1}
 
+    def test_one_call_shares_one_tuple_across_the_postings_it_opens(self):
+        ix = InvertedIndex()
+        ix.register_cluster(1)
+        ix.add_member_vector(1, [5, 6, 7])
+        assert ix.postings[5] is ix.postings[6] is ix.postings[7] == (1,)
+        ix.relabel_cluster(1, 9, [5, 6, 7])
+        assert ix.postings[5] is ix.postings[6] is ix.postings[7] == (9,)
+        # each posting changes alone: the shared tuple is replaced, never edited
+        ix.add_member_vector(9, [6])
+        ix.remove_member_vector(9, [5])
+        assert (ix.counts(5), ix.counts(6), ix.counts(7)) == ({}, {9: 2}, {9: 1})
+        assert ix.norm_sq == {9: 5}
+
     @pytest.mark.parametrize("counted", [1, 2], ids=["one-entry", "dict"])
     def test_removing_a_vector_never_added_raises(self, counted):
         ix = InvertedIndex()
