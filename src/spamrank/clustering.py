@@ -104,19 +104,21 @@ class ClusterSpace:
         if cid is not None:
             self.index.add_member_vector(cid, fresh)
 
-    def restore_user(self, dims: tuple[int, ...], spam: int, total: int, cid: int) -> None:
-        """Re-add a saved user as the next uid through assign_user's attach
-        step, registering cluster cid the first time it appears. dims, a
-        tuple of distinct ids, becomes the user's vector as it is."""
-        uid = len(self.user_dims)
-        self.user_dims.append(dims)
-        self.spam.append(spam)
-        self.total.append(total)
-        cluster = self.clusters.get(cid)
-        if cluster is None:
-            cluster = self.clusters[cid] = Cluster(cid)
-            self.index.register_cluster(cid)
-        self._attach_into(uid, cluster)
+    def restore(self, dims: list, spam: list[int], total: list[int], cids: list[int]) -> None:
+        """Re-add saved users as the next uids through assign_user's attach
+        step, each into its cluster in cids, registering a cluster the first
+        time; each dims entry, a tuple of distinct ids, is kept as it is."""
+        first = len(self.user_dims)
+        self.user_dims += dims
+        self.spam += spam
+        self.total += total
+        clusters = self.clusters
+        for uid, cid in enumerate(cids, first):
+            cluster = clusters.get(cid)
+            if cluster is None:
+                cluster = clusters[cid] = Cluster(cid)
+                self.index.register_cluster(cid)
+            self._attach_into(uid, cluster)
 
     # -- assignment --------------------------------------------------------
 

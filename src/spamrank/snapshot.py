@@ -2,14 +2,14 @@
 
 A snapshot is one versioned JSON document holding only what cannot be
 rebuilt (README lists its fields): per side, the next cluster id and one
-row per user. Senders and recipients are the two readings of one contact
-relation, so only the sender rows store their vectors: a recipient's
-vector is the set of senders whose vectors name it, and loading rebuilds
-it by transposition. Loading then re-adds every user through the attach
-step the engine runs, which recomputes every cluster value: count vectors,
-norms and the fixed-point spam-frequency sums, exact integers whatever the
-update order. So a loaded engine continues exactly like an uninterrupted
-run.
+column per user field, user i at index i. Senders and recipients are the
+two readings of one contact relation, so only the senders store vectors:
+a recipient's vector is the set of senders whose vectors name it, and
+loading rebuilds it by transposition. Loading checks every column whole,
+then re-adds every user through the attach step the engine runs, which
+recomputes every cluster value: count vectors, norms and the fixed-point
+spam-frequency sums, exact integers whatever the update order. So a
+loaded engine continues exactly like an uninterrupted run.
 
 Save and load run with the cyclic garbage collector paused: they create
 and drop tens of thousands of containers but no reference cycles, so every
@@ -22,14 +22,14 @@ import gc
 import json
 import os
 from itertools import chain
-from operator import itemgetter, lt
+from operator import gt, lt
 
 from .clustering import ClusterSpace
 from .engine import EngineConfig, SpamRankEngine
 from .errors import ConfigError, FormatError
 from .vectorspace import Interner
 
-STATE_VERSION = 6
+STATE_VERSION = 7
 
 
 class _GcPaused:
@@ -54,11 +54,11 @@ def _count(value: object) -> int:
     return value
 
 
-def _side_state(space: ClusterSpace, interner: Interner, *columns) -> dict:
-    # row i is user i, and every user the engine has seen is clustered
+def _side_state(space: ClusterSpace, interner: Interner, **columns: list) -> dict:
+    # copies of the engine's columns, user i at index i; every user is clustered
     cids = map(space.user_cluster.__getitem__, range(len(space.user_dims)))
-    return {"next_cid": space._next_cid, "users": list(map(list, zip(
-        interner.names(), *columns, space.spam, space.total, cids, strict=True)))}
+    return {"next_cid": space._next_cid, "names": interner.names(), **columns,
+            "spam": space.spam.copy(), "total": space.total.copy(), "cid": list(cids)}
 
 
 def engine_state(engine: SpamRankEngine) -> dict:
@@ -74,39 +74,38 @@ def engine_state(engine: SpamRankEngine) -> dict:
         "fingerprint": cfg.fingerprint(),
         "messages_processed": engine.messages_processed,
         "input_offset": engine.input_offset,
-        "senders": _side_state(senders, engine.senders, map(sorted, senders.user_dims)),
+        "senders": _side_state(senders, engine.senders,
+                               dims=list(map(sorted, senders.user_dims))),
         "recipients": _side_state(engine.recipient_side, engine.recipients),
     }
 
 
-def _ids_within(ids, lo: int, hi: int) -> bool:
-    # ids are typed int by now; the range is checked once per distinct id
-    return not ids or (lo <= min(ids) and max(ids) < hi)
-
-
-def _restore_side(space: ClusterSpace, state: dict, fields, vectors) -> Interner:
-    """Re-add users 0, 1, ...: (name, spam, total, cid) from fields, and
-    the vectors, which the caller has checked, as their dims."""
+def _checked_side(state: dict, side: str, *keys: str) -> tuple[int, Interner, list[list]]:
+    """A saved side's next_cid, names Interner and columns keys + (spam,
+    total, cid), each column checked whole in C-level passes."""
+    names = state["names"]
+    columns = [state[key] for key in (*keys, "spam", "total", "cid")]
+    if not set(map(type, [names, *columns])) <= {list}:
+        raise ValueError(f"a {side} column is not a list")
+    if not set(map(len, columns)) <= {len(names)}:
+        raise ValueError(f"a {side} column is not as long as its names")
     next_cid = _count(state["next_cid"])
-    names = []
-    for uid, ((name, spam, total, cid), dims) in enumerate(zip(fields, vectors)):
-        if type(name) is not str:
-            raise ValueError(f"{space.side} {uid} has name {name!r}")
-        if type(spam) is not int or type(total) is not int or not 0 <= spam <= total:
-            raise ValueError(f"{space.side} {uid} has counts spam={spam!r} total={total!r}")
-        if type(cid) is not int:  # restore_user would find cluster 1 by 1.0 or True
-            raise ValueError(f"{space.side} {uid} has cluster {cid!r}")
-        names.append(name)
-        space.restore_user(dims, spam, total, cid)
-    if not _ids_within(space.clusters, 1, next_cid):
-        raise ValueError(f"a cluster id is not a positive int below next_cid {next_cid}")
-    space._next_cid = next_cid
-    return Interner(names)  # refuses a repeated name
+    spam, total, cids = columns[-3:]
+    if not set(map(type, names)) <= {str}:
+        raise ValueError(f"a {side} name is not a str")
+    # a cid 1.0 or true would find cluster 1
+    if not set(map(type, chain(spam, total, cids))) <= {int}:
+        raise ValueError(f"a {side} count or cluster id is not an int")
+    if min(spam, default=0) < 0 or any(map(gt, spam, total)):
+        raise ValueError(f"a {side} spam count is negative or above its total")
+    if min(cids, default=1) < 1 or max(cids, default=0) >= next_cid:
+        raise ValueError(f"a {side} cluster id is not a positive int below next_cid {next_cid}")
+    return next_cid, Interner(names), columns  # Interner refuses a repeated name
 
 
 def _transpose(vectors: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     # ids in [0, n) by now; row j lists the i whose vector holds j, in
-    # ascending order, as the sender rows store their dims
+    # ascending order, as the sender column stores its dims
     rows: list[list[int]] = [[] for _ in range(n)]
     for i, dims in enumerate(vectors):
         for j in dims:
@@ -118,27 +117,23 @@ def engine_from_state(state: dict) -> SpamRankEngine:
     """Rebuild an engine from engine_state() output.
 
     A wrong version, a fingerprint that does not match the config, a
-    missing, ill-typed or out-of-range field, or counts that no run of
-    process() reaches raise FormatError; state that parses but is
-    inconsistent fails check_integrity, which always runs, with
-    InternalStateError.
+    missing, ill-typed or out-of-range field, a column that is not a list
+    as long as its side's names, or counts that no run of process()
+    reaches raise FormatError before any user is restored; state that
+    parses but is inconsistent fails check_integrity with InternalStateError.
     """
     version = state.get("version")
-    if type(version) is not int or version != STATE_VERSION:  # 6.0 == 6 as well
+    if type(version) is not int or version != STATE_VERSION:  # 7.0 == 7 as well
         raise FormatError(f"unsupported snapshot version {version!r}")
     try:
         cfg = EngineConfig(**state["config"])
         if state.get("fingerprint") != cfg.fingerprint():
             raise FormatError("snapshot fingerprint does not match its own config")
         engine = SpamRankEngine(cfg)
-        s_space, r_space = engine.sender_side, engine.recipient_side
-        senders, recipients = state["senders"], state["recipients"]
-        s_rows, r_rows = senders["users"], recipients["users"]
-        n_recipients = len(r_rows)
-        # whole-column passes in C, before any user is restored
-        if not set(map(len, s_rows)) <= {5}:
-            raise ValueError("a sender row does not have five fields")
-        s_dims = list(map(itemgetter(1), s_rows))
+        s_next, senders, (s_dims, s_spam, s_total, s_cids) = _checked_side(
+            state["senders"], "sender", "dims")
+        r_next, recipients, (r_spam, r_total, r_cids) = _checked_side(
+            state["recipients"], "recipient")
         # every user a message has named has a contact
         if not set(map(type, s_dims)) <= {list} or not all(s_dims):
             raise ValueError("a sender's dims are not a non-empty list")
@@ -150,26 +145,28 @@ def engine_from_state(state: dict) -> SpamRankEngine:
         # integrity recount alike, so only this check can catch it
         if sum(map(len, map(set, s_dims))) != sum(map(len, s_dims)):
             raise ValueError("a sender's dims repeat an id")
-        if not (0 <= min(chain.from_iterable(s_dims), default=0)
-                and max(chain.from_iterable(s_dims), default=0) < n_recipients):
-            raise ValueError("a sender dim names no recipient row")
-        vectors = _transpose(s_dims, n_recipients)
+        if (min(chain.from_iterable(s_dims), default=0) < 0
+                or max(chain.from_iterable(s_dims), default=0) >= len(recipients)):
+            raise ValueError("a sender dim names no recipient")
+        vectors = _transpose(s_dims, len(recipients))
         if not all(vectors):
             raise ValueError("a recipient is named by no sender")
-        engine.senders = _restore_side(
-            s_space, senders, map(itemgetter(0, 2, 3, 4), s_rows), s_dims)
-        engine.recipients = _restore_side(r_space, recipients, r_rows, vectors)
-        engine.messages_processed = _count(state["messages_processed"])
+        messages = _count(state["messages_processed"])
         # each message counts once for its sender, and once for each of its
         # recipients, which it names once each
-        if sum(s_space.total) != engine.messages_processed:
+        if sum(s_total) != messages:
             raise ValueError("sender totals do not sum to the message count")
-        if any(map(lt, r_space.total, map(len, vectors))):
+        if any(map(lt, r_total, map(len, vectors))):
             raise ValueError("a recipient's total is below the senders that name it")
         offset = _count(state["input_offset"])
-        if offset < engine.messages_processed:
+        if offset < messages:
             raise ValueError(f"input offset {offset} is below the message count")
-        engine.records_skipped = offset - engine.messages_processed
+        engine.sender_side.restore(s_dims, s_spam, s_total, s_cids)
+        engine.recipient_side.restore(vectors, r_spam, r_total, r_cids)
+        engine.sender_side._next_cid, engine.recipient_side._next_cid = s_next, r_next
+        engine.senders, engine.recipients = senders, recipients
+        engine.messages_processed = messages
+        engine.records_skipped = offset - messages
         engine.check_integrity()
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         # ConfigError: the stored config is out of range or ill-typed
@@ -185,8 +182,9 @@ def save_snapshot(engine: SpamRankEngine, path: str) -> None:
     leaves the previous snapshot intact. There is no fsync: this survives a
     failing process, not a power loss.
     """
-    with _GcPaused():
-        text = json.dumps(engine_state(engine), separators=(",", ":")) + "\n"
+    with _GcPaused():  # the state is a tree, so json need not look for cycles
+        text = json.dumps(engine_state(engine), separators=(",", ":"),
+                          check_circular=False) + "\n"
     tmp = f"{path}.tmp"
     fh = open(tmp, "w", encoding="utf-8")
     try:

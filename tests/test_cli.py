@@ -424,9 +424,21 @@ class TestGenerateCommand:
         assert not corpus.exists()
 
 
+def _as_format_6(state: dict) -> None:
+    """Rewrite a snapshot in the previous layout: version 6, and each side's
+    columns zipped into one row per user, [name, dims, spam, total, cid]
+    for a sender and [name, spam, total, cid] for a recipient."""
+    state["version"] = 6
+    for side in (state["senders"], state["recipients"]):
+        keys = [key for key in ("names", "dims", "spam", "total", "cid") if key in side]
+        side["users"] = list(map(list, zip(*map(side.pop, keys))))
+
+
 def _as_format_5(state: dict) -> None:
-    """Rewrite a snapshot in the previous layout: version 5, and each
-    recipient row holding its sorted dims, the senders that name it."""
+    """Rewrite a snapshot in the previous layout: version 5, format 6's
+    rows, and each recipient row holding its sorted dims, the senders that
+    name it."""
+    _as_format_6(state)
     state["version"] = 5
     named_by: list[list[int]] = [[] for _ in state["recipients"]["users"]]
     for sid, (_, dims, *_) in enumerate(state["senders"]["users"]):
@@ -546,15 +558,8 @@ class TestSnapshotCommands:
     def test_load_requires_a_source(self, golden_path):
         assert main(["snapshot-load", "--input", str(golden_path)]) == EXIT_CONFIG
 
-    def test_corrupt_snapshot_is_a_format_error(self, tmp_path, golden_path):
-        state = tmp_path / "state.json"
-        for content in (b"{broken", b'\xff\xfe{"version": 3}', b"[" * 100_000):
-            state.write_bytes(content)
-            assert main(["snapshot-load", "--input", str(golden_path),
-                         "--snapshot-in", str(state)]) == EXIT_FORMAT
-
     @pytest.mark.parametrize("doc", ['{"version": 2}', '{"version": 1}', '{"version": 3}',
-                                     '{"version": 4}', '{"version": 5}'])
+                                     '{"version": 4}', '{"version": 5}', '{"version": 6}'])
     def test_snapshot_missing_fields_is_a_format_error(self, tmp_path, golden_path, doc):
         state = tmp_path / "state.json"
         state.write_text(doc)
@@ -565,14 +570,14 @@ class TestSnapshotCommands:
         _as_format_3,
         _as_format_4,
         _as_format_5,
-        lambda s: s["senders"]["users"][0].__setitem__(4, None),
-        lambda s: s["recipients"]["users"][1].__setitem__(0, 1),
-        lambda s: s["senders"]["users"][1].__setitem__(0, s["senders"]["users"][0][0]),
-        # row 0 has already registered cluster 1, which these would find
-        lambda s: s["recipients"]["users"][1].__setitem__(3, 1.0),
-        lambda s: s["recipients"]["users"][1].__setitem__(3, True),
-        # and row 0 already holds dim 2
-        lambda s: s["senders"]["users"][1].__setitem__(1, [0, 1, 2.0]),
+        _as_format_6,
+        lambda s: s["recipients"]["names"].__setitem__(1, 1),
+        lambda s: s["senders"]["names"].__setitem__(1, s["senders"]["names"][0]),
+        # user 0 is in cluster 1, which these would find
+        lambda s: s["recipients"]["cid"].__setitem__(1, 1.0),
+        lambda s: s["recipients"]["cid"].__setitem__(1, True),
+        # and user 0 already holds dim 2
+        lambda s: s["senders"]["dims"].__setitem__(1, [0, 1, 2.0]),
         # a config the engine refuses, its fingerprint edited to match
         lambda s: s.update(config={**s["config"], "tau": True},
                            fingerprint=s["fingerprint"].replace("0.5", "True")),
@@ -582,7 +587,7 @@ class TestSnapshotCommands:
         # stored fingerprint no longer matches the one its config gives
         lambda s: s.update(config={**s["config"], "tau": 1},
                            fingerprint=s["fingerprint"].replace("0.5", "1")),
-    ], ids=["format-3", "format-4", "format-5", "null-cid", "name-not-a-string", "repeated-name",
+    ], ids=["format-3", "format-4", "format-5", "format-6", "name-not-a-string", "repeated-name",
             "cid-float", "cid-true", "dim-float", "config-tau-true",
             "config-tau-out-of-range", "int-tau-fingerprint"])
     def test_refused_snapshot_is_a_format_error(self, tmp_path, golden_path, mutate):
@@ -699,6 +704,17 @@ class TestSnapshotCommands:
         assert tail.read_text().splitlines()[1:] == straight.read_text().splitlines()[5:]
 
 
+# saved states with one defect each, that snapshot-load refuses with exit 4
+# before any user is restored, by the name of the file _refusal_files writes
+_BAD_STATES = {
+    "null-cid": lambda d: d["senders"]["cid"].__setitem__(0, None),
+    "column-not-a-list": lambda d: d["recipients"].update(
+        total=dict(enumerate(d["recipients"]["total"]))),
+    "column-short": lambda d: d["recipients"]["spam"].pop(),
+    "dims-column-long": lambda d: d["senders"]["dims"].append([0]),
+}
+
+
 def _refusal_files(root: Path, golden_path: Path) -> None:
     """The inputs every refusal row reads, and an --output and a
     --snapshot-out target that already hold bytes."""
@@ -708,10 +724,13 @@ def _refusal_files(root: Path, golden_path: Path) -> None:
     (root / "junk.jsonl").write_text("".join(lines[:3]) + "{not json\n" * 4)
     assert main(["snapshot-save", "--input", str(root / "corpus.jsonl"), "--limit", "6",
                  "--snapshot-out", str(root / "state.json")]) == EXIT_OK
-    doc = json.loads((root / "state.json").read_text())
-    doc["senders"]["users"][0][4] = None
-    (root / "null-cid.json").write_text(json.dumps(doc))
+    for name, mutate in _BAD_STATES.items():
+        doc = json.loads((root / "state.json").read_text())
+        mutate(doc)
+        (root / f"{name}.json").write_text(json.dumps(doc))
     (root / "broken.json").write_bytes(b"{broken")
+    (root / "not-utf-8.json").write_bytes(b'\xff\xfe{"version": 3}')
+    (root / "too-deep.json").write_bytes(b"[" * 100_000)
     (root / "format-2.json").write_text('{"version": 2}')
     (root / "out.jsonl").write_bytes(b"old verdicts\n")
     (root / "snap.json").write_bytes(b"old state\n")
@@ -749,12 +768,27 @@ _REFUSALS = [
     ("load-unparsable-snapshot",
      "snapshot-load --input {corpus.jsonl} --snapshot-in {broken.json} --output {out.jsonl}",
      EXIT_FORMAT),
+    ("load-snapshot-not-utf-8",
+     "snapshot-load --input {corpus.jsonl} --snapshot-in {not-utf-8.json} --output {out.jsonl}",
+     EXIT_FORMAT),
+    ("load-snapshot-too-deep",
+     "snapshot-load --input {corpus.jsonl} --snapshot-in {too-deep.json} --output {out.jsonl}",
+     EXIT_FORMAT),
     ("load-old-format",
      "snapshot-load --input {corpus.jsonl} --snapshot-in {format-2.json} --output {out.jsonl} "
      "--snapshot-out {snap.json}", EXIT_FORMAT),
     ("load-ill-typed-snapshot",
      "snapshot-load --input {corpus.jsonl} --snapshot-in {null-cid.json} --output {out.jsonl} "
      "--snapshot-out {snap.json}", EXIT_FORMAT),
+    ("load-column-not-a-list",
+     "snapshot-load --input {corpus.jsonl} --snapshot-in {column-not-a-list.json} "
+     "--output {out.jsonl} --snapshot-out {snap.json}", EXIT_FORMAT),
+    ("load-column-short",
+     "snapshot-load --input {corpus.jsonl} --snapshot-in {column-short.json} "
+     "--output {out.jsonl} --snapshot-out {snap.json}", EXIT_FORMAT),
+    ("load-dims-column-long",
+     "snapshot-load --input {corpus.jsonl} --snapshot-in {dims-column-long.json} "
+     "--output {out.jsonl} --snapshot-out {snap.json}", EXIT_FORMAT),
     ("save-mostly-malformed", "snapshot-save --input {junk.jsonl} --snapshot-out {snap.json}",
      EXIT_FORMAT),
 ]

@@ -16,6 +16,7 @@ from spamrank import (
     save_snapshot,
 )
 from spamrank import snapshot
+from spamrank.clustering import ClusterSpace
 from spamrank.snapshot import STATE_VERSION, engine_from_state, engine_state
 
 
@@ -30,15 +31,20 @@ def _set_tau(state: dict, tau: object) -> None:
     state["fingerprint"] = state["fingerprint"].replace("tau=0.5;", f"tau={tau!r};")
 
 
-def _append_user(side: dict, row: list) -> None:
-    # a user in a cluster of its own, so only the row itself can be wrong
-    side["users"].append(row + [side["next_cid"]])
+def _add(side: dict, **values) -> None:
+    # one value appended to each named column, and to no other
+    for key, value in values.items():
+        side[key].append(value)
+
+
+def _append_user(side: dict, name: str, **values) -> None:
+    # a user in a cluster of its own, so only its own values can be wrong
+    _add(side, names=name, **values, cid=side["next_cid"])
     side["next_cid"] += 1
 
 
-def _repeat_name(side: dict, row: int) -> None:
-    users = side["users"]
-    users[row][0] = users[0][0]
+def _repeat_name(side: dict, uid: int) -> None:
+    side["names"][uid] = side["names"][0]
 
 
 def _paths(doc, path=()):
@@ -65,8 +71,7 @@ _LIST_EDITS = ("drop", "duplicate")
 def _same_document(doc: dict) -> str:
     # type-strict through the JSON text; sender dims compared as sets
     doc = json.loads(json.dumps(doc))
-    for row in doc["senders"]["users"]:
-        row[1] = sorted(row[1])
+    doc["senders"]["dims"] = list(map(sorted, doc["senders"]["dims"]))
     return json.dumps(doc, sort_keys=True)
 
 
@@ -84,23 +89,48 @@ class TestStateRoundTrip:
         clone = engine_from_state(json.loads(json.dumps(state)))
         assert engine_state(clone) == state
 
-    def test_each_side_holds_one_row_per_user(self, golden_records):
+    def test_each_side_holds_one_column_per_field(self, golden_records):
         engine, _ = run_engine(golden_records)
         state = engine_state(engine)
-        assert state["version"] == STATE_VERSION == 6
+        assert state["version"] == STATE_VERSION == 7
         for side, space, interner in (
             ("senders", engine.sender_side, engine.senders),
             ("recipients", engine.recipient_side, engine.recipients),
         ):
-            # cluster values are all rebuilt from the users on load
-            assert state[side].keys() == {"next_cid", "users"}
-            # row i is user i: name, [sorted dims for senders,] spam,
-            # total, cluster id
-            assert state[side]["users"] == [
-                [name, *([sorted(space.user_dims[uid])] if side == "senders" else []),
-                 space.spam[uid], space.total[uid], space.user_cluster[uid]]
-                for uid, name in enumerate(interner.names())
-            ]
+            # cluster values are all rebuilt from the users on load; index
+            # i of each column is user i, and only senders store dims
+            uids = range(len(interner))
+            expect = {"next_cid": space._next_cid, "names": interner.names(),
+                      "spam": space.spam, "total": space.total,
+                      "cid": [space.user_cluster[uid] for uid in uids]}
+            if side == "senders":
+                expect["dims"] = [sorted(space.user_dims[uid]) for uid in uids]
+            assert state[side] == expect
+            assert list(state[side]) == [
+                "next_cid", "names", *(["dims"] if side == "senders" else []),
+                "spam", "total", "cid"]
+
+    def test_the_state_shares_no_list_with_the_engine(self, tmp_path, golden_records):
+        # editing the dict engine_state returns, or the dict an engine was
+        # loaded from, leaves that engine as it was: it checks, and saves
+        # the same bytes
+        engine, _ = run_engine(golden_records)
+        path = tmp_path / "state.json"
+        save_snapshot(engine, str(path))
+        saved = path.read_bytes()
+        loaded_from = json.loads(saved)
+        clone = engine_from_state(loaded_from)
+        for state in (engine_state(engine), loaded_from):
+            for side in ("senders", "recipients"):
+                state[side]["spam"].append(0)
+                state[side]["total"][-1] += 1
+                state[side]["cid"][0] += 1
+                state[side]["names"][0] = "edited"
+            state["senders"]["dims"][0].append(99)
+        for live in (engine, clone):
+            live.check_integrity()
+            save_snapshot(live, str(path))
+            assert path.read_bytes() == saved
 
     def test_recipient_vectors_are_the_transposed_sender_vectors(self, golden_records):
         engine, _ = run_engine(golden_records)
@@ -217,50 +247,64 @@ class TestValidation:
         lambda s: s.update(config=[0.5]),
         lambda s: s["config"].update(assign_before_update=False),
         lambda s: s.pop("senders"),
-        lambda s: s["senders"]["users"].append([99, [], 0]),
-        lambda s: s["senders"]["users"][0].__setitem__(4, 12345),
+        lambda s: _add(s["senders"], names=99, dims=[], spam=0),
+        lambda s: s["senders"]["cid"].__setitem__(0, 12345),
         lambda s: s.pop("messages_processed"),
         lambda s: s.update(messages_processed="six"),
         lambda s: s["recipients"].update(next_cid=2.5),
         lambda s: _repeat_name(s["senders"], 1),
-        lambda s: s["senders"]["users"][0].__setitem__(0, 0.0),
-        lambda s: s["senders"]["users"][0].__setitem__(2, 3),
-        lambda s: s["senders"]["users"][2].__setitem__(2, -1),
-        lambda s: s["senders"]["users"][0].__setitem__(3, 2.0),
+        lambda s: s["senders"]["names"].__setitem__(0, 0.0),
+        lambda s: s["senders"]["spam"].__setitem__(0, s["senders"]["total"][0] + 1),
+        lambda s: s["senders"]["spam"].__setitem__(2, -1),
+        lambda s: s["senders"]["total"].__setitem__(0, 2.0),
         lambda s: s["senders"].update(next_cid=1),
-        lambda s: s["senders"]["users"][0].__setitem__(4, 0),
-        lambda s: s["senders"]["users"][0].__setitem__(4, "1"),
-        lambda s: s["senders"]["users"][5].__setitem__(1, [0, "2"]),
-        lambda s: s["senders"]["users"][5].__setitem__(1, [0, 2, 5]),
-        lambda s: s["senders"]["users"][3].__setitem__(1, [-1, 2]),
-        lambda s: s["senders"]["users"][5].__setitem__(4, None),
-        lambda s: s["senders"]["users"][5].__setitem__(1, [0, 2.5]),
+        lambda s: s["senders"]["cid"].__setitem__(0, 0),
+        lambda s: s["senders"]["cid"].__setitem__(0, "1"),
+        lambda s: s["senders"]["dims"].__setitem__(5, [0, "2"]),
+        lambda s: s["senders"]["dims"].__setitem__(5, [0, 2, 5]),
+        lambda s: s["senders"]["dims"].__setitem__(3, [-1, 2]),
+        lambda s: s["senders"]["cid"].__setitem__(5, None),
+        lambda s: s["senders"]["dims"].__setitem__(5, [0, 2.5]),
         lambda s: _repeat_name(s["recipients"], -1),
         lambda s: s.update(input_offset=3),
-        lambda s: s["senders"]["users"][0].__setitem__(0, 7),
-        lambda s: s["senders"]["users"][5].__setitem__(1, [0, 2, 0]),
-        lambda s: s["senders"]["users"][3].__setitem__(1, (2, 3)),
-        # row 0 has already registered cluster 1, which these would find
-        lambda s: s["recipients"]["users"][1].__setitem__(3, 1.0),
-        lambda s: s["recipients"]["users"][1].__setitem__(3, True),
+        lambda s: s["senders"]["names"].__setitem__(0, 7),
+        lambda s: s["senders"]["dims"].__setitem__(5, [0, 2, 0]),
+        lambda s: s["senders"]["dims"].__setitem__(3, (2, 3)),
+        # user 0 is in cluster 1, which these would find
+        lambda s: s["recipients"]["cid"].__setitem__(1, 1.0),
+        lambda s: s["recipients"]["cid"].__setitem__(1, True),
         lambda s: s.update(version=4),
-        lambda s: s.update(version=6.0),
-        # row 0 already holds dims 1 and 2, whose posting keys these would find
-        lambda s: s["senders"]["users"][1].__setitem__(1, [0, 1, 2.0]),
-        lambda s: s["senders"]["users"][1].__setitem__(1, [0, True, 2]),
+        lambda s: s.update(version=float(STATE_VERSION)),
+        # user 0 already holds dims 1 and 2, whose posting keys these would find
+        lambda s: s["senders"]["dims"].__setitem__(1, [0, 1, 2.0]),
+        lambda s: s["senders"]["dims"].__setitem__(1, [0, True, 2]),
         # the fingerprint edited to match, so only the config is wrong
         lambda s: _set_tau(s, True),
         lambda s: s["config"].update(omega=True),
         lambda s: _set_tau(s, 2.0),
         # states no run of process() reaches: a user with no contact
-        lambda s: _append_user(s["senders"], ["ghost.example", [], 0, 0]),
-        lambda s: s["senders"]["users"][3].__setitem__(1, []),
-        lambda s: _append_user(s["recipients"], ["ghost@u.example", 0, 0]),
+        lambda s: _append_user(s["senders"], "ghost.example", dims=[], spam=0, total=0),
+        lambda s: s["senders"]["dims"].__setitem__(3, []),
+        lambda s: _append_user(s["recipients"], "ghost@u.example", spam=0, total=0),
         # sender totals that do not sum to the message count
-        lambda s: s["senders"]["users"][0].__setitem__(3, 4),
+        lambda s: s["senders"]["total"].__setitem__(0, 4),
         lambda s: s.update(messages_processed=11, input_offset=11),
         # recipient c is named by six senders
-        lambda s: s["recipients"]["users"][2].__setitem__(2, 5),
+        lambda s: s["recipients"]["total"].__setitem__(2, 5),
+        # a side column that is not a list: an object keyed by index has
+        # the list's length, and one keyed by the names iterates the names
+        lambda s: s["senders"].update(total=dict(enumerate(s["senders"]["total"]))),
+        lambda s: s["recipients"].update(names=dict.fromkeys(s["recipients"]["names"])),
+        lambda s: s["recipients"].update(cid=None),
+        lambda s: s["senders"].update(dims="abc"),
+        # a column whose length differs from names
+        lambda s: s["recipients"]["spam"].pop(),
+        lambda s: s["senders"]["cid"].append(1),
+        lambda s: _add(s["recipients"], names="extra@u.example"),
+        lambda s: _add(s["senders"], names="extra.example", spam=0, total=0, cid=1),
+        # a sender dims column of the wrong length
+        lambda s: s["senders"]["dims"].pop(),
+        lambda s: _add(s["senders"], dims=[0]),
     ], ids=["no-config", "config-list", "config-extra-key", "no-senders",
             "short-user-row",
             "user-in-unknown-cluster", "no-message-count", "message-count-text",
@@ -275,13 +319,21 @@ class TestValidation:
             "config-tau-out-of-range", "new-sender-with-no-contact",
             "sender-with-no-contact", "recipient-no-sender-names",
             "sender-total-above-message-count", "message-count-above-sender-totals",
-            "recipient-total-below-its-senders"])
-    def test_malformed_state_is_a_format_error(self, golden_records, mutate):
+            "recipient-total-below-its-senders",
+            "column-an-object-by-index", "names-an-object", "column-null",
+            "dims-column-text", "column-shorter-than-names", "column-longer-than-names",
+            "names-longer-than-columns", "user-without-dims",
+            "dims-column-short", "dims-column-long"])
+    def test_malformed_state_is_a_format_error(self, golden_records, mutate, monkeypatch):
         engine, _ = run_engine(golden_records)
         state = json.loads(json.dumps(engine_state(engine)))
         mutate(state)
+        # every refusal comes before the first user is restored
+        restored = []
+        monkeypatch.setattr(ClusterSpace, "restore", lambda space, *columns: restored.append(1))
         with pytest.raises(FormatError):
             engine_from_state(state)
+        assert restored == []
 
 
 class TestMutationProperty:
@@ -360,9 +412,10 @@ class TestCollectorPaused:
 
     @staticmethod
     def _bad_snapshot(path, engine):
-        # refused on the last user row, after the rest has been rebuilt
+        # refused on the last recipient's spam count, by the column checks
+        # that run before any user is restored
         state = engine_state(engine)
-        state["recipients"]["users"][-1][2] = -1
+        state["recipients"]["spam"][-1] = -1
         path.write_text(json.dumps(state))
 
     @pytest.fixture
