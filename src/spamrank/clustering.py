@@ -133,24 +133,26 @@ class ClusterSpace:
         computed by a different formula: then the larger double wins, not
         the lower id. Unknown users raise UnknownUserError.
         """
-        if not 0 <= uid < len(self.user_dims):
-            raise UnknownUserError(f"user {uid} has no vector on side {self.side!r}")
-        dims = self.user_dims[uid]
+        try:
+            if uid < 0:
+                raise IndexError(uid)
+            dims = self.user_dims[uid]
+        except IndexError:
+            raise UnknownUserError(f"user {uid} has no vector on side {self.side!r}") from None
         old = self.user_cluster.get(uid)
         scores = self.index.score_candidates(dims)
         nu2 = len(dims)
         norm_sq = self.index.norm_sq
         best_cid = -1
         best_sim = 0.0
+        # the current cluster first, against its sum minus the user: any order
+        # picks the highest cosine, then the lowest id; a zero ties -1 and loses
+        dot = scores.pop(old, 0)
+        if dot > nu2:
+            best_sim = (dot - nu2) / sqrt((norm_sq[old] - dot - dot + nu2) * nu2)
+            best_cid = old
         for cid, dot in scores.items():
-            if cid == old:
-                adj = dot - nu2
-                if adj <= 0:
-                    # zero similarity can never win; -1 sentinel blocks ties
-                    continue
-                sim = adj / sqrt((norm_sq[cid] - dot - dot + nu2) * nu2)
-            else:
-                sim = dot / sqrt(norm_sq[cid] * nu2)
+            sim = dot / sqrt(norm_sq[cid] * nu2)
             if sim > best_sim or (sim == best_sim and cid < best_cid):
                 best_sim = sim
                 best_cid = cid
@@ -226,22 +228,23 @@ class ClusterSpace:
             spam = self.spam[uid]
         except IndexError:
             raise UnknownUserError(f"user {uid} has no counters on side {self.side!r}") from None
+        old_spam = spam
         old_total = self.total[uid]
-        if old_total:
-            old_freq = (spam << FREQ_BITS) // old_total
         if is_spam:
             spam = self.spam[uid] = spam + 1
         total = self.total[uid] = old_total + 1
-        new_freq = (spam << FREQ_BITS) // total
         cid = self.user_cluster.get(uid)
         if cid is None:
             return None
         cluster = self.clusters[cid]
-        if old_total:
-            cluster.freq_sum += new_freq - old_freq
-        else:
-            cluster.freq_sum += new_freq
+        if not old_total:
+            # a first frequency is spam / 1
+            cluster.freq_sum += spam << FREQ_BITS
             cluster.scored_members += 1
+        elif 0 < spam < total:
+            # only a mixed history moves: an all-ham or all-spam one stays 0 or 1
+            cluster.freq_sum += ((spam << FREQ_BITS) // total
+                                 - (old_spam << FREQ_BITS) // old_total)
         return cluster
 
     # -- reporting and verification -----------------------------------------

@@ -120,6 +120,10 @@ def cluster_spam_probability(cluster: "Cluster") -> float:
     if not cluster.members:
         raise InternalStateError(f"cluster {cluster.cid} has no members")
     n = cluster.scored_members
-    if n == 0:
-        return 0.5
-    return cluster.freq_sum / (n << FREQ_BITS)
+    freq_sum = cluster.freq_sum
+    # nobody scored, only ham or only spam: no division, which would give
+    # the same 0.0 or 1.0
+    if not freq_sum:
+        return 0.0 if n else 0.5
+    whole = n << FREQ_BITS
+    return 1.0 if freq_sum == whole else freq_sum / whole

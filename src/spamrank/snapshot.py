@@ -83,6 +83,8 @@ def engine_state(engine: SpamRankEngine) -> dict:
 def _checked_side(state: dict, side: str, *keys: str) -> tuple[int, Interner, list[list]]:
     """A saved side's next_cid, names Interner and columns keys + (spam,
     total, cid), each column checked whole in C-level passes."""
+    if set(state) != {"next_cid", "names", *keys, "spam", "total", "cid"}:
+        raise ValueError(f"the {side} keys are not the ones format {STATE_VERSION} holds")
     names = state["names"]
     columns = [state[key] for key in (*keys, "spam", "total", "cid")]
     if not set(map(type, [names, *columns])) <= {list}:
@@ -117,8 +119,8 @@ def engine_from_state(state: dict) -> SpamRankEngine:
     """Rebuild an engine from engine_state() output.
 
     A wrong version, a fingerprint that does not match the config, a
-    missing, ill-typed or out-of-range field, a column that is not a list
-    as long as its side's names, or counts that no run of process()
+    missing, unknown, ill-typed or out-of-range field, a column that is not
+    a list as long as its side's names, or counts that no run of process()
     reaches raise FormatError before any user is restored; state that
     parses but is inconsistent fails check_integrity with InternalStateError.
     """
@@ -126,6 +128,9 @@ def engine_from_state(state: dict) -> SpamRankEngine:
     if type(version) is not int or version != STATE_VERSION:  # 7.0 == 7 as well
         raise FormatError(f"unsupported snapshot version {version!r}")
     try:
+        if state.keys() != {"version", "config", "fingerprint", "messages_processed",
+                            "input_offset", "senders", "recipients"}:
+            raise ValueError(f"the top-level keys are not the ones format {STATE_VERSION} holds")
         cfg = EngineConfig(**state["config"])
         if state.get("fingerprint") != cfg.fingerprint():
             raise FormatError("snapshot fingerprint does not match its own config")

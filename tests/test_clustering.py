@@ -62,6 +62,30 @@ class TestAssignment:
         # equally similar to both (0.5 each); must pick cluster 1
         assert seed_user(space, 2, {1, 3}) == 1
 
+    @pytest.mark.parametrize("own_first", [True, False], ids=["own-id-lower", "own-id-higher"])
+    def test_an_exact_tie_with_the_current_cluster_goes_to_the_lower_id(self, own_first):
+        # user 2 is {1, 3}, its cluster-mate {1, 2} and the other cluster
+        # {3, 4}: both cosines are exactly 1 / sqrt(2 * 2) = 0.5
+        space = make_space(tau=0.4)
+        first, second = ({1, 2}, {3, 4}) if own_first else ({3, 4}, {1, 2})
+        seed_user(space, 0, first)
+        seed_user(space, 1, second)
+        # {1} alone joins its mate {1, 2} (cosine 0.707), then grows to {1, 3}
+        assert seed_user(space, 2, [1]) == (1 if own_first else 2)
+        space.add_dims(2, [3])
+        assert space.assign_user(2) == 1
+        assert space.user_cluster[2] == 1
+        space.check_integrity()
+
+    def test_a_user_with_an_empty_vector_reseeds_under_a_fresh_id(self):
+        space = make_space()
+        space.add_dims(0, ())
+        assert space.assign_user(0) == 1
+        assert space.assign_user(0) == 2
+        assert set(space.clusters) == {2}
+        assert cluster_of(space, 0).members == (0,)
+        space.check_integrity()
+
     def test_unknown_user_raises(self):
         space = make_space()
         with pytest.raises(UnknownUserError):
@@ -219,6 +243,29 @@ class TestScoringHooks:
         assert cluster_spam_probability(a) == cluster_spam_probability(b)
         inside.check_integrity()
         joining.check_integrity()
+
+    def test_every_observation_transition_keeps_the_exact_sum(self):
+        # a first observation, one that keeps a pure history pure, one that
+        # makes it mixed, and one inside a mixed history each update the
+        # sum, exactly as recomputing every member's frequency would
+        space = make_space()
+        seed_user(space, 0, {1, 2})
+        assert seed_user(space, 1, {1, 2}) == 1
+        cluster = cluster_of(space, 0)
+        steps = [
+            ("first ham", 0, False), ("first spam", 1, True), ("ham to ham", 0, False),
+            ("spam to spam", 1, True), ("all-spam to ham", 1, False),
+            ("all-ham to spam", 0, True), ("mixed to mixed", 0, False),
+        ]
+        for step, uid, is_spam in steps:
+            assert space.record_observation(uid, is_spam) is cluster, step
+            scored = [u for u in (0, 1) if space.total[u]]
+            expect = sum((space.spam[u] << FREQ_BITS) // space.total[u] for u in scored)
+            assert (cluster.freq_sum, cluster.scored_members) == (expect, len(scored)), step
+            # the probability is the one division, or the 0.0 it would give
+            assert cluster_spam_probability(cluster) == expect / (len(scored) << FREQ_BITS), step
+            space.check_integrity()
+        assert (space.spam, space.total) == ([1, 2], [4, 3])
 
     def test_census_counts_singletons(self):
         space = make_space()

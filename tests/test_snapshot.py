@@ -305,6 +305,10 @@ class TestValidation:
         # a sender dims column of the wrong length
         lambda s: s["senders"]["dims"].pop(),
         lambda s: _add(s["senders"], dims=[0]),
+        # a key the format does not hold: dims is read on senders only
+        lambda s: s.update(comment="saved by hand"),
+        lambda s: s["senders"].update(comment="saved by hand"),
+        lambda s: s["recipients"].update(dims=[[0] for _ in s["recipients"]["names"]]),
     ], ids=["no-config", "config-list", "config-extra-key", "no-senders",
             "short-user-row",
             "user-in-unknown-cluster", "no-message-count", "message-count-text",
@@ -323,7 +327,8 @@ class TestValidation:
             "column-an-object-by-index", "names-an-object", "column-null",
             "dims-column-text", "column-shorter-than-names", "column-longer-than-names",
             "names-longer-than-columns", "user-without-dims",
-            "dims-column-short", "dims-column-long"])
+            "dims-column-short", "dims-column-long", "unknown-key", "unknown-sender-key",
+            "recipient-dims"])
     def test_malformed_state_is_a_format_error(self, golden_records, mutate, monkeypatch):
         engine, _ = run_engine(golden_records)
         state = json.loads(json.dumps(engine_state(engine)))
