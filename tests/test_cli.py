@@ -186,6 +186,25 @@ class TestRunCommand:
             assert corpus.read_bytes() == golden_path.read_bytes()
         assert "is the --input file" in capsys.readouterr().err
 
+    def test_bad_tau_is_a_config_error(self, golden_path):
+        assert main(["run", "--input", str(golden_path), "--tau", "1.5"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command,flag", [
+        ("run", "--skip"), ("run", "--limit"), ("snapshot-load", "--limit"),
+    ])
+    def test_negative_skip_or_limit_is_a_config_error(
+        self, tmp_path, golden_path, command, flag
+    ):
+        state = tmp_path / "state.json"
+        main(["snapshot-save", "--input", str(golden_path), "--limit", "6",
+              "--snapshot-out", str(state)])
+        out = tmp_path / "v.jsonl"
+        argv = [command, "--input", str(golden_path), "--output", str(out), flag, "-1"]
+        if command == "snapshot-load":
+            argv += ["--snapshot-in", str(state)]
+        assert main(argv) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_verdict_lines_are_what_json_dumps_writes(self, tmp_path, golden_path):
         ids = ['say "hi"', "back\\slash", "naïve-日本", "bell\x07tab\t",
                "line\u2028sep", "\x00", "m07", "", "\u20ac\U0001f600", "end"]
@@ -522,6 +541,12 @@ class TestSnapshotCommands:
         short.write_text("".join(lines[:6]))
         assert main(argv) == EXIT_OK
         assert json.loads(resaved.read_text())["input_offset"] == 6
+
+    def test_save_requires_a_target(self, golden_path):
+        assert main(["snapshot-save", "--input", str(golden_path)]) == EXIT_CONFIG
+
+    def test_load_requires_a_source(self, golden_path):
+        assert main(["snapshot-load", "--input", str(golden_path)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("doc", ['{"version": 2}', '{"version": 1}', '{"version": 3}',
                                      '{"version": 4}', '{"version": 5}', '{"version": 6}'])
