@@ -41,6 +41,9 @@ from .vectorspace import InvertedIndex
 SENDER_SIDE = "sender"
 RECIPIENT_SIDE = "recipient"
 
+# the fixed-point frequency of an all-spam history, (n << FREQ_BITS) // n
+_ONE = 1 << FREQ_BITS
+
 
 class Cluster(SlotRecord):
     """Cluster bookkeeping. The count vector itself lives in the index."""
@@ -106,19 +109,20 @@ class ClusterSpace:
 
     def restore(self, dims: list, spam: list[int], total: list[int], cids: list[int]) -> None:
         """Re-add saved users as the next uids through assign_user's attach
-        step, each into its cluster in cids, registering a cluster the first
-        time; each dims entry, a tuple of distinct ids, is kept as it is."""
+        step, each into its cluster in cids; every cluster that cids names
+        and the side lacks is registered first, in first-named order. Each
+        dims entry, a tuple of distinct ids, is kept as it is."""
         first = len(self.user_dims)
         self.user_dims += dims
         self.spam += spam
         self.total += total
         clusters = self.clusters
+        fresh = [cid for cid in dict.fromkeys(cids) if cid not in clusters]
+        clusters.update(zip(fresh, map(Cluster, fresh)))
+        self.index.norm_sq.update(dict.fromkeys(fresh, 0))
+        attach = self._attach_into
         for uid, cid in enumerate(cids, first):
-            cluster = clusters.get(cid)
-            if cluster is None:
-                cluster = clusters[cid] = Cluster(cid)
-                self.index.register_cluster(cid)
-            self._attach_into(uid, cluster)
+            attach(uid, clusters[cid])
 
     # -- assignment --------------------------------------------------------
 
@@ -194,7 +198,11 @@ class ClusterSpace:
         self.user_cluster[uid] = cluster.cid
         total = self.total[uid]
         if total:
-            cluster.freq_sum += (self.spam[uid] << FREQ_BITS) // total
+            # only a mixed history divides: an all-ham one adds 0, an
+            # all-spam one exactly 1 << FREQ_BITS
+            spam = self.spam[uid]
+            if spam:
+                cluster.freq_sum += _ONE if spam == total else (spam << FREQ_BITS) // total
             cluster.scored_members += 1
 
     def _detach(self, uid: int, cid: int) -> None:
@@ -209,7 +217,9 @@ class ClusterSpace:
         del self.user_cluster[uid]
         total = self.total[uid]
         if total:
-            cluster.freq_sum -= (self.spam[uid] << FREQ_BITS) // total
+            spam = self.spam[uid]
+            if spam:
+                cluster.freq_sum -= _ONE if spam == total else (spam << FREQ_BITS) // total
             cluster.scored_members -= 1
         if not cluster.members:
             del self.clusters[cid]
@@ -277,8 +287,11 @@ class ClusterSpace:
                     raise InternalStateError(f"membership map out of sync for {uid}")
                 # one per id, in place: the C loop that Counter.update runs
                 _count_elements(expect, user_dims[uid])
-                if total[uid]:
-                    freq_sum += (spam[uid] << FREQ_BITS) // total[uid]
+                t = total[uid]
+                if t:
+                    s = spam[uid]
+                    if s:
+                        freq_sum += _ONE if s == t else (s << FREQ_BITS) // t
                     scored += 1
             n_members += len(cluster.members)
             if vectors[cid] != expect:

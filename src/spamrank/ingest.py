@@ -134,7 +134,7 @@ def _parse_json_line(line: str, line_no: int, identity: str) -> MessageRecord | 
     raw_id = obj.get("id", _NO_ID)
     if raw_id is _NO_ID:
         raw_id = f"m{line_no}"
-    elif isinstance(raw_id, (int, float)):
+    elif type(raw_id) in (int, float):  # a bool is an int too, and malformed
         raw_id = str(raw_id)
     elif not isinstance(raw_id, str):
         raise ValueError("bad id")

@@ -143,15 +143,15 @@ def engine_from_state(state: dict) -> SpamRankEngine:
         if not set(map(type, s_dims)) <= {list} or not all(s_dims):
             raise ValueError("a sender's dims are not a non-empty list")
         s_dims = list(map(tuple, s_dims))
+        flat = list(chain.from_iterable(s_dims))
         # a dim 2.0 or true would find the posting key 2 or 1
-        if not set(map(type, chain.from_iterable(s_dims))) <= {int}:
+        if not set(map(type, flat)) <= {int}:
             raise ValueError("a sender dim is not an int")
         # a repeated id would count twice in the postings and in the
         # integrity recount alike, so only this check can catch it
-        if sum(map(len, map(set, s_dims))) != sum(map(len, s_dims)):
+        if sum(map(len, map(set, s_dims))) != len(flat):
             raise ValueError("a sender's dims repeat an id")
-        if (min(chain.from_iterable(s_dims), default=0) < 0
-                or max(chain.from_iterable(s_dims), default=0) >= len(recipients)):
+        if min(flat, default=0) < 0 or max(flat, default=0) >= len(recipients):
             raise ValueError("a sender dim names no recipient")
         vectors = _transpose(s_dims, len(recipients))
         if not all(vectors):

@@ -297,7 +297,7 @@ def _reference_record(obj: dict, line_no: int) -> MessageRecord | None:
     if not all(key in obj for key in ("ts", "from", "to", "aux")):
         return None
     msg_id = obj.get("id", f"m{line_no}")
-    if isinstance(msg_id, (bool, int, float)):
+    if type(msg_id) in (int, float):
         msg_id = str(msg_id)
     ts = obj["ts"]
     if isinstance(ts, float) and ts.is_integer():

@@ -26,6 +26,16 @@ def cluster_of(space: ClusterSpace, uid: int):
     return space.clusters[space.user_cluster[uid]]
 
 
+def assert_sums_recomputed(space: ClusterSpace) -> None:
+    """Every cluster's frequency sum and scored count equal the ones
+    recomputed from its members, and the space passes its integrity check."""
+    for cluster in space.clusters.values():
+        scored = [u for u in cluster.members if space.total[u]]
+        expect = sum((space.spam[u] << FREQ_BITS) // space.total[u] for u in scored)
+        assert (cluster.freq_sum, cluster.scored_members) == (expect, len(scored))
+    space.check_integrity()
+
+
 class TestAssignment:
     def test_first_user_seeds_cluster_one(self):
         space = make_space()
@@ -194,6 +204,43 @@ class TestReseedAndMoves:
         other = seed_user(space, 1, {2})  # disjoint, lands in its own cluster
         with pytest.raises(NotAMemberError):
             space._detach(0, other)
+
+    @pytest.mark.parametrize("history", [[], [False, False], [True, True, True], [True, False, False]],
+                             ids=["unscored", "all-ham", "all-spam", "mixed"])
+    def test_a_move_keeps_the_exact_sums_for_every_history(self, history):
+        # a move adds 0 for an all-ham history and exactly 1 << FREQ_BITS for
+        # an all-spam one; only a mixed history takes the division
+        space = make_space(tau=0.3)
+        seed_user(space, 0, {1, 2})
+        seed_user(space, 1, {5, 6, 7})
+        for uid, is_spam in ((0, True), (0, False), (1, True)):
+            space.record_observation(uid, is_spam)
+        assert seed_user(space, 2, {1, 2}) == 1
+        for is_spam in history:
+            space.record_observation(2, is_spam)
+        assert_sums_recomputed(space)
+        # out of cluster 1 and into cluster 2 through assign_user ...
+        space.add_dims(2, {5, 6, 7})
+        assert space.assign_user(2) == 2
+        assert_sums_recomputed(space)
+        # ... and back through the detach and attach steps
+        space._detach(2, 2)
+        assert_sums_recomputed(space)
+        space._attach_into(2, space.clusters[1])
+        assert_sums_recomputed(space)
+        assert space.clusters[1].members == (0, 2)
+
+    def test_restore_creates_each_named_cluster_once(self):
+        space = make_space()
+        space.restore([(1, 2), (3,), (1,)], [1, 0, 2], [2, 1, 2], [5, 9, 5])
+        nine = space.clusters[9]
+        # a second call extends cluster 9 and adds cluster 7
+        space.restore([(3, 4), (6,)], [0, 1], [1, 1], [9, 7])
+        assert space.clusters[9] is nine
+        assert list(space.clusters) == list(space.index.norm_sq) == [5, 9, 7]
+        assert [space.clusters[cid].members for cid in (5, 9, 7)] == [(0, 2), (1, 3), (4,)]
+        assert space.index.norm_sq == {5: 5, 9: 5, 7: 1}
+        assert_sums_recomputed(space)
 
 
 class TestScoringHooks:

@@ -87,6 +87,16 @@ class TestJsonlParsing:
         records, _ = parse_lines([line])
         assert records[0].msg_id == "7"
 
+    def test_boolean_id_is_malformed(self):
+        # a bool is an int to Python, but JSON's true is no number
+        base = {"ts": 1, "from": "d.example", "to": ["a@u.example"], "aux": "ham"}
+        lines = [json.dumps({**base, "id": True}), json.dumps({**base, "id": "y"}),
+                 json.dumps({**base, "id": False}), json.dumps({**base, "id": 0})]
+        records, stats = parse_lines(lines)
+        assert [r.msg_id for r in records] == ["y", "0"]
+        assert stats.skipped == 2
+        assert reference_parse_jsonl(lines)[1]["skipped"] == 2
+
     def test_truth_side_channel_round_trips(self):
         line = json.dumps({"id": "x", "ts": 1, "from": "d.example",
                            "to": ["a@u.example"], "aux": "ham", "truth": "SPAM"})

@@ -154,6 +154,21 @@ class TestStateRoundTrip:
             assert a == b  # every field, floats included, must be identical
         assert resumed.messages_processed == 10
 
+    def test_resume_of_a_label_noisy_stream_is_invisible(self, noisy_records):
+        # flipped labels leave many users with mixed spam/ham histories at the
+        # cut, whose frequencies restore and check_integrity must divide for;
+        # the golden corpus has too few of them
+        cut = 2000
+        _, straight = run_engine(noisy_records)
+        first, _ = run_engine(noisy_records[:cut])
+        state = engine_state(first)
+        for side in ("senders", "recipients"):
+            counts = zip(state[side]["spam"], state[side]["total"])
+            assert sum(0 < spam < total for spam, total in counts) >= 50, side
+        resumed = engine_from_state(json.loads(json.dumps(state)))
+        assert engine_state(resumed) == state
+        assert [resumed.process(r) for r in noisy_records[cut:]] == straight[cut:]
+
     def test_file_round_trip(self, tmp_path, golden_records):
         engine, _ = run_engine(golden_records)
         path = tmp_path / "state.json"
