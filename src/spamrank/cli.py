@@ -92,6 +92,28 @@ def _records(args: argparse.Namespace, cfg: EngineConfig,
         yield parse_stream(fh, args.format, cfg.sender_identity, stats)
 
 
+def _refuse_same(flag: str, path: str | None, other_flag: str, other: str | None) -> None:
+    """Refuse (exit 2) to write `path` if it names the file `other`, under any
+    spelling or symlink: a written path is replaced. None names no file."""
+    if path is None or other is None:
+        return
+    try:
+        same = os.path.samefile(path, other)
+    except OSError:  # a missing file can be named twice only by spelling
+        same = os.path.realpath(path) == os.path.realpath(other)
+    if same:
+        raise ConfigError(f"{flag} {path} is the {other_flag} file")
+
+
+def _report_paths(args: argparse.Namespace, *suffixes: str) -> list[str]:
+    """The report files PREFIX.suffix that --output names, each refused
+    if it is the --input file."""
+    paths = [f"{args.output}.{suffix}" for suffix in suffixes]
+    for path in paths:
+        _refuse_same("--output", path, "--input", None if args.input == "-" else args.input)
+    return paths
+
+
 def _engine_config(args: argparse.Namespace, base: EngineConfig | None = None) -> EngineConfig:
     """Fold explicit flags over a base config (defaults, or a snapshot's).
     A field whose flag the command does not take keeps the base value."""
@@ -160,15 +182,7 @@ def cmd_run(args: argparse.Namespace) -> int:
              "--snapshot-in": args.snapshot_in, "--snapshot-out": args.snapshot_out}
     for flag, other_flag in (("--output", "--input"), ("--output", "--snapshot-in"),
                              ("--snapshot-out", "--input"), ("--snapshot-out", "--output")):
-        path, other = named[flag], named[other_flag]
-        if path is None or other is None:
-            continue
-        try:
-            same = os.path.samefile(path, other)
-        except OSError:  # a missing file can be named twice only by spelling
-            same = os.path.realpath(path) == os.path.realpath(other)
-        if same:
-            raise ConfigError(f"{flag} {path} is the {other_flag} file")
+        _refuse_same(flag, named[flag], other_flag, named[other_flag])
     if args.snapshot_in:
         engine = load_snapshot(args.snapshot_in)
         cfg = _engine_config(args, engine.config)
@@ -300,15 +314,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _sweep_command(args: argparse.Namespace, sweep: Callable) -> int:
     from .evaluation import write_sweep
 
+    tsv, jsonl = _report_paths(args, "tsv", "jsonl")
     cfg = _engine_config(args)
     grid = parse_grid(args.grid)
     with _records(args, cfg) as records:
         result = sweep(records, grid, cfg)
-    header = _header(cfg, args.seed)
-    prefix = args.output
-    write_sweep(result, f"{prefix}.tsv", f"{prefix}.jsonl", header)
-    print(f"wrote {prefix}.tsv and {prefix}.jsonl ({len(grid)} grid points)",
-          file=sys.stderr)
+    write_sweep(result, tsv, jsonl, _header(cfg, args.seed))
+    print(f"wrote {tsv} and {jsonl} ({len(grid)} grid points)", file=sys.stderr)
     return EXIT_OK
 
 
@@ -327,26 +339,23 @@ def cmd_sweep_omega(args: argparse.Namespace) -> int:
 def cmd_heatmap(args: argparse.Namespace) -> int:
     from .evaluation import bin_heatmap, write_heatmap
 
+    paths = _report_paths(args, "messages.tsv", "spam.tsv", "jsonl")
     cfg = _engine_config(args)
     with _records(args, cfg) as records:
         grid = bin_heatmap(map(SpamRankEngine(cfg).process, records), args.bin_size)
-    header = _header(cfg, args.seed)
-    prefix = args.output
-    write_heatmap(grid, f"{prefix}.messages.tsv", f"{prefix}.spam.tsv",
-                  f"{prefix}.jsonl", header)
-    print(f"wrote {prefix}.messages.tsv, {prefix}.spam.tsv, {prefix}.jsonl",
-          file=sys.stderr)
+    write_heatmap(grid, *paths, _header(cfg, args.seed))
+    print(f"wrote {', '.join(paths)}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     from .evaluation import sender_history_baseline, write_report
 
+    paths = _report_paths(args, "tsv", "jsonl")
     cfg = _engine_config(args)
     with _records(args, cfg) as records:
         report = sender_history_baseline(records)
-    prefix = args.output
-    write_report(report, f"{prefix}.tsv", f"{prefix}.jsonl", _header(cfg, args.seed))
+    write_report(report, *paths, _header(cfg, args.seed))
     print(
         f"baseline accordance={report.accordance_pct:.2f} "
         f"classified={report.classified_count}/{report.total_messages}",
@@ -358,13 +367,13 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 def cmd_noise_exp(args: argparse.Namespace) -> int:
     from .evaluation import noise_correction_experiment, write_report
 
+    paths = _report_paths(args, "tsv", "jsonl")
     cfg = _engine_config(args)
     with _records(args, cfg) as records:
         report = noise_correction_experiment(
             records, args.flip_rate, cfg.tau, cfg.omega, args.seed
         )
-    prefix = args.output
-    write_report(report, f"{prefix}.tsv", f"{prefix}.jsonl", _header(cfg, args.seed))
+    write_report(report, *paths, _header(cfg, args.seed))
     print(
         f"aux_error={report.aux_error_rate:.4f} "
         f"engine_error={report.engine_error_rate:.4f} "

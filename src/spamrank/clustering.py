@@ -11,8 +11,10 @@ is computed in closed form from the accumulated dot product:
     dot(S - u, u)   = dot(S, u) - |u|
     |S - u|^2       = |S|^2 - 2 dot(S, u) + |u|
 
-Both identities are integer-exact, so the lazy evaluation is bit-identical
-to physically detaching the user first.
+|S|^2 is the cluster record's norm_sq, to which every add or remove of a
+member vector adds the change the index returns. Both identities are
+integer-exact, so the lazy evaluation is bit-identical to physically
+detaching the user first.
 
 Per-user state lives in lists indexed by the dense uids 0..n-1 that the
 engine's Interner hands out: each user's vector and its spam and total
@@ -46,9 +48,10 @@ _ONE = 1 << FREQ_BITS
 
 
 class Cluster(SlotRecord):
-    """Cluster bookkeeping. The count vector itself lives in the index."""
+    """Cluster bookkeeping. The count vector itself lives in the index; its
+    exact squared norm lives here, kept by the index's returned changes."""
 
-    __slots__ = ("cid", "members", "freq_sum", "scored_members")
+    __slots__ = ("cid", "members", "freq_sum", "scored_members", "norm_sq")
 
     def __init__(self, cid: int, members: Iterable[int] = (), freq_sum: int = 0,
                  scored_members: int = 0) -> None:
@@ -59,6 +62,7 @@ class Cluster(SlotRecord):
         # over members with observations, and how many
         self.freq_sum = freq_sum
         self.scored_members = scored_members
+        self.norm_sq = 0
 
 
 class ClusterSpace:
@@ -105,12 +109,12 @@ class ClusterSpace:
         user_dims[uid] = dims + tuple(fresh)
         cid = self.user_cluster.get(uid)
         if cid is not None:
-            self.index.add_member_vector(cid, fresh)
+            self.clusters[cid].norm_sq += self.index.add_member_vector(cid, fresh)
 
     def restore(self, dims: list, spam: list[int], total: list[int], cids: list[int]) -> None:
         """Re-add saved users as the next uids through assign_user's attach
         step, each into its cluster in cids; every cluster that cids names
-        and the side lacks is registered first, in first-named order. Each
+        and the side lacks is created first, in first-named order. Each
         dims entry, a tuple of distinct ids, is kept as it is."""
         first = len(self.user_dims)
         self.user_dims += dims
@@ -119,7 +123,6 @@ class ClusterSpace:
         clusters = self.clusters
         fresh = [cid for cid in dict.fromkeys(cids) if cid not in clusters]
         clusters.update(zip(fresh, map(Cluster, fresh)))
-        self.index.norm_sq.update(dict.fromkeys(fresh, 0))
         attach = self._attach_into
         for uid, cid in enumerate(cids, first):
             attach(uid, clusters[cid])
@@ -146,17 +149,17 @@ class ClusterSpace:
         old = self.user_cluster.get(uid)
         scores = self.index.score_candidates(dims)
         nu2 = len(dims)
-        norm_sq = self.index.norm_sq
+        clusters = self.clusters
         best_cid = -1
         best_sim = 0.0
         # the current cluster first, against its sum minus the user: any order
         # picks the highest cosine, then the lowest id; a zero ties -1 and loses
         dot = scores.pop(old, 0)
         if dot > nu2:
-            best_sim = (dot - nu2) / sqrt((norm_sq[old] - dot - dot + nu2) * nu2)
+            best_sim = (dot - nu2) / sqrt((clusters[old].norm_sq - dot - dot + nu2) * nu2)
             best_cid = old
         for cid, dot in scores.items():
-            sim = dot / sqrt(norm_sq[cid] * nu2)
+            sim = dot / sqrt(clusters[cid].norm_sq * nu2)
             if sim > best_sim or (sim == best_sim and cid < best_cid):
                 best_sim = sim
                 best_cid = cid
@@ -169,23 +172,21 @@ class ClusterSpace:
             return best_cid
         # no cluster wanted: seed (or re-seed) a singleton
         if old is not None:
-            cluster = self.clusters[old]
+            cluster = clusters[old]
             if len(cluster.members) == 1:
                 # retire the old id, keep the structure
                 new = self._next_cid
                 self._next_cid += 1
                 self.index.relabel_cluster(old, new, dims)
-                del self.clusters[old]
+                del clusters[old]
                 cluster.cid = new
-                self.clusters[new] = cluster
+                clusters[new] = cluster
                 self.user_cluster[uid] = new
                 return new
             self._detach(uid, old)
         cid = self._next_cid
         self._next_cid += 1
-        cluster = Cluster(cid)
-        self.clusters[cid] = cluster
-        self.index.register_cluster(cid)
+        cluster = clusters[cid] = Cluster(cid)
         self._attach_into(uid, cluster)
         return cid
 
@@ -193,7 +194,7 @@ class ClusterSpace:
         self._attach_into(uid, self.clusters[cid])
 
     def _attach_into(self, uid: int, cluster: Cluster) -> None:
-        self.index.add_member_vector(cluster.cid, self.user_dims[uid])
+        cluster.norm_sq += self.index.add_member_vector(cluster.cid, self.user_dims[uid])
         cluster.members += (uid,)
         self.user_cluster[uid] = cluster.cid
         total = self.total[uid]
@@ -213,7 +214,7 @@ class ClusterSpace:
         except ValueError:
             raise NotAMemberError(f"user {uid} not in cluster {cid}") from None
         cluster.members = members[:i] + members[i + 1:]
-        self.index.remove_member_vector(cid, self.user_dims[uid])
+        cluster.norm_sq += self.index.remove_member_vector(cid, self.user_dims[uid])
         del self.user_cluster[uid]
         total = self.total[uid]
         if total:
@@ -223,7 +224,8 @@ class ClusterSpace:
             cluster.scored_members -= 1
         if not cluster.members:
             del self.clusters[cid]
-            self.index.drop_cluster(cid)
+            if cluster.norm_sq:
+                raise InternalStateError(f"dropping cluster {cid} with nonzero vector")
 
     # -- scoring hooks -----------------------------------------------------
 
@@ -268,11 +270,8 @@ class ClusterSpace:
         """Revalidate every incremental structure against a rebuild."""
         user_cluster = self.user_cluster
         user_dims, spam, total = self.user_dims, self.spam, self.total
-        index = self.index
         # each cluster's count vector as the postings hold it
-        vectors = index.vectors(self.clusters)
-        if len(index.norm_sq) != len(self.clusters):
-            raise InternalStateError("index norms out of step with the clusters")
+        vectors = self.index.vectors(self.clusters)
         n_members = 0
         for cid, cluster in self.clusters.items():
             if cluster.cid != cid:
@@ -297,7 +296,7 @@ class ClusterSpace:
             if vectors[cid] != expect:
                 raise InternalStateError(f"cluster {cid} count vector diverged")
             counts = expect.values()
-            if index.norm_sq.get(cid) != sum(map(mul, counts, counts)):
+            if cluster.norm_sq != sum(map(mul, counts, counts)):
                 raise InternalStateError(f"cluster {cid} norm diverged")
             if scored != cluster.scored_members or freq_sum != cluster.freq_sum:
                 raise InternalStateError(f"cluster {cid} stats cache diverged")

@@ -11,9 +11,9 @@ Beta CV is intra CV / inter CV with distance = 1 - cosine: intra over
 member-to-centroid distances (centroid = the cluster's sum vector), inter
 over pairwise centroid distances. Coefficient of variation uses the
 population standard deviation. The distances come from the inverted index
-the engine keeps: its postings give the exact integer dots and its squared
-norms the rest, and centroid pairs that share no dimension are counted at
-distance 1.0 rather than compared. Sweep tables report the sender side.
+the engine keeps: its postings give the exact integer dots and each
+cluster's squared norm the rest, and centroid pairs that share no dimension
+are counted at distance 1.0 rather than compared. Sweep tables report the sender side.
 """
 
 from __future__ import annotations
@@ -120,12 +120,10 @@ def beta_cv(space: ClusterSpace) -> float:
         raise NotComputableError("need at least two clusters")
     if not any(len(c.members) > 1 for c in clusters.values()):
         raise NotComputableError("no multi-member cluster")
-    index = space.index
-    counts = index.counts
-    norm_sq = index.norm_sq
+    counts = space.index.counts
     user_dims = space.user_dims
     intra = [
-        _distance(sum(counts(d)[cid] for d in dims), len(dims), norm_sq[cid])
+        _distance(sum(counts(d)[cid] for d in dims), len(dims), cluster.norm_sq)
         for cid, cluster in clusters.items()
         for dims in (user_dims[uid] for uid in cluster.members)
     ]
@@ -135,10 +133,11 @@ def beta_cv(space: ClusterSpace) -> float:
     # only centroids that share a dimension have a nonzero dot; every other
     # pair sits at distance exactly 1.0, so it is counted, not listed
     dots: dict[tuple[int, int], int] = {}
-    for d in index.postings:
+    for d in space.index.postings:
         for (a, ca), (b, cb) in combinations(sorted(counts(d).items()), 2):
             dots[a, b] = dots.get((a, b), 0) + ca * cb
-    near = [_distance(dot, norm_sq[a], norm_sq[b]) for (a, b), dot in dots.items()]
+    near = [_distance(dot, clusters[a].norm_sq, clusters[b].norm_sq)
+            for (a, b), dot in dots.items()]
     far = len(clusters) * (len(clusters) - 1) // 2 - len(near)
     # fmean (an fsum) and pstdev (an exact sum) do not depend on input order
     inter_mean = fmean(chain(repeat(1.0, far), near))

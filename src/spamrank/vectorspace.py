@@ -15,10 +15,11 @@ arrives, and a dict is never turned back. Either form's ``len`` is the number
 of clusters it holds. Only this module knows the forms: ``counts`` and
 ``vectors`` read the index as plain dicts.
 
-Squared norms are maintained incrementally in integer arithmetic (a count
-step c -> c+1 changes the squared norm by 2c+1), so every cosine built on
-this index is computed from exact integers and is bit-for-bit reproducible
-from the current counts, no matter what update path produced them.
+The index holds no norms: each add or remove returns the exact integer
+change in the cluster's squared norm (a count step c -> c+1 changes it by
+2c+1) for the caller to keep, so every cosine built on this index is
+computed from exact integers and is bit-for-bit reproducible from the
+current counts, no matter what update path produced them.
 """
 
 from __future__ import annotations
@@ -58,22 +59,18 @@ class InvertedIndex:
     postings: dimension id -> the clusters touching it, as the 1-tuple
         (cid,) for one cluster with count 1, else as {cluster id: count},
         counts always >= 1; a dimension no cluster touches has no posting.
-    norm_sq: cluster id -> exact squared norm of that cluster's vector.
     """
 
-    __slots__ = ("postings", "norm_sq")
+    __slots__ = ("postings",)
 
     def __init__(self) -> None:
         self.postings: dict[int, tuple[int] | dict[int, int]] = {}
-        self.norm_sq: dict[int, int] = {}
 
-    def register_cluster(self, cid: int) -> None:
-        self.norm_sq[cid] = 0
-
-    def add_member_vector(self, cid: int, dims: Iterable[int]) -> None:
-        """Add a binary member vector into cluster cid's sum."""
+    def add_member_vector(self, cid: int, dims: Iterable[int]) -> int:
+        """Add a binary member vector into cluster cid's sum; returns the
+        change in its squared norm."""
         postings = self.postings
-        nsq = self.norm_sq[cid]
+        nsq = 0
         one = (cid,)  # every posting this call opens shares it
         for d in dims:
             p = postings.get(d)
@@ -90,16 +87,17 @@ class InvertedIndex:
             else:
                 postings[d] = {p[0]: 1, cid: 1}
                 nsq += 1
-        self.norm_sq[cid] = nsq
+        return nsq
 
-    def remove_member_vector(self, cid: int, dims: Iterable[int]) -> None:
-        """Subtract a binary member vector from cluster cid's sum.
+    def remove_member_vector(self, cid: int, dims: Iterable[int]) -> int:
+        """Subtract a binary member vector from cluster cid's sum; returns
+        the change in its squared norm.
 
         Raises InternalStateError if any count would go negative, which
         means the vector was never added (or state is corrupt).
         """
         postings = self.postings
-        nsq = self.norm_sq[cid]
+        nsq = 0
         for d in dims:
             p = postings.get(d)
             if type(p) is dict and (c := p.get(cid, 0)):
@@ -115,12 +113,7 @@ class InvertedIndex:
                 nsq -= 1
             else:
                 raise InternalStateError(f"cluster {cid} has no count for dimension {d}")
-        self.norm_sq[cid] = nsq
-
-    def drop_cluster(self, cid: int) -> None:
-        nsq = self.norm_sq.pop(cid)
-        if nsq != 0:
-            raise InternalStateError(f"dropping cluster {cid} with nonzero vector")
+        return nsq
 
     def relabel_cluster(self, old: int, new: int, dims: Iterable[int]) -> None:
         """Move a sole-member cluster's postings to a fresh id."""
@@ -132,7 +125,6 @@ class InvertedIndex:
                 p[new] = p.pop(old)
             else:
                 postings[d] = one
-        self.norm_sq[new] = self.norm_sq.pop(old)
 
     def score_candidates(self, dims: Iterable[int]) -> dict[int, int]:
         """Dot product of a binary vector against every overlapping cluster."""

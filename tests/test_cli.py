@@ -715,6 +715,9 @@ def _refusal_files(root: Path, golden_path: Path) -> None:
     (root / "corpus.jsonl").write_text("".join(lines))
     (root / "short.jsonl").write_text("".join(lines[:4]))
     (root / "junk.jsonl").write_text("".join(lines[:3]) + "{not json\n" * 4)
+    # the corpus with its ground truth, which noise-exp reads
+    (root / "truth.jsonl").write_text("".join(
+        json.dumps({**r, "truth": r["aux"]}) + "\n" for r in map(json.loads, lines)))
     assert main(["snapshot-save", "--input", str(root / "corpus.jsonl"), "--limit", "6",
                  "--snapshot-out", str(root / "state.json")]) == EXIT_OK
     for name, mutate in _BAD_STATES.items():
@@ -729,8 +732,9 @@ def _refusal_files(root: Path, golden_path: Path) -> None:
     (root / "snap.json").write_bytes(b"old state\n")
 
 
-# Each documented exit-2 or exit-4 refusal of run, snapshot-save and
-# snapshot-load. {name} is a file of _refusal_files; {new} names no file.
+# Each documented exit-2 or exit-4 refusal of run, snapshot-save,
+# snapshot-load and the report commands. {name} is a file of
+# _refusal_files; {new} names no file.
 _RESUME = "snapshot-load --input {corpus.jsonl} --snapshot-in {state.json} --output {out.jsonl} "
 _REFUSALS = [
     ("run-negative-skip", "run --input {corpus.jsonl} --output {new} --skip -1", EXIT_CONFIG),
@@ -798,6 +802,10 @@ _REFUSALS = [
      "--output {out.jsonl} --snapshot-out {snap.json}", EXIT_FORMAT),
     ("save-mostly-malformed", "snapshot-save --input {junk.jsonl} --snapshot-out {snap.json}",
      EXIT_FORMAT),
+    # a report's --output is a prefix: PREFIX.jsonl here names the --input file
+    *((f"{command}-output-is-input", f"{command} --input {{truth.jsonl}} --output {{truth}}",
+       EXIT_CONFIG)
+      for command in ("sweep-tau", "sweep-omega", "heatmap", "baseline", "noise-exp")),
 ]
 
 

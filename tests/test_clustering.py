@@ -26,6 +26,10 @@ def cluster_of(space: ClusterSpace, uid: int):
     return space.clusters[space.user_cluster[uid]]
 
 
+def norms(space: ClusterSpace) -> dict[int, int]:
+    return {cid: cluster.norm_sq for cid, cluster in space.clusters.items()}
+
+
 def assert_sums_recomputed(space: ClusterSpace) -> None:
     """Every cluster's frequency sum and scored count equal the ones
     recomputed from its members, and the space passes its integrity check."""
@@ -142,12 +146,12 @@ class TestAssignment:
                 space.record_observation(uid, True)
         assert space.user_dims == [(1,)]
         assert space.spam == space.total == [0]
-        assert space.index.norm_sq == {1: 1}
+        assert norms(space) == {1: 1}
         space.check_integrity()
         space.add_dims(1, [5])
         assert space.record_observation(1, True) is None
         assert space.user_cluster == {0: 1}
-        assert space.index.norm_sq == {1: 1}
+        assert norms(space) == {1: 1}
         space.check_integrity()
 
     def test_assign_is_idempotent_when_nothing_changed(self):
@@ -167,6 +171,7 @@ class TestReseedAndMoves:
         assert space.assign_user(0) == 3
         assert set(space.clusters) == {3}
         assert cluster_of(space, 0).cid == 3
+        assert cluster_of(space, 0).norm_sq == 1
 
     def test_ids_never_reused_after_moves(self):
         space = make_space()
@@ -194,7 +199,7 @@ class TestReseedAndMoves:
         seed_user(space, 0, [1, 2])
         space.add_dims(0, [5, 7, 5, 2])
         assert space.index.counts(5) == {1: 1}
-        assert space.index.norm_sq[1] == 4
+        assert space.clusters[1].norm_sq == 4
         assert space.user_dims[0] == (1, 2, 5, 7)
         space.check_integrity()
 
@@ -204,6 +209,15 @@ class TestReseedAndMoves:
         other = seed_user(space, 1, {2})  # disjoint, lands in its own cluster
         with pytest.raises(NotAMemberError):
             space._detach(0, other)
+
+    def test_drop_nonempty_raises(self):
+        # a stray count, norm included, that no member holds outlives the
+        # sole member's vector
+        space = make_space()
+        seed_user(space, 0, {1})
+        space.clusters[1].norm_sq += space.index.add_member_vector(1, [9])
+        with pytest.raises(InternalStateError, match="dropping cluster 1 with nonzero vector"):
+            space._detach(0, 1)
 
     @pytest.mark.parametrize("history", [[], [False, False], [True, True, True], [True, False, False]],
                              ids=["unscored", "all-ham", "all-spam", "mixed"])
@@ -237,9 +251,9 @@ class TestReseedAndMoves:
         # a second call extends cluster 9 and adds cluster 7
         space.restore([(3, 4), (6,)], [0, 1], [1, 1], [9, 7])
         assert space.clusters[9] is nine
-        assert list(space.clusters) == list(space.index.norm_sq) == [5, 9, 7]
+        assert list(space.clusters) == [5, 9, 7]
         assert [space.clusters[cid].members for cid in (5, 9, 7)] == [(0, 2), (1, 3), (4,)]
-        assert space.index.norm_sq == {5: 5, 9: 5, 7: 1}
+        assert norms(space) == {5: 5, 9: 5, 7: 1}
         assert_sums_recomputed(space)
 
 
@@ -343,9 +357,7 @@ def dense_ids(ops):
 def _stray_count(space: ClusterSpace, cid: int, d: int) -> None:
     """Count cluster cid once more on dimension d, which none of its members
     holds, and leave its squared norm as it was."""
-    nsq = space.index.norm_sq[cid]
     space.index.add_member_vector(cid, [d])
-    space.index.norm_sq[cid] = nsq
 
 
 class TestInvariants:
@@ -372,19 +384,16 @@ class TestInvariants:
     @pytest.mark.parametrize("corrupt, message", [
         (lambda s: _stray_count(s, 1, 99), "cluster 1 count vector diverged"),
         (lambda s: _stray_count(s, 2, 1), "cluster 2 count vector diverged"),
-        (lambda s: (s.index.register_cluster(99), s.index.add_member_vector(99, [77])),
-         "posting for dead cluster 99"),
-        (lambda s: (s.index.register_cluster(99), s.index.add_member_vector(99, [1])),
-         "posting for dead cluster 99"),
+        (lambda s: s.index.add_member_vector(99, [77]), "posting for dead cluster 99"),
+        (lambda s: s.index.add_member_vector(99, [1]), "posting for dead cluster 99"),
         (lambda s: setattr(s.clusters[1], "freq_sum", s.clusters[1].freq_sum - 1),
          "cluster 1 stats cache diverged"),
         (lambda s: s.user_cluster.__setitem__(7, 1), "clustered users do not partition"),
-        (lambda s: s.index.register_cluster(99), "index norms out of step with the clusters"),
-        (lambda s: s.index.norm_sq.__setitem__(99, s.index.norm_sq.pop(2)),
-         "cluster 2 norm diverged"),
+        # the norm left behind under a retired id: cluster 2's record holds none
+        (lambda s: setattr(s.clusters[2], "norm_sq", 0), "cluster 2 norm diverged"),
     ], ids=["stray-posting", "stray-count-in-shared-posting", "one-entry-posting-for-dead-cluster",
             "shared-posting-for-dead-cluster", "freq-sum-off-by-one", "clustered-non-member",
-            "stray-norm", "norm-under-a-dead-cluster-id"])
+            "norm-under-a-dead-cluster-id"])
     def test_integrity_rejects_corruption(self, corrupt, message):
         # clusters 1 (users 0 and 1, dimension 1 counted twice) and 2 (user
         # 2); dimensions 99 and 77 hold no posting before the corruption

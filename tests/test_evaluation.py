@@ -27,30 +27,23 @@ from spamrank import (
     sender_history_baseline,
     tau_sweep,
 )
-from spamrank.clustering import Cluster
 from spamrank.evaluation import write_heatmap, write_report, write_sweep
 
 from oracles import naive_beta_cv, random_corpus, sweep_row_by_replay
 
 
 def build_space(tau: float, layout: dict[int, dict[int, set]]) -> ClusterSpace:
-    """Wire a ClusterSpace into an exact, integrity-checked shape."""
+    """Build a ClusterSpace in an exact, integrity-checked shape, as a
+    snapshot load builds one: unscored users, each in its layout cluster."""
     space = ClusterSpace("test", tau)
+    users = sorted((uid, tuple(dims), cid) for cid, members in layout.items()
+                   for uid, dims in members.items())
     # a layout numbers its users 0..n-1, as the engine's Interner does
-    for uid in sorted(uid for members in layout.values() for uid in members):
-        space.add_dims(uid, ())
-    next_cid = 1
-    for cid, members in layout.items():
-        space.index.register_cluster(cid)
-        cluster = Cluster(cid)
-        space.clusters[cid] = cluster
-        for uid, dims in members.items():
-            space.user_dims[uid] = tuple(dims)
-            space.index.add_member_vector(cid, dims)
-            cluster.members += (uid,)
-            space.user_cluster[uid] = cid
-        next_cid = max(next_cid, cid + 1)
-    space._next_cid = next_cid
+    assert [uid for uid, _, _ in users] == list(range(len(users)))
+    n = len(users)
+    space.restore([dims for _, dims, _ in users], [0] * n, [0] * n,
+                  [cid for _, _, cid in users])
+    space._next_cid = max(layout) + 1
     space.check_integrity()
     return space
 

@@ -35,54 +35,37 @@ def _count(index: InvertedIndex, cid: int, d: int) -> int:
     return index.counts(d).get(cid, 0)
 
 
-def _vectors(index: InvertedIndex) -> dict[int, dict[int, int]]:
-    """Each registered cluster's count vector, read back from the postings."""
-    return index.vectors(index.norm_sq)
-
-
-def _rebuild_norms(index: InvertedIndex) -> dict[int, int]:
+def _rebuild_norms(index: InvertedIndex, cids) -> dict[int, int]:
+    """Each of clusters cids' squared norm, from its count vector as the
+    postings hold it."""
     return {cid: sum(c * c for c in counts.values())
-            for cid, counts in _vectors(index).items()}
+            for cid, counts in index.vectors(cids).items()}
 
 
 class TestInvertedIndex:
     def test_add_remove_round_trip(self):
         ix = InvertedIndex()
-        ix.register_cluster(1)
-        ix.add_member_vector(1, {1, 2})
-        ix.add_member_vector(1, {2, 3})
+        assert ix.add_member_vector(1, {1, 2}) == 2
+        assert ix.add_member_vector(1, {2, 3}) == 3 + 1
         assert _count(ix, 1, 2) == 2
-        assert ix.norm_sq[1] == 1 + 4 + 1
-        assert ix.norm_sq == _rebuild_norms(ix)
-        ix.remove_member_vector(1, {2, 3})
-        assert ix.norm_sq[1] == 2
-        ix.remove_member_vector(1, {1, 2})
-        assert ix.norm_sq[1] == 0
-        assert _vectors(ix)[1] == {}
-        ix.drop_cluster(1)
-        assert 1 not in ix.norm_sq
+        assert _rebuild_norms(ix, [1]) == {1: 1 + 4 + 1}
+        assert ix.remove_member_vector(1, {2, 3}) == -4
+        assert _rebuild_norms(ix, [1]) == {1: 2}
+        assert ix.remove_member_vector(1, {1, 2}) == -2
+        assert ix.vectors([1]) == {1: {}}
+        assert not ix.postings
 
     def test_remove_below_zero_raises(self):
         ix = InvertedIndex()
-        ix.register_cluster(1)
         ix.add_member_vector(1, {5})
         with pytest.raises(InternalStateError):
             ix.remove_member_vector(1, {5, 6})
 
-    def test_drop_nonempty_raises(self):
-        ix = InvertedIndex()
-        ix.register_cluster(1)
-        ix.add_member_vector(1, {5})
-        with pytest.raises(InternalStateError):
-            ix.drop_cluster(1)
-
     def test_relabel_moves_everything(self):
         ix = InvertedIndex()
-        ix.register_cluster(1)
         ix.add_member_vector(1, {1, 2})
         ix.relabel_cluster(1, 9, {1, 2})
-        assert 1 not in ix.norm_sq
-        assert ix.norm_sq[9] == 2
+        assert _rebuild_norms(ix, [1, 9]) == {1: 0, 9: 2}
         assert _count(ix, 9, 1) == 1
         assert _count(ix, 1, 1) == 0
 
@@ -90,7 +73,6 @@ class TestInvertedIndex:
         ix = InvertedIndex()
         vectors = {1: {1, 2, 3}, 2: {3, 4}, 3: {9}}
         for cid, dims in vectors.items():
-            ix.register_cluster(cid)
             ix.add_member_vector(cid, dims)
         ix.add_member_vector(2, {4, 5})
         # dimensions 1, 2, 5 and 9 hold one cluster once, 3 and 4 hold more; a
@@ -108,20 +90,19 @@ class TestInvertedIndex:
     def test_norms_track_random_adds(self, ops, query):
         ix = InvertedIndex()
         added: list[tuple[int, frozenset]] = []
-        for cid in (1, 2, 3):
-            ix.register_cluster(cid)
+        norms = dict.fromkeys((1, 2, 3), 0)
         for cid, dims in ops:
-            ix.add_member_vector(cid, dims)
+            norms[cid] += ix.add_member_vector(cid, dims)
             added.append((cid, frozenset(dims)))
-        assert ix.norm_sq == _rebuild_norms(ix)
-        naive = {cid: dot for cid, vec in _vectors(ix).items()
+        assert norms == _rebuild_norms(ix, norms)
+        naive = {cid: dot for cid, vec in ix.vectors(norms).items()
                  if (dot := sum(vec.get(d, 0) for d in query))}
         assert ix.score_candidates(query) == naive
         # removing everything in reverse restores a clean slate
         for cid, dims in reversed(added):
-            ix.remove_member_vector(cid, dims)
-        assert all(n == 0 for n in ix.norm_sq.values())
-        assert all(not counts for counts in _vectors(ix).values())
+            norms[cid] += ix.remove_member_vector(cid, dims)
+        assert all(n == 0 for n in norms.values())
+        assert all(not counts for counts in ix.vectors(norms).values())
         assert not ix.postings
 
 
@@ -131,8 +112,6 @@ class TestPostingForms:
 
     def test_counts_through_adds_and_removes(self):
         ix = InvertedIndex()
-        ix.register_cluster(1)
-        ix.register_cluster(2)
         steps = [
             (ix.add_member_vector, 1, {1: 1}, {1: 1, 2: 0}),
             (ix.add_member_vector, 1, {1: 2}, {1: 4, 2: 0}),
@@ -141,66 +120,62 @@ class TestPostingForms:
             (ix.remove_member_vector, 2, {1: 1}, {1: 1, 2: 0}),
             (ix.remove_member_vector, 1, {}, {1: 0, 2: 0}),
         ]
+        kept = {1: 0, 2: 0}
         for update, cid, counts, norms in steps:
-            update(cid, [5])
+            kept[cid] += update(cid, [5])
             assert ix.counts(5) == counts
             # bench/tracing.py counts the clusters on a posting by its len
             assert len(ix.postings.get(5, ())) == len(counts)
-            assert ix.norm_sq == norms
+            assert kept == _rebuild_norms(ix, (1, 2)) == norms
             assert ix.score_candidates([5]) == counts
-            assert _vectors(ix) == {cid: {5: counts[cid]} if cid in counts else {}
-                                    for cid in (1, 2)}
+            assert ix.vectors((1, 2)) == {cid: {5: counts[cid]} if cid in counts else {}
+                                          for cid in (1, 2)}
         assert 5 not in ix.postings
 
     def test_a_second_cluster_joins_a_one_entry_posting(self):
         ix = InvertedIndex()
         for cid in (1, 2):
-            ix.register_cluster(cid)
-            ix.add_member_vector(cid, [5])
+            assert ix.add_member_vector(cid, [5]) == 1
         assert ix.counts(5) == {1: 1, 2: 1}
-        assert ix.norm_sq == {1: 1, 2: 1}
-        ix.remove_member_vector(1, [5])
+        assert _rebuild_norms(ix, (1, 2)) == {1: 1, 2: 1}
+        assert ix.remove_member_vector(1, [5]) == -1
         assert ix.counts(5) == {2: 1}
-        ix.remove_member_vector(2, [5])
+        assert ix.remove_member_vector(2, [5]) == -1
         assert ix.counts(5) == {}
         assert not ix.postings
 
     def test_relabel_moves_a_one_entry_and_a_shared_posting(self):
         ix = InvertedIndex()
         for cid, dims in ((1, [5, 6]), (2, [6])):
-            ix.register_cluster(cid)
             ix.add_member_vector(cid, dims)
         ix.relabel_cluster(1, 9, [5, 6])
         assert ix.counts(5) == {9: 1}
         assert ix.counts(6) == {2: 1, 9: 1}
-        assert ix.norm_sq == {2: 1, 9: 2}
+        assert _rebuild_norms(ix, (1, 2, 9)) == {1: 0, 2: 1, 9: 2}
         assert ix.score_candidates([5, 6]) == {9: 2, 2: 1}
-        ix.remove_member_vector(9, [5, 6])
+        assert ix.remove_member_vector(9, [5, 6]) == -2
         assert ix.counts(5) == {}
         assert ix.counts(6) == {2: 1}
 
     def test_one_call_shares_one_tuple_across_the_postings_it_opens(self):
         ix = InvertedIndex()
-        ix.register_cluster(1)
-        ix.add_member_vector(1, [5, 6, 7])
+        assert ix.add_member_vector(1, [5, 6, 7]) == 3
         assert ix.postings[5] is ix.postings[6] is ix.postings[7] == (1,)
         ix.relabel_cluster(1, 9, [5, 6, 7])
         assert ix.postings[5] is ix.postings[6] is ix.postings[7] == (9,)
         # each posting changes alone: the shared tuple is replaced, never edited
-        ix.add_member_vector(9, [6])
-        ix.remove_member_vector(9, [5])
+        assert ix.add_member_vector(9, [6]) == 3
+        assert ix.remove_member_vector(9, [5]) == -1
         assert (ix.counts(5), ix.counts(6), ix.counts(7)) == ({}, {9: 2}, {9: 1})
-        assert ix.norm_sq == {9: 5}
+        assert _rebuild_norms(ix, [9]) == {9: 5}
 
     @pytest.mark.parametrize("counted", [1, 2], ids=["one-entry", "dict"])
     def test_removing_a_vector_never_added_raises(self, counted):
         ix = InvertedIndex()
-        for cid in (1, 2):
-            ix.register_cluster(cid)
         for _ in range(counted):
             ix.add_member_vector(1, [5])
         for cid, dims in ((2, [5]), (1, [6])):
             with pytest.raises(InternalStateError, match=f"cluster {cid} has no count"):
                 ix.remove_member_vector(cid, dims)
         assert ix.counts(5) == {1: counted}
-        assert ix.norm_sq == {1: counted * counted, 2: 0}
+        assert _rebuild_norms(ix, (1, 2)) == {1: counted * counted, 2: 0}
