@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import time
 from collections import Counter
@@ -92,15 +93,30 @@ def _records(args: argparse.Namespace, cfg: EngineConfig,
         yield parse_stream(fh, args.format, cfg.sender_identity, stats)
 
 
-def _refuse_same(flag: str, path: str | None, other_flag: str, other: str | None) -> None:
-    """Refuse (exit 2) to write `path` if it names the file `other`, under any
-    spelling or symlink: a written path is replaced. None names no file."""
+def _input_file(args: argparse.Namespace) -> str | int | None:
+    """The file --input names: its path or, for '-', the descriptor of a
+    regular file redirected to stdin. A pipe or a terminal on stdin, or a
+    stdin with no descriptor, names no file."""
+    if args.input != "-":
+        return args.input
+    try:
+        fd = sys.stdin.fileno()
+        return fd if stat.S_ISREG(os.fstat(fd).st_mode) else None
+    except (OSError, ValueError):  # io.UnsupportedOperation is both
+        return None
+
+
+def _refuse_same(flag: str, path: str | None, other_flag: str,
+                 other: str | int | None) -> None:
+    """Refuse (exit 2) to write `path` if it names the file `other` (a path
+    or an open descriptor), under any spelling or symlink: a written path is
+    replaced. None names no file."""
     if path is None or other is None:
         return
     try:
         same = os.path.samefile(path, other)
     except OSError:  # a missing file can be named twice only by spelling
-        same = os.path.realpath(path) == os.path.realpath(other)
+        same = type(other) is str and os.path.realpath(path) == os.path.realpath(other)
     if same:
         raise ConfigError(f"{flag} {path} is the {other_flag} file")
 
@@ -109,18 +125,17 @@ def _report_paths(args: argparse.Namespace, *suffixes: str) -> list[str]:
     """The report files PREFIX.suffix that --output names, each refused
     if it is the --input file."""
     paths = [f"{args.output}.{suffix}" for suffix in suffixes]
+    input_file = _input_file(args)
     for path in paths:
-        _refuse_same("--output", path, "--input", None if args.input == "-" else args.input)
+        _refuse_same("--output", path, "--input", input_file)
     return paths
 
 
 def _engine_config(args: argparse.Namespace, base: EngineConfig | None = None) -> EngineConfig:
-    """Fold explicit flags over a base config (defaults, or a snapshot's).
-    A field whose flag the command does not take keeps the base value."""
-    base = base or EngineConfig()
-    return EngineConfig(**{
-        name: getattr(base, name) if (value := getattr(args, name, None)) is None else value
-        for name in _ENGINE_FLAGS
+    """Explicit flags over a base config (defaults, or a snapshot's). A
+    field whose flag is unset, or not taken by the command, keeps the base value."""
+    return (base or EngineConfig()).replace(**{
+        name: value for name in _ENGINE_FLAGS if (value := getattr(args, name, None)) is not None
     })
 
 
@@ -177,7 +192,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     # a written path is replaced, so it must not name a file still to be read
     # nor the other written path (--snapshot-out may name the --snapshot-in
     # file, read first); "-" is stdin or stdout for --input and --output only
-    named = {"--input": None if args.input == "-" else args.input,
+    named = {"--input": _input_file(args),
              "--output": None if args.output == "-" else args.output,
              "--snapshot-in": args.snapshot_in, "--snapshot-out": args.snapshot_out}
     for flag, other_flag in (("--output", "--input"), ("--output", "--snapshot-in"),
@@ -370,9 +385,7 @@ def cmd_noise_exp(args: argparse.Namespace) -> int:
     paths = _report_paths(args, "tsv", "jsonl")
     cfg = _engine_config(args)
     with _records(args, cfg) as records:
-        report = noise_correction_experiment(
-            records, args.flip_rate, cfg.tau, cfg.omega, args.seed
-        )
+        report = noise_correction_experiment(records, args.flip_rate, cfg, args.seed)
     write_report(report, *paths, _header(cfg, args.seed))
     print(
         f"aux_error={report.aux_error_rate:.4f} "

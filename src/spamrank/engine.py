@@ -70,6 +70,11 @@ class EngineConfig(SlotRecord):
         # __setattr__ refuses the slot writes the default protocol makes
         return EngineConfig, self._values()
 
+    def replace(self, **changes: object) -> EngineConfig:
+        """A new config: this one's fields with `changes` applied, checked as
+        any new config is. A name that is not a field raises TypeError."""
+        return EngineConfig(**{**dict(zip(self.__slots__, self._values())), **changes})
+
     def fingerprint(self) -> str:
         """Settings that shape engine state. omega only affects verdicts,
         so two runs differing only in omega share a fingerprint and their
@@ -98,6 +103,10 @@ class SpamRankEngine:
 
     def process(self, record: MessageRecord) -> Verdict:
         recipients = record.recipients
+        # a str would be read as one recipient per character
+        if not isinstance(recipients, (tuple, list)):
+            raise FormatError(f"message {record.msg_id!r} has recipients {recipients!r}, "
+                              "not a tuple or list")
         if not recipients:
             raise FormatError(f"message {record.msg_id!r} has no recipients")
         # the snapshot loader's name test, so every name scored can be

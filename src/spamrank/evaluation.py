@@ -203,8 +203,8 @@ def tau_sweep(
     analysis that holds them); omega (for accordance) comes from config."""
     grid = _check_grid(grid)
     base = config or EngineConfig()
-    # EngineConfig refuses a bad grid point here, before any replay
-    configs = [EngineConfig(tau, base.omega, base.sender_identity) for tau in grid]
+    # replace refuses a bad grid point here, before any replay
+    configs = [base.replace(tau=tau) for tau in grid]
     records = list(records)
     rows = [row for cfg in configs for row in _replay(records, cfg, [(cfg.tau, cfg.omega)])]
     return SweepResult(parameter="tau", rows=rows)
@@ -222,8 +222,8 @@ def omega_sweep(
     """
     grid = _check_grid(grid)
     base = config or EngineConfig()
-    # EngineConfig refuses a bad grid point here, before the replay
-    omegas = [EngineConfig(base.tau, omega, base.sender_identity).omega for omega in grid]
+    # replace refuses a bad grid point here, before the replay
+    omegas = [base.replace(omega=omega).omega for omega in grid]
     rows = _replay(records, base, [(omega, omega) for omega in omegas])
     return SweepResult(parameter="omega", rows=rows)
 
@@ -289,22 +289,21 @@ def sender_history_baseline(records: Iterable[MessageRecord]) -> BaselineReport:
 def noise_correction_experiment(
     records: Iterable[MessageRecord],
     flip_rate: float,
-    tau: float,
-    omega: float,
+    config: EngineConfig | None = None,
     seed: int = 42,
 ) -> NoiseReport:
     """Measure how much label noise the structure corrects vs. introduces.
 
     Takes a corpus with generator ground truth, flips aux labels at
-    flip_rate (seeded), runs the engine on the noisy labels, and compares
-    effective labels against the hidden truth, one record at a time. fp_*
-    rows are about ground-truth ham, fn_* about ground-truth spam;
-    corrected means the engine overrode a wrong aux label, introduced
-    means it broke a right one. A record whose truth is not "spam" or
-    "ham" is refused before it is scored.
+    flip_rate (seeded), runs an engine with config (None: the defaults) on
+    the noisy labels, and compares effective labels against the hidden
+    truth, one record at a time. fp_* rows are about ground-truth ham,
+    fn_* about ground-truth spam; corrected means the engine overrode a
+    wrong aux label, introduced means it broke a right one. A record whose
+    truth is not "spam" or "ham" is refused before it is scored.
     """
     flip = label_flipper(flip_rate, seed)
-    engine = SpamRankEngine(EngineConfig(tau=tau, omega=omega))
+    engine = SpamRankEngine(config)
     tally: Counter = Counter()  # (truth, aux, effective) triples
     for rec in records:
         if rec.truth != SPAM and rec.truth != HAM:

@@ -66,11 +66,7 @@ def engine_state(engine: SpamRankEngine) -> dict:
     senders = engine.sender_side
     return {
         "version": STATE_VERSION,
-        "config": {
-            "tau": cfg.tau,
-            "omega": cfg.omega,
-            "sender_identity": cfg.sender_identity,
-        },
+        "config": dict(zip(cfg.__slots__, cfg._values())),
         "fingerprint": cfg.fingerprint(),
         "messages_processed": engine.messages_processed,
         "input_offset": engine.input_offset,

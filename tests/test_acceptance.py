@@ -296,7 +296,8 @@ def test_criterion_07_probability_corners_separate(default_records):
 def test_criterion_08_label_noise_is_corrected(default_records):
     """With 10% flipped aux labels the engine beats its own input."""
     start = time.perf_counter()
-    report = noise_correction_experiment(default_records, 0.10, 0.5, 0.85, 42)
+    report = noise_correction_experiment(
+        default_records, 0.10, EngineConfig(tau=0.5, omega=0.85), 42)
     elapsed = time.perf_counter() - start
     assert report.engine_error_rate < report.aux_error_rate
     assert report.fp_corrected > report.fp_introduced

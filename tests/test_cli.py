@@ -806,17 +806,26 @@ _REFUSALS = [
     *((f"{command}-output-is-input", f"{command} --input {{truth.jsonl}} --output {{truth}}",
        EXIT_CONFIG)
       for command in ("sweep-tau", "sweep-omega", "heatmap", "baseline", "noise-exp")),
+    # with --input -, the file redirected to stdin is the input file
+    ("output-is-stdin", "run --input - --output {corpus.jsonl}", EXIT_CONFIG),
+    ("snapshot-out-is-stdin",
+     "run --input - --output {out.jsonl} --snapshot-out {corpus.jsonl}", EXIT_CONFIG),
+    ("baseline-output-is-stdin", "baseline --input - --output {corpus}", EXIT_CONFIG),
 ]
 
 
 class TestRefusals:
     @pytest.mark.parametrize("argv, code", [row[1:] for row in _REFUSALS],
                              ids=[row[0] for row in _REFUSALS])
-    def test_a_refusal_leaves_every_file_as_it_was(self, tmp_path, golden_path, argv, code):
+    def test_a_refusal_leaves_every_file_as_it_was(self, tmp_path, golden_path, monkeypatch,
+                                                   argv, code):
         _refusal_files(tmp_path, golden_path)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         args = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv.split()]
-        assert main(args) == code
+        # what --input - reads: the corpus file, redirected to stdin
+        with open(tmp_path / "corpus.jsonl", encoding="utf-8") as stdin:
+            monkeypatch.setattr(sys, "stdin", stdin)
+            assert main(args) == code
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_a_part_way_failure_keeps_the_verdicts_it_wrote(self, tmp_path, golden_path):
@@ -961,6 +970,10 @@ REPORTS = ("sweep-tau", "sweep-omega", "heatmap", "baseline", "noise-exp")
 
 
 class TestReportFlags:
+    def test_every_engine_config_field_has_a_flag(self):
+        # so a new setting cannot ship without its flag
+        assert list(cli._ENGINE_FLAGS) == list(EngineConfig.__slots__)
+
     @pytest.mark.parametrize("command,flag", sorted(IGNORED_FLAGS))
     def test_ignored_engine_flag_is_a_usage_error(self, command, flag, capsys):
         value = {f: v for f, v, _ in ENGINE_FLAGS}[flag]

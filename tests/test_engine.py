@@ -62,6 +62,18 @@ class TestConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             EngineConfig(**kwargs)
+        with pytest.raises(ConfigError):
+            EngineConfig().replace(**kwargs)
+
+    def test_replace_builds_a_new_config_from_this_ones_fields(self):
+        cfg = EngineConfig(0.4, 0.9, "full")
+        assert cfg.replace() == cfg
+        assert cfg.replace(tau=1) == EngineConfig(1.0, 0.9, "full")
+        assert cfg.replace(tau=1).fingerprint() == "tau=1.0;identity=full"
+        assert cfg.replace(omega=0.6, sender_identity="domain") == EngineConfig(0.4, 0.6)
+        assert cfg == EngineConfig(0.4, 0.9, "full")
+        with pytest.raises(TypeError):
+            cfg.replace(history=10)
 
     def test_is_an_immutable_value_that_pickles(self):
         cfg = EngineConfig(0.4, 0.9, "full")
@@ -250,6 +262,12 @@ class TestRefusedRecords:
         (SENDERS[0], (FRESH_RECIPIENT, 7)),
         (SENDERS[0], (FRESH_RECIPIENT, b"u0@x.example")),
         (type("Name", (str,), {})(FRESH_SENDER), (FRESH_RECIPIENT,)),
+        # a recipients field that is not a tuple or list of names: a str
+        # would be read as one recipient per character
+        (SENDERS[0], "abc"),
+        (SENDERS[0], "u0@x.example"),
+        (SENDERS[0], {FRESH_RECIPIENT}),
+        (SENDERS[0], None),
     ])
     def test_a_name_that_is_not_a_str_is_refused(self, golden_records, sender, recipients):
         # the snapshot loader's test: an int or None name was scored and

@@ -27,6 +27,7 @@ from spamrank import (
     sender_history_baseline,
     tau_sweep,
 )
+from spamrank import evaluation
 from spamrank.evaluation import write_heatmap, write_report, write_sweep
 
 from oracles import naive_beta_cv, random_corpus, sweep_row_by_replay
@@ -284,17 +285,17 @@ class TestNoiseCorrection:
     def test_needs_ground_truth(self):
         records = [msg(1, "d.example", ["a@u.example"], SPAM)]
         with pytest.raises(ConfigError):
-            noise_correction_experiment(records, 0.1, 0.5, 0.85)
+            noise_correction_experiment(records, 0.1, EngineConfig(tau=0.5, omega=0.85))
 
     def test_zero_flip_rate_has_no_aux_errors(self, default_records):
         sample = default_records[:400]
-        report = noise_correction_experiment(sample, 0.0, 0.5, 0.85)
+        report = noise_correction_experiment(sample, 0.0, EngineConfig(tau=0.5, omega=0.85))
         assert report.aux_error_rate == 0.0
         assert report.total_messages == 400
 
     def test_full_flip_rate_inverts_aux(self, default_records):
         sample = default_records[:200]
-        report = noise_correction_experiment(sample, 1.0, 0.5, 0.85)
+        report = noise_correction_experiment(sample, 1.0, EngineConfig(tau=0.5, omega=0.85))
         assert report.aux_error_rate == 1.0
 
     # a truth that is neither "spam" nor "ham" would flip to an aux label
@@ -305,7 +306,20 @@ class TestNoiseCorrection:
         records = [msg(1, "d.example", ["a@u.example"], SPAM, SPAM),
                    msg(2, "d.example", ["a@u.example"], SPAM, truth)]
         with pytest.raises(ConfigError, match="ground-truth"):
-            noise_correction_experiment(records, flip_rate, 0.5, 0.85)
+            noise_correction_experiment(records, flip_rate, EngineConfig(tau=0.5, omega=0.85))
+
+    def test_the_engine_runs_under_the_given_config(self, monkeypatch, default_records):
+        built = []
+
+        class Recorded(SpamRankEngine):
+            def __init__(self, config=None):
+                super().__init__(config)
+                built.append(self.config)
+
+        monkeypatch.setattr(evaluation, "SpamRankEngine", Recorded)
+        cfg = EngineConfig(tau=0.4, omega=0.9, sender_identity="full")
+        noise_correction_experiment(default_records[:50], 0.1, cfg)
+        assert built == [cfg]
 
 
 class TestStreamedRecords:
@@ -328,8 +342,9 @@ class TestStreamedRecords:
 
     def test_noise_experiment(self, default_records):
         sample = default_records[:600]
-        assert (noise_correction_experiment(iter(sample), 0.1, 0.5, 0.85, 7)
-                == noise_correction_experiment(sample, 0.1, 0.5, 0.85, 7))
+        cfg = EngineConfig(tau=0.5, omega=0.85)
+        assert (noise_correction_experiment(iter(sample), 0.1, cfg, 7)
+                == noise_correction_experiment(sample, 0.1, cfg, 7))
 
     def test_noise_experiment_refuses_a_bad_rate_unread(self):
         def unread():
@@ -337,14 +352,14 @@ class TestStreamedRecords:
             yield
 
         with pytest.raises(ConfigError, match="flip_rate"):
-            noise_correction_experiment(unread(), 1.5, 0.5, 0.85)
+            noise_correction_experiment(unread(), 1.5, EngineConfig(tau=0.5, omega=0.85))
 
     def test_truthless_record_mid_stream(self, default_records):
         r = default_records[50]
         truthless = MessageRecord(r.msg_id, r.timestamp, r.sender, r.recipients, r.aux_label)
         records = [*default_records[:50], truthless, *default_records[51:100]]
         with pytest.raises(ConfigError, match="ground-truth"):
-            noise_correction_experiment(iter(records), 0.1, 0.5, 0.85)
+            noise_correction_experiment(iter(records), 0.1, EngineConfig(tau=0.5, omega=0.85))
 
 
 class TestReportWriters:

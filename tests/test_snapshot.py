@@ -83,6 +83,12 @@ class TestStateRoundTrip:
         assert engine_state(clone) == state
         clone.check_integrity()
 
+    def test_config_holds_the_config_fields_in_their_order(self, golden_records):
+        engine, _ = run_engine(golden_records, EngineConfig(0.4, 0.9, "full"))
+        config = engine_state(engine)["config"]
+        assert list(config) == list(EngineConfig.__slots__)
+        assert EngineConfig(**config) == engine.config
+
     def test_default_corpus_round_trips_through_json(self, default_records):
         engine, _ = run_engine(default_records)
         state = engine_state(engine)
