@@ -23,6 +23,7 @@ from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager, nullcontext
 from itertools import islice
 from json.encoder import encode_basestring_ascii as encode_str
+from typing import IO
 
 from . import __version__
 from .engine import DEFAULT_OMEGA, DEFAULT_TAU, EngineConfig, SpamRankEngine
@@ -93,39 +94,42 @@ def _records(args: argparse.Namespace, cfg: EngineConfig,
         yield parse_stream(fh, args.format, cfg.sender_identity, stats)
 
 
-def _input_file(args: argparse.Namespace) -> str | int | None:
-    """The file --input names: its path or, for '-', the descriptor of a
-    regular file redirected to stdin. A pipe or a terminal on stdin, or a
-    stdin with no descriptor, names no file."""
-    if args.input != "-":
-        return args.input
+def _named_file(name: str | None, stream: IO[str]) -> str | int | None:
+    """The file a path flag names: `name` or, for '-', the descriptor of a
+    regular file redirected to `stream` (stdin for --input, stdout for
+    --output). A pipe or a terminal on the stream, or a stream with no
+    descriptor, names no file."""
+    if name != "-":
+        return name
     try:
-        fd = sys.stdin.fileno()
+        fd = stream.fileno()
         return fd if stat.S_ISREG(os.fstat(fd).st_mode) else None
     except (OSError, ValueError):  # io.UnsupportedOperation is both
         return None
 
 
-def _refuse_same(flag: str, path: str | None, other_flag: str,
+def _refuse_same(flag: str, path: str | int | None, other_flag: str,
                  other: str | int | None) -> None:
-    """Refuse (exit 2) to write `path` if it names the file `other` (a path
-    or an open descriptor), under any spelling or symlink: a written path is
-    replaced. None names no file."""
+    """Refuse (exit 2) to write `path` if it names the file `other` (each a
+    path or the open descriptor of a '-'), under any spelling or symlink: a
+    written path is replaced. None names no file."""
     if path is None or other is None:
         return
     try:
         same = os.path.samefile(path, other)
     except OSError:  # a missing file can be named twice only by spelling
-        same = type(other) is str and os.path.realpath(path) == os.path.realpath(other)
+        same = (type(path) is str and type(other) is str
+                and os.path.realpath(path) == os.path.realpath(other))
     if same:
-        raise ConfigError(f"{flag} {path} is the {other_flag} file")
+        raise ConfigError(f"{flag} {'-' if type(path) is int else path} "
+                          f"is the {other_flag} file")
 
 
 def _report_paths(args: argparse.Namespace, *suffixes: str) -> list[str]:
     """The report files PREFIX.suffix that --output names, each refused
     if it is the --input file."""
     paths = [f"{args.output}.{suffix}" for suffix in suffixes]
-    input_file = _input_file(args)
+    input_file = _named_file(args.input, sys.stdin)
     for path in paths:
         _refuse_same("--output", path, "--input", input_file)
     return paths
@@ -192,8 +196,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     # a written path is replaced, so it must not name a file still to be read
     # nor the other written path (--snapshot-out may name the --snapshot-in
     # file, read first); "-" is stdin or stdout for --input and --output only
-    named = {"--input": _input_file(args),
-             "--output": None if args.output == "-" else args.output,
+    named = {"--input": _named_file(args.input, sys.stdin),
+             "--output": _named_file(args.output, sys.stdout),
              "--snapshot-in": args.snapshot_in, "--snapshot-out": args.snapshot_out}
     for flag, other_flag in (("--output", "--input"), ("--output", "--snapshot-in"),
                              ("--snapshot-out", "--input"), ("--snapshot-out", "--output")):
@@ -228,14 +232,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         # read past the skipped records before --output is opened, so that a
         # resume refused for a short input leaves the file as it was
         next(islice(records, skip, skip), None)
-        if not args.snapshot_in:
-            # an input shorter than --skip passes over only the records it has
-            engine.records_skipped = stats.records
-        elif stats.records < skip:  # a resume would re-save an offset it never reached
+        # a resume would re-save an offset it never reached; a fresh engine
+        # is at 0, so an input shorter than --skip passes over what it has
+        if stats.records < engine.input_offset:
             raise ConfigError(
                 f"--input holds {stats.records} records, fewer than the "
-                f"{skip} the snapshot was saved after"
+                f"{engine.input_offset} the snapshot was saved after"
             )
+        engine.input_offset = stats.records
         with (nullcontext() if args.output is None else
               nullcontext(sys.stdout) if args.output == "-" else
               open(args.output, "w", encoding="utf-8")) as out:

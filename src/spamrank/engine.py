@@ -91,15 +91,9 @@ class SpamRankEngine:
         self.recipients = Interner()
         self.sender_side = ClusterSpace(SENDER_SIDE, self.config.tau)
         self.recipient_side = ClusterSpace(RECIPIENT_SIDE, self.config.tau)
-        self.messages_processed = 0
-        # leading input records passed over unprocessed (`run --skip`)
-        self.records_skipped = 0
-
-    @property
-    def input_offset(self) -> int:
-        """Input records consumed, skipped ones included: where a resume
-        from this engine's snapshot starts reading."""
-        return self.records_skipped + self.messages_processed
+        # input records consumed, skipped ones included: where a resume
+        # from this engine's snapshot starts reading
+        self.input_offset = 0
 
     def process(self, record: MessageRecord) -> Verdict:
         recipients = record.recipients
@@ -149,7 +143,7 @@ class SpamRankEngine:
 
         sr = spam_rank(p_s, p_r)
         decision = decide(sr, self.config.omega)
-        self.messages_processed += 1
+        self.input_offset += 1
         return Verdict(record.msg_id, p_s, p_r, sr, decision, record.aux_label,
                        effective_label(decision, record.aux_label))
 

@@ -68,7 +68,7 @@ def engine_state(engine: SpamRankEngine) -> dict:
         "version": STATE_VERSION,
         "config": dict(zip(cfg.__slots__, cfg._values())),
         "fingerprint": cfg.fingerprint(),
-        "messages_processed": engine.messages_processed,
+        "messages_processed": sum(senders.total),  # 1 per message, on its sender
         "input_offset": engine.input_offset,
         "senders": _side_state(senders, engine.senders,
                                dims=list(map(sorted, senders.user_dims))),
@@ -166,8 +166,7 @@ def engine_from_state(state: dict) -> SpamRankEngine:
         engine.recipient_side.restore(vectors, r_spam, r_total, r_cids)
         engine.sender_side._next_cid, engine.recipient_side._next_cid = s_next, r_next
         engine.senders, engine.recipients = senders, recipients
-        engine.messages_processed = messages
-        engine.records_skipped = offset - messages
+        engine.input_offset = offset
         engine.check_integrity()
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         # ConfigError: the stored config is out of range or ill-typed
@@ -180,14 +179,16 @@ def save_snapshot(engine: SpamRankEngine, path: str) -> None:
 
     The document is serialized in full first, written to a temporary file
     beside path, and moved over path with os.replace, so a save that fails
-    leaves the previous snapshot intact. There is no fsync: this survives a
+    leaves the previous snapshot intact. The temporary file is created
+    under this process's own name and never reuses an existing file, which
+    may be one the run reads or writes. There is no fsync: this survives a
     failing process, not a power loss.
     """
     with _GcPaused():  # the state is a tree, so json need not look for cycles
         text = json.dumps(engine_state(engine), separators=(",", ":"),
                           check_circular=False) + "\n"
-    tmp = f"{path}.tmp"
-    fh = open(tmp, "w", encoding="utf-8")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")  # outside the try: a file it finds is not ours
     try:
         with fh:
             fh.write(text)

@@ -380,7 +380,7 @@ def test_criterion_11_snapshot_resume_is_invisible(default_records, tmp_path):
     tail = [resumed.process(r) for r in default_records[split:]]
 
     assert head + tail == full  # Verdict equality: every field, exactly
-    assert resumed.messages_processed == full_engine.messages_processed
+    assert resumed.input_offset == full_engine.input_offset
     assert engine_state(resumed) == engine_state(full_engine)
     print(f"[acceptance] criterion 11 PASS: resume at message {split} of "
           f"{len(full)} reproduced all verdicts and the exact final state")

@@ -6,6 +6,7 @@ import queue
 import subprocess
 import sys
 import threading
+from contextlib import nullcontext
 from dataclasses import asdict
 from pathlib import Path
 
@@ -664,6 +665,27 @@ class TestSnapshotCommands:
                      "--snapshot-in", str(state), "--snapshot-out", str(state)]) == EXIT_OK
         assert json.loads(state.read_text())["input_offset"] == 7
 
+    @pytest.mark.parametrize("corpus, output, snapshot_out", [
+        ("corpus.jsonl", "state.json.tmp", "state.json"),  # the verdicts at PATH.tmp
+        ("corpus.jsonl.tmp", None, "corpus.jsonl"),  # the input at PATH.tmp
+    ], ids=["output", "input"])
+    def test_a_file_at_the_snapshot_path_plus_tmp_is_kept(
+            self, tmp_path, golden_path, corpus, output, snapshot_out):
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        assert main(["run", "--input", str(golden_path), "--output", str(ref / "verdicts"),
+                     "--snapshot-out", str(ref / "state")]) == EXIT_OK
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / corpus).write_bytes(golden_path.read_bytes())
+        assert main(["run", "--input", str(work / corpus),
+                     "--output", str(work / output) if output else os.devnull,
+                     "--snapshot-out", str(work / snapshot_out)]) == EXIT_OK
+        expected = {corpus: golden_path.read_bytes(), snapshot_out: (ref / "state").read_bytes()}
+        if output:
+            expected[output] = (ref / "verdicts").read_bytes()
+        assert {p.name: p.read_bytes() for p in work.iterdir()} == expected
+
     def test_conflicting_flags_rejected_on_resume(self, tmp_path, golden_path):
         state = tmp_path / "state.json"
         main(["snapshot-save", "--input", str(golden_path), "--limit", "4",
@@ -813,20 +835,49 @@ _REFUSALS = [
     ("baseline-output-is-stdin", "baseline --input - --output {corpus}", EXIT_CONFIG),
 ]
 
+# With --output - (run's default), the file stdout appends to is the --output
+# file. Each row: the file of _refusal_files stdout appends to, the argv
+# (exit 2), and the end of the refusal message, which names --output by "-".
+_STDOUT_REFUSALS = [
+    ("stdout-is-input", "corpus.jsonl", "run --input {corpus.jsonl}",
+     "--output - is the --input file"),
+    ("stdout-is-stdin", "corpus.jsonl", "run --input -", "--output - is the --input file"),
+    ("stdout-is-snapshot-in", "state.json",
+     "snapshot-load --input {corpus.jsonl} --snapshot-in {state.json}",
+     "--output - is the --snapshot-in file"),
+    ("snapshot-out-is-stdout", "out.jsonl",
+     "run --input {corpus.jsonl} --output - --snapshot-out {out.jsonl}",
+     "out.jsonl is the --output file"),
+]
+
 
 class TestRefusals:
+    @staticmethod
+    def _refused(root, golden_path, monkeypatch, argv, code, stdout=None):
+        _refusal_files(root, golden_path)
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        args = [str(root / a[1:-1]) if a.startswith("{") else a for a in argv.split()]
+        # what --input - reads: the corpus file, redirected to stdin
+        with open(root / "corpus.jsonl", encoding="utf-8") as stdin, \
+                open(root / stdout, "a", encoding="utf-8") if stdout else nullcontext() as out:
+            monkeypatch.setattr(sys, "stdin", stdin)
+            if out is not None:
+                monkeypatch.setattr(sys, "stdout", out)
+            assert main(args) == code
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+
     @pytest.mark.parametrize("argv, code", [row[1:] for row in _REFUSALS],
                              ids=[row[0] for row in _REFUSALS])
     def test_a_refusal_leaves_every_file_as_it_was(self, tmp_path, golden_path, monkeypatch,
                                                    argv, code):
-        _refusal_files(tmp_path, golden_path)
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        args = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv.split()]
-        # what --input - reads: the corpus file, redirected to stdin
-        with open(tmp_path / "corpus.jsonl", encoding="utf-8") as stdin:
-            monkeypatch.setattr(sys, "stdin", stdin)
-            assert main(args) == code
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        self._refused(tmp_path, golden_path, monkeypatch, argv, code)
+
+    @pytest.mark.parametrize("stdout, argv, message", [row[1:] for row in _STDOUT_REFUSALS],
+                             ids=[row[0] for row in _STDOUT_REFUSALS])
+    def test_a_stdout_appending_to_a_named_file_is_that_file(
+            self, tmp_path, golden_path, monkeypatch, capsys, stdout, argv, message):
+        self._refused(tmp_path, golden_path, monkeypatch, argv, EXIT_CONFIG, stdout)
+        assert capsys.readouterr().err.endswith(f"{message}\n")
 
     def test_a_part_way_failure_keeps_the_verdicts_it_wrote(self, tmp_path, golden_path):
         # the one documented exception: --output holds the verdicts written

@@ -149,7 +149,7 @@ class TestGoldenTrace:
         assert recipients == GOLDEN_RECIPIENT_CLUSTERS
         assert engine.sender_side._next_cid == GOLDEN_NEXT_CIDS[0]
         assert engine.recipient_side._next_cid == GOLDEN_NEXT_CIDS[1]
-        assert engine.messages_processed == 10
+        assert engine.input_offset == 10
 
 
 class TestOrderingFlags:
@@ -166,7 +166,7 @@ class TestEngineBasics:
         engine = SpamRankEngine()
         verdicts = list(map(engine.process, golden_records))
         assert len(verdicts) == 10
-        assert engine.messages_processed == 10
+        assert engine.input_offset == 10
 
     def test_census_reports_both_sides(self, golden_records):
         engine = SpamRankEngine()

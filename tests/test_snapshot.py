@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -158,7 +159,21 @@ class TestStateRoundTrip:
         replayed = [v for _, v in zip(range(6), straight)] + tail
         for a, b in zip(straight, replayed):
             assert a == b  # every field, floats included, must be identical
-        assert resumed.messages_processed == 10
+        assert resumed.input_offset == 10
+
+    def test_an_offset_set_on_a_library_engine_is_saved_and_resumed(self, golden_records):
+        # a library engine told it was handed the stream after 5 records
+        # saves those 5 in its offset, and resumes as if never cut
+        _, straight = run_engine(golden_records)
+        engine = SpamRankEngine()
+        engine.input_offset = 5
+        for record in golden_records[:3]:
+            engine.process(record)
+        state = engine_state(engine)
+        assert (state["input_offset"], state["messages_processed"]) == (8, 3)
+        resumed = engine_from_state(json.loads(json.dumps(state)))
+        assert resumed.input_offset == 8
+        assert [resumed.process(r) for r in golden_records[3:]] == straight[3:]
 
     def test_resume_of_a_label_noisy_stream_is_invisible(self, noisy_records):
         # flipped labels leave many users with mixed spam/ham histories at the
@@ -425,6 +440,24 @@ class TestAtomicSave:
             save_snapshot(engine, str(path))
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
+
+    def test_a_file_at_the_path_plus_tmp_is_left_as_it_was(self, tmp_path, golden_records):
+        # it may be a file the run reads or writes, such as its --output
+        engine, _ = run_engine(golden_records)
+        (tmp_path / "state.json.tmp").write_bytes(b"verdicts\n")
+        save_snapshot(engine, str(tmp_path / "state.json"))
+        assert (tmp_path / "state.json.tmp").read_bytes() == b"verdicts\n"
+        assert engine_state(load_snapshot(str(tmp_path / "state.json"))) == engine_state(engine)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "state.json.tmp"]
+
+    def test_an_existing_temporary_file_is_never_reused(self, tmp_path, golden_records):
+        engine, _ = run_engine(golden_records)
+        taken = tmp_path / f"state.json.{os.getpid()}.tmp"
+        taken.write_bytes(b"not ours\n")
+        with pytest.raises(FileExistsError):
+            save_snapshot(engine, str(tmp_path / "state.json"))
+        assert taken.read_bytes() == b"not ours\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name]
 
 
 class TestCollectorPaused:
