@@ -18,7 +18,7 @@ import os
 import stat
 import sys
 import time
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager, nullcontext
 from itertools import islice
@@ -44,7 +44,7 @@ from .ingest import (
     write_jsonl,
 )
 from .scoring import DEFERRED, HAM, LEGIT, SPAM, accordance
-from .snapshot import load_snapshot, save_snapshot
+from .snapshot import load_snapshot, message_fields, save_snapshot
 
 # The report commands import spamrank.evaluation, and generate imports
 # spamrank.synthgen, inside the command: `run` and the snapshot commands
@@ -229,9 +229,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     flush = args.input == "-" and not sys.stdin.seekable()
     start = time.perf_counter()
     with _records(args, cfg, stats) as records:
-        # read past the skipped records before --output is opened, so that a
-        # resume refused for a short input leaves the file as it was
-        next(islice(records, skip, skip), None)
+        # read past the skipped records, keeping the last, before --output is
+        # opened, so that a refused resume leaves the file as it was
+        skipped = deque(islice(records, skip), maxlen=1)
+        last = skipped[0] if skipped else None
         # a resume would re-save an offset it never reached; a fresh engine
         # is at 0, so an input shorter than --skip passes over what it has
         if stats.records < engine.input_offset:
@@ -239,7 +240,14 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"--input holds {stats.records} records, fewer than the "
                 f"{engine.input_offset} the snapshot was saved after"
             )
-        engine.input_offset = stats.records
+        # a snapshot that names its last message is resumed only on an input
+        # that holds that message at its offset
+        if (engine.last_record is not None
+                and message_fields(last) != message_fields(engine.last_record)):
+            raise ConfigError(
+                f"record {skip} of --input is not the message the snapshot was saved after"
+            )
+        engine.input_offset, engine.last_record = stats.records, last
         with (nullcontext() if args.output is None else
               nullcontext(sys.stdout) if args.output == "-" else
               open(args.output, "w", encoding="utf-8")) as out:

@@ -32,7 +32,6 @@ remove-then-create reading of the assignment step.
 from __future__ import annotations
 
 from collections import Counter, _count_elements
-from collections.abc import Iterable
 from math import sqrt
 from operator import mul
 
@@ -53,15 +52,14 @@ class Cluster(SlotRecord):
 
     __slots__ = ("cid", "members", "freq_sum", "scored_members", "norm_sq")
 
-    def __init__(self, cid: int, members: Iterable[int] = (), freq_sum: int = 0,
-                 scored_members: int = 0) -> None:
+    def __init__(self, cid: int) -> None:
         self.cid = cid
         # distinct user ids, in attach order
-        self.members = tuple(members)
+        self.members: tuple[int, ...] = ()
         # sum of fixed-point spam frequencies, (spam << FREQ_BITS) // total,
         # over members with observations, and how many
-        self.freq_sum = freq_sum
-        self.scored_members = scored_members
+        self.freq_sum = 0
+        self.scored_members = 0
         self.norm_sq = 0
 
 

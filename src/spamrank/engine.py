@@ -92,8 +92,10 @@ class SpamRankEngine:
         self.sender_side = ClusterSpace(SENDER_SIDE, self.config.tau)
         self.recipient_side = ClusterSpace(RECIPIENT_SIDE, self.config.tau)
         # input records consumed, skipped ones included: where a resume
-        # from this engine's snapshot starts reading
+        # from this engine's snapshot starts reading; and the last of them,
+        # or None, which a resume finds again at that offset
         self.input_offset = 0
+        self.last_record: MessageRecord | None = None
 
     def process(self, record: MessageRecord) -> Verdict:
         recipients = record.recipients
@@ -144,6 +146,7 @@ class SpamRankEngine:
         sr = spam_rank(p_s, p_r)
         decision = decide(sr, self.config.omega)
         self.input_offset += 1
+        self.last_record = record
         return Verdict(record.msg_id, p_s, p_r, sr, decision, record.aux_label,
                        effective_label(decision, record.aux_label))
 

@@ -1,8 +1,9 @@
 """Engine state persistence with exact resume.
 
 A snapshot is one versioned JSON document holding only what cannot be
-rebuilt (README lists its fields): per side, the next cluster id and one
-column per user field, user i at index i. Senders and recipients are the
+rebuilt (README lists its fields): the config, the input offset, the
+message last consumed, and per side the next cluster id and one column per
+user field, user i at index i. Senders and recipients are the
 two readings of one contact relation, so only the senders store vectors:
 a recipient's vector is the set of senders whose vectors name it, and
 loading rebuilds it by transposition. Loading checks every column whole,
@@ -27,9 +28,11 @@ from operator import gt, lt
 from .clustering import ClusterSpace
 from .engine import EngineConfig, SpamRankEngine
 from .errors import ConfigError, FormatError
+from .ingest import MessageRecord
+from .scoring import HAM, SPAM
 from .vectorspace import Interner
 
-STATE_VERSION = 7
+STATE_VERSION = 8
 
 
 class _GcPaused:
@@ -61,15 +64,24 @@ def _side_state(space: ClusterSpace, interner: Interner, **columns: list) -> dic
             "spam": space.spam.copy(), "total": space.total.copy(), "cid": list(cids)}
 
 
+def message_fields(record: MessageRecord | None) -> list | None:
+    """The fields of a record that process() checks, [sender, recipients,
+    aux label], which a resume compares with the record at its offset; None
+    for no record. Not the id or timestamp: process() never checks them, so
+    they may hold what JSON cannot write."""
+    if record is None:
+        return None
+    return [record.sender, list(record.recipients), record.aux_label]
+
+
 def engine_state(engine: SpamRankEngine) -> dict:
     cfg = engine.config
     senders = engine.sender_side
     return {
         "version": STATE_VERSION,
         "config": dict(zip(cfg.__slots__, cfg._values())),
-        "fingerprint": cfg.fingerprint(),
-        "messages_processed": sum(senders.total),  # 1 per message, on its sender
         "input_offset": engine.input_offset,
+        "last_message": message_fields(engine.last_record),
         "senders": _side_state(senders, engine.senders,
                                dims=list(map(sorted, senders.user_dims))),
         "recipients": _side_state(engine.recipient_side, engine.recipients),
@@ -114,23 +126,20 @@ def _transpose(vectors: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
 def engine_from_state(state: dict) -> SpamRankEngine:
     """Rebuild an engine from engine_state() output.
 
-    A wrong version, a fingerprint that does not match the config, a
-    missing, unknown, ill-typed or out-of-range field, a column that is not
-    a list as long as its side's names, or counts that no run of process()
-    reaches raise FormatError before any user is restored; state that
-    parses but is inconsistent fails check_integrity with InternalStateError.
+    A wrong version, a missing, unknown, ill-typed or out-of-range field, a
+    column that is not a list as long as its side's names, or counts that
+    no run of process() reaches raise FormatError before any user is
+    restored; state that parses but is inconsistent fails check_integrity
+    with InternalStateError.
     """
     version = state.get("version")
-    if type(version) is not int or version != STATE_VERSION:  # 7.0 == 7 as well
+    if type(version) is not int or version != STATE_VERSION:  # 8.0 == 8 as well
         raise FormatError(f"unsupported snapshot version {version!r}")
     try:
-        if state.keys() != {"version", "config", "fingerprint", "messages_processed",
-                            "input_offset", "senders", "recipients"}:
+        if state.keys() != {"version", "config", "input_offset", "last_message",
+                            "senders", "recipients"}:
             raise ValueError(f"the top-level keys are not the ones format {STATE_VERSION} holds")
-        cfg = EngineConfig(**state["config"])
-        if state.get("fingerprint") != cfg.fingerprint():
-            raise FormatError("snapshot fingerprint does not match its own config")
-        engine = SpamRankEngine(cfg)
+        engine = SpamRankEngine(EngineConfig(**state["config"]))
         s_next, senders, (s_dims, s_spam, s_total, s_cids) = _checked_side(
             state["senders"], "sender", "dims")
         r_next, recipients, (r_spam, r_total, r_cids) = _checked_side(
@@ -147,26 +156,34 @@ def engine_from_state(state: dict) -> SpamRankEngine:
         # integrity recount alike, so only this check can catch it
         if sum(map(len, map(set, s_dims))) != len(flat):
             raise ValueError("a sender's dims repeat an id")
-        if min(flat, default=0) < 0 or max(flat, default=0) >= len(recipients):
+        if min(flat, default=0) < 0 or max(flat, default=-1) >= len(recipients):
             raise ValueError("a sender dim names no recipient")
         vectors = _transpose(s_dims, len(recipients))
         if not all(vectors):
             raise ValueError("a recipient is named by no sender")
-        messages = _count(state["messages_processed"])
-        # each message counts once for its sender, and once for each of its
-        # recipients, which it names once each
-        if sum(s_total) != messages:
-            raise ValueError("sender totals do not sum to the message count")
+        # each message counts once for each of its recipients, which it
+        # names once each, and once for its sender: the sender totals count
+        # the messages, each one input record
         if any(map(lt, r_total, map(len, vectors))):
             raise ValueError("a recipient's total is below the senders that name it")
         offset = _count(state["input_offset"])
-        if offset < messages:
+        if offset < sum(s_total):
             raise ValueError(f"input offset {offset} is below the message count")
+        last = state["last_message"]
+        if last is not None:
+            # the record tests of process(): a message it would have scored
+            if (type(last) is not list or len(last) != 3 or type(last[0]) is not str
+                    or type(last[1]) is not list or not last[1]
+                    or not set(map(type, last[1])) <= {str}
+                    or len(set(last[1])) != len(last[1]) or last[2] not in (SPAM, HAM)):
+                raise ValueError("last_message is not null or a [sender, recipients, "
+                                 "aux label] message")
+            last = MessageRecord(None, None, last[0], tuple(last[1]), last[2])
         engine.sender_side.restore(s_dims, s_spam, s_total, s_cids)
         engine.recipient_side.restore(vectors, r_spam, r_total, r_cids)
         engine.sender_side._next_cid, engine.recipient_side._next_cid = s_next, r_next
         engine.senders, engine.recipients = senders, recipients
-        engine.input_offset = offset
+        engine.input_offset, engine.last_record = offset, last
         engine.check_integrity()
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         # ConfigError: the stored config is out of range or ill-typed

@@ -425,10 +425,20 @@ class TestGenerateCommand:
         assert not corpus.exists()
 
 
+def _as_format_7(state: dict) -> None:
+    """Rewrite a snapshot in the previous layout: version 7, with the
+    config's fingerprint and the message count, and no last message."""
+    del state["last_message"]
+    state.update(version=7, fingerprint=EngineConfig(**state["config"]).fingerprint(),
+                 messages_processed=sum(state["senders"]["total"]))
+
+
 def _as_format_6(state: dict) -> None:
-    """Rewrite a snapshot in the previous layout: version 6, and each side's
-    columns zipped into one row per user, [name, dims, spam, total, cid]
-    for a sender and [name, spam, total, cid] for a recipient."""
+    """Rewrite a snapshot in the previous layout: version 6, format 7's
+    keys, and each side's columns zipped into one row per user, [name,
+    dims, spam, total, cid] for a sender and [name, spam, total, cid] for a
+    recipient."""
+    _as_format_7(state)
     state["version"] = 6
     for side in (state["senders"], state["recipients"]):
         keys = [key for key in ("names", "dims", "spam", "total", "cid") if key in side]
@@ -505,7 +515,7 @@ class TestSnapshotCommands:
         assert code == EXIT_OK
         assert len(tail.read_text().splitlines()) == 1 + 4
         saved = json.loads(final.read_text())
-        assert saved["messages_processed"] == 10
+        assert sum(saved["senders"]["total"]) == 10
         assert saved["input_offset"] == 10
 
     def test_skip_counts_into_the_recorded_offset(self, tmp_path, golden_path):
@@ -513,12 +523,12 @@ class TestSnapshotCommands:
         main(["snapshot-save", "--input", str(golden_path), "--skip", "2",
               "--limit", "3", "--snapshot-out", str(state)])
         saved = json.loads(state.read_text())
-        assert (saved["messages_processed"], saved["input_offset"]) == (3, 5)
+        assert (sum(saved["senders"]["total"]), saved["input_offset"]) == (3, 5)
         # a skip past the end of the input consumes only what is there
         main(["snapshot-save", "--input", str(golden_path), "--skip", "50",
               "--snapshot-out", str(state)])
         saved = json.loads(state.read_text())
-        assert (saved["messages_processed"], saved["input_offset"]) == (0, 10)
+        assert (sum(saved["senders"]["total"]), saved["input_offset"]) == (0, 10)
 
     def test_resume_on_an_input_shorter_than_the_offset_is_refused(
             self, tmp_path, golden_path, capsys):
@@ -550,7 +560,8 @@ class TestSnapshotCommands:
         assert main(["snapshot-load", "--input", str(golden_path)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("doc", ['{"version": 2}', '{"version": 1}', '{"version": 3}',
-                                     '{"version": 4}', '{"version": 5}', '{"version": 6}'])
+                                     '{"version": 4}', '{"version": 5}', '{"version": 6}',
+                                     '{"version": 7}'])
     def test_snapshot_missing_fields_is_a_format_error(self, tmp_path, golden_path, doc):
         state = tmp_path / "state.json"
         state.write_text(doc)
@@ -562,6 +573,7 @@ class TestSnapshotCommands:
         _as_format_4,
         _as_format_5,
         _as_format_6,
+        _as_format_7,
         lambda s: s["recipients"]["names"].__setitem__(1, 1),
         lambda s: s["senders"]["names"].__setitem__(1, s["senders"]["names"][0]),
         # user 0 is in cluster 1, which these would find
@@ -569,16 +581,16 @@ class TestSnapshotCommands:
         lambda s: s["recipients"]["cid"].__setitem__(1, True),
         # and user 0 already holds dim 2
         lambda s: s["senders"]["dims"].__setitem__(1, [0, 1, 2.0]),
-        # a config the engine refuses, its fingerprint edited to match
-        lambda s: s.update(config={**s["config"], "tau": True},
-                           fingerprint=s["fingerprint"].replace("0.5", "True")),
-        lambda s: s.update(config={**s["config"], "tau": 2.0},
-                           fingerprint=s["fingerprint"].replace("0.5", "2.0")),
-        # an int tau, as an earlier version saved it from the library: the
-        # stored fingerprint no longer matches the one its config gives
-        lambda s: s.update(config={**s["config"], "tau": 1},
-                           fingerprint=s["fingerprint"].replace("0.5", "1")),
-    ], ids=["format-3", "format-4", "format-5", "format-6", "name-not-a-string", "repeated-name",
+        # a config the engine refuses
+        lambda s: s.update(config={**s["config"], "tau": True}),
+        lambda s: s.update(config={**s["config"], "tau": 2.0}),
+        # an int tau, as an earlier version saved it from the library in
+        # format 7: the stored fingerprint does not match the one its
+        # config gives, and the format is refused whole
+        lambda s: (_as_format_7(s), s.update(config={**s["config"], "tau": 1},
+                                             fingerprint=s["fingerprint"].replace("0.5", "1"))),
+    ], ids=["format-3", "format-4", "format-5", "format-6", "format-7", "name-not-a-string",
+            "repeated-name",
             "cid-float", "cid-true", "dim-float", "config-tau-true",
             "config-tau-out-of-range", "int-tau-fingerprint"])
     def test_refused_snapshot_is_a_format_error(self, tmp_path, golden_path, mutate):
@@ -699,6 +711,50 @@ class TestSnapshotCommands:
                      "--snapshot-in", str(state), "--omega", "0.95"])
         assert code == EXIT_OK
 
+    def test_resume_on_other_input_names_the_record(self, tmp_path, golden_path, capsys):
+        # the input's 6th record differs from the message the snapshot was
+        # saved after in its recipients only
+        state = tmp_path / "state.json"
+        main(["snapshot-save", "--input", str(golden_path), "--limit", "6",
+              "--snapshot-out", str(state)])
+        lines = golden_path.read_text().splitlines(keepends=True)
+        sixth = json.loads(lines[5])
+        sixth["to"] = sixth["to"][::-1]
+        other = tmp_path / "other.jsonl"
+        other.write_text("".join(lines[:5] + [json.dumps(sixth) + "\n"] + lines[6:]))
+        capsys.readouterr()
+        assert main(["snapshot-load", "--input", str(other), "--snapshot-in", str(state),
+                     "--output", os.devnull]) == EXIT_CONFIG
+        assert ("record 6 of --input is not the message the snapshot was saved after"
+                in capsys.readouterr().err)
+        # its id and time may differ
+        sixth = {**json.loads(lines[5]), "id": "other", "ts": 0}
+        other.write_text("".join(lines[:5] + [json.dumps(sixth) + "\n"] + lines[6:]))
+        assert main(["snapshot-load", "--input", str(other), "--snapshot-in", str(state),
+                     "--output", os.devnull]) == EXIT_OK
+
+    def test_library_snapshot_without_a_message_resumes_after_its_offset(
+            self, tmp_path, golden_path):
+        # a library engine handed the stream after 5 records, which has
+        # processed none: its snapshot names no message, so a resume
+        # compares none, and continues as a run that skips those 5
+        engine = SpamRankEngine()
+        engine.input_offset = 5
+        state = tmp_path / "state.json"
+        save_snapshot(engine, str(state))
+        assert json.loads(state.read_text())["last_message"] is None
+        ref, ref_state = tmp_path / "ref.jsonl", tmp_path / "ref.json"
+        assert main(["run", "--input", str(golden_path), "--skip", "5",
+                     "--output", str(ref), "--snapshot-out", str(ref_state)]) == EXIT_OK
+        tail, resaved = tmp_path / "tail.jsonl", tmp_path / "resaved.json"
+        assert main(["snapshot-load", "--input", str(golden_path), "--snapshot-in", str(state),
+                     "--output", str(tail), "--snapshot-out", str(resaved)]) == EXIT_OK
+        assert tail.read_text().splitlines()[1:] == ref.read_text().splitlines()[1:]
+        assert len(tail.read_text().splitlines()) == 1 + 5
+        assert resaved.read_bytes() == ref_state.read_bytes()
+        assert json.loads(resaved.read_text())["last_message"] == [
+            "d2.example", ["a@u.example", "b@u.example", "c@u.example"], "spam"]
+
     def test_library_snapshot_with_an_int_tau_resumes_under_that_tau(
             self, tmp_path, golden_path, golden_records):
         # EngineConfig(tau=1) fingerprints as --tau 1 does: tau=1.0
@@ -736,6 +792,11 @@ def _refusal_files(root: Path, golden_path: Path) -> None:
     lines = golden_path.read_text().splitlines(keepends=True)
     (root / "corpus.jsonl").write_text("".join(lines))
     (root / "short.jsonl").write_text("".join(lines[:4]))
+    # the corpus with its 6th record, the last one state.json consumed,
+    # under the other aux label
+    sixth = json.loads(lines[5])
+    sixth["aux"] = "ham" if sixth["aux"] == "spam" else "spam"
+    (root / "other.jsonl").write_text("".join(lines[:5] + [json.dumps(sixth) + "\n"] + lines[6:]))
     (root / "junk.jsonl").write_text("".join(lines[:3]) + "{not json\n" * 4)
     # the corpus with its ground truth, which noise-exp reads
     (root / "truth.jsonl").write_text("".join(
@@ -791,6 +852,9 @@ _REFUSALS = [
     ("load-conflicting-tau", _RESUME + "--snapshot-out {snap.json} --tau 0.9", EXIT_CONFIG),
     ("load-short-input",
      "snapshot-load --input {short.jsonl} --snapshot-in {state.json} --output {out.jsonl} "
+     "--snapshot-out {snap.json}", EXIT_CONFIG),
+    ("load-other-input",
+     "snapshot-load --input {other.jsonl} --snapshot-in {state.json} --output {out.jsonl} "
      "--snapshot-out {snap.json}", EXIT_CONFIG),
     ("load-unparsable-snapshot",
      "snapshot-load --input {corpus.jsonl} --snapshot-in {broken.json} --output {out.jsonl}",

@@ -91,7 +91,8 @@ class TestEffectiveLabel:
 
 class TestClusterSpamProbability:
     def _cluster(self, freq_sum: int, scored: int, members: int) -> Cluster:
-        c = Cluster(1, members=range(members))
+        c = Cluster(1)
+        c.members = tuple(range(members))
         c.freq_sum = freq_sum
         c.scored_members = scored
         return c

@@ -27,11 +27,6 @@ def run_engine(records, cfg=None):
     return engine, verdicts
 
 
-def _set_tau(state: dict, tau: object) -> None:
-    state["config"]["tau"] = tau
-    state["fingerprint"] = state["fingerprint"].replace("tau=0.5;", f"tau={tau!r};")
-
-
 def _add(side: dict, **values) -> None:
     # one value appended to each named column, and to no other
     for key, value in values.items():
@@ -99,7 +94,9 @@ class TestStateRoundTrip:
     def test_each_side_holds_one_column_per_field(self, golden_records):
         engine, _ = run_engine(golden_records)
         state = engine_state(engine)
-        assert state["version"] == STATE_VERSION == 7
+        assert state["version"] == STATE_VERSION == 8
+        assert list(state) == ["version", "config", "input_offset", "last_message",
+                               "senders", "recipients"]
         for side, space, interner in (
             ("senders", engine.sender_side, engine.senders),
             ("recipients", engine.recipient_side, engine.recipients),
@@ -170,10 +167,31 @@ class TestStateRoundTrip:
         for record in golden_records[:3]:
             engine.process(record)
         state = engine_state(engine)
-        assert (state["input_offset"], state["messages_processed"]) == (8, 3)
+        assert (state["input_offset"], sum(state["senders"]["total"])) == (8, 3)
+        assert state["last_message"] == ["l1.org", ["c@u.example"], "ham"]
         resumed = engine_from_state(json.loads(json.dumps(state)))
         assert resumed.input_offset == 8
         assert [resumed.process(r) for r in golden_records[3:]] == straight[3:]
+
+    def test_an_engine_with_no_message_round_trips(self):
+        # no sender holds a dim, and no recipient is there to name
+        state = json.loads(json.dumps(engine_state(SpamRankEngine())))
+        assert engine_state(engine_from_state(state)) == state
+
+    def test_the_last_message_round_trips(self, golden_records):
+        # the fields of the record process() saw last, which a resume
+        # compares with its input; a fresh engine has none
+        assert engine_state(SpamRankEngine())["last_message"] is None
+        engine, _ = run_engine(golden_records[:6])
+        last = golden_records[5]
+        state = json.loads(json.dumps(engine_state(engine)))
+        assert state["last_message"] == [last.sender, list(last.recipients), last.aux_label]
+        clone = engine_from_state(state)
+        assert (clone.last_record.sender, clone.last_record.recipients,
+                clone.last_record.aux_label) == (last.sender, last.recipients, last.aux_label)
+        assert engine_state(clone) == state
+        clone.process(golden_records[6])
+        assert clone.last_record is golden_records[6]
 
     def test_resume_of_a_label_noisy_stream_is_invisible(self, noisy_records):
         # flipped labels leave many users with mixed spam/ham histories at the
@@ -230,13 +248,6 @@ class TestValidation:
         with pytest.raises(FormatError):
             engine_from_state(state)
 
-    def test_fingerprint_must_match_config(self, golden_records):
-        engine, _ = run_engine(golden_records)
-        state = engine_state(engine)
-        state["fingerprint"] = "tampered"
-        with pytest.raises(FormatError):
-            engine_from_state(state)
-
     def test_omega_does_not_invalidate_a_snapshot(self, golden_records):
         # omega shapes verdicts, not state: the fingerprint ignores it
         engine, _ = run_engine(golden_records, EngineConfig(omega=0.6))
@@ -285,8 +296,9 @@ class TestValidation:
         lambda s: s.pop("senders"),
         lambda s: _add(s["senders"], names=99, dims=[], spam=0),
         lambda s: s["senders"]["cid"].__setitem__(0, 12345),
-        lambda s: s.pop("messages_processed"),
-        lambda s: s.update(messages_processed="six"),
+        # the sender totals, which count the messages
+        lambda s: s["senders"].pop("total"),
+        lambda s: s["senders"]["total"].__setitem__(0, "3"),
         lambda s: s["recipients"].update(next_cid=2.5),
         lambda s: _repeat_name(s["senders"], 1),
         lambda s: s["senders"]["names"].__setitem__(0, 0.0),
@@ -314,17 +326,32 @@ class TestValidation:
         # user 0 already holds dims 1 and 2, whose posting keys these would find
         lambda s: s["senders"]["dims"].__setitem__(1, [0, 1, 2.0]),
         lambda s: s["senders"]["dims"].__setitem__(1, [0, True, 2]),
-        # the fingerprint edited to match, so only the config is wrong
-        lambda s: _set_tau(s, True),
+        lambda s: s["config"].update(tau=True),
         lambda s: s["config"].update(omega=True),
-        lambda s: _set_tau(s, 2.0),
+        lambda s: s["config"].update(tau=2.0),
         # states no run of process() reaches: a user with no contact
         lambda s: _append_user(s["senders"], "ghost.example", dims=[], spam=0, total=0),
         lambda s: s["senders"]["dims"].__setitem__(3, []),
         lambda s: _append_user(s["recipients"], "ghost@u.example", spam=0, total=0),
-        # sender totals that do not sum to the message count
+        # sender totals, the message count, above the input offset
         lambda s: s["senders"]["total"].__setitem__(0, 4),
-        lambda s: s.update(messages_processed=11, input_offset=11),
+        # format 7's keys, which the config and the sender totals give
+        lambda s: s.update(fingerprint=EngineConfig(**s["config"]).fingerprint()),
+        lambda s: s.update(messages_processed=sum(s["senders"]["total"])),
+        # a last message that process() would not have scored
+        lambda s: s.update(last_message="m10"),
+        lambda s: s.update(last_message={"from": "d2.example"}),
+        lambda s: s["last_message"].pop(),
+        lambda s: s["last_message"].append(None),
+        lambda s: s["last_message"].__setitem__(0, None),
+        lambda s: s["last_message"].__setitem__(0, ["d2.example"]),
+        lambda s: s["last_message"].__setitem__(1, "a@u.example"),
+        lambda s: s["last_message"].__setitem__(1, []),
+        lambda s: s["last_message"][1].__setitem__(0, 1),
+        lambda s: s["last_message"][1].append(s["last_message"][1][0]),
+        lambda s: s["last_message"].__setitem__(2, "SPAM"),
+        lambda s: s["last_message"].__setitem__(2, None),
+        lambda s: s["last_message"].__setitem__(2, True),
         # recipient c is named by six senders
         lambda s: s["recipients"]["total"].__setitem__(2, 5),
         # a side column that is not a list: an object keyed by index has
@@ -358,7 +385,12 @@ class TestValidation:
             "dim-true-of-a-held-id", "config-tau-true", "config-omega-true",
             "config-tau-out-of-range", "new-sender-with-no-contact",
             "sender-with-no-contact", "recipient-no-sender-names",
-            "sender-total-above-message-count", "message-count-above-sender-totals",
+            "sender-total-above-message-count", "stored-fingerprint", "stored-message-count",
+            "last-message-a-str", "last-message-an-object", "last-message-short",
+            "last-message-long", "last-message-sender-null", "last-message-sender-a-list",
+            "last-message-recipients-a-str", "last-message-no-recipients",
+            "last-message-recipient-an-int", "last-message-repeats-a-recipient",
+            "last-message-aux-upper-case", "last-message-aux-null", "last-message-aux-true",
             "recipient-total-below-its-senders",
             "column-an-object-by-index", "names-an-object", "column-null",
             "dims-column-text", "column-shorter-than-names", "column-longer-than-names",
