@@ -24,6 +24,13 @@ grows or loses a member, and a tuple holds a few ids in less memory than
 a list (a one-id tuple takes 48 bytes, a one-id list 88) and far less
 than a set.
 
+Each cluster is labelled with a spam probability: the unweighted mean of
+its members' spam frequencies, ignoring members that have not been scored
+yet; a cluster where nobody has history yet sits at the uninformative 0.5.
+A member's frequency is the fixed-point integer (spam << FREQ_BITS) //
+total, and a cluster keeps the exact sum, which no update order can change;
+the mean is then one correctly rounded division, never above 1.
+
 Cluster ids are never reused. A sole member that fails to join anything is
 re-seeded under a fresh id (the old cluster is retired), matching the
 remove-then-create reading of the assignment step.
@@ -36,12 +43,13 @@ from math import sqrt
 from operator import mul
 
 from .errors import InternalStateError, NotAMemberError, SlotRecord, UnknownUserError
-from .scoring import FREQ_BITS
 from .vectorspace import InvertedIndex
 
 SENDER_SIDE = "sender"
 RECIPIENT_SIDE = "recipient"
 
+# fraction bits of a member's fixed-point spam frequency
+FREQ_BITS = 60
 # the fixed-point frequency of an all-spam history, (n << FREQ_BITS) // n
 _ONE = 1 << FREQ_BITS
 
@@ -61,6 +69,24 @@ class Cluster(SlotRecord):
         self.freq_sum = 0
         self.scored_members = 0
         self.norm_sq = 0
+
+
+def cluster_spam_probability(cluster: Cluster) -> float:
+    """Mean spam frequency over the cluster's scored members.
+
+    Members with no observations are left out of the mean; if no member has
+    been scored the probability is 0.5. An empty cluster is a state bug.
+    """
+    if not cluster.members:
+        raise InternalStateError(f"cluster {cluster.cid} has no members")
+    n = cluster.scored_members
+    freq_sum = cluster.freq_sum
+    # nobody scored, only ham or only spam: no division, which would give
+    # the same 0.0 or 1.0
+    if not freq_sum:
+        return 0.0 if n else 0.5
+    whole = n << FREQ_BITS
+    return 1.0 if freq_sum == whole else freq_sum / whole
 
 
 class ClusterSpace:

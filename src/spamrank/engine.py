@@ -12,18 +12,10 @@ engine cannot score is refused with FormatError before any state changes.
 
 from __future__ import annotations
 
-from .clustering import RECIPIENT_SIDE, SENDER_SIDE, ClusterSpace
+from .clustering import RECIPIENT_SIDE, SENDER_SIDE, ClusterSpace, cluster_spam_probability
 from .errors import ConfigError, FormatError, SlotRecord
 from .ingest import SENDER_DOMAIN, SENDER_FULL, MessageRecord
-from .scoring import (
-    HAM,
-    SPAM,
-    Verdict,
-    cluster_spam_probability,
-    decide,
-    effective_label,
-    spam_rank,
-)
+from .scoring import HAM, SPAM, Verdict, decide, effective_label, spam_rank
 from .vectorspace import Interner
 
 DEFAULT_TAU = 0.5

@@ -187,7 +187,7 @@ def parse_stream(
         raise FormatError(f"unknown format {fmt!r}")
     if stats is None:
         stats = ParseStats()
-    json_mode = fmt == "jsonl"
+    parse_line = _parse_json_line if fmt == "jsonl" else _parse_tsv_line
     for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line:
@@ -197,16 +197,14 @@ def parse_stream(
             stats.comments += 1
             continue
         try:
-            if json_mode:
-                rec = _parse_json_line(line, line_no, sender_identity)
-                if rec is None:
-                    stats.comments += 1
-                    continue
-            else:
-                rec = _parse_tsv_line(line, line_no, sender_identity)
+            rec = parse_line(line, line_no, sender_identity)
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
                 InvalidAddressError):
             stats.skipped += 1
+            continue
+        if rec is None:
+            # a {"header": ...} line; the TSV parser never returns None
+            stats.comments += 1
             continue
         stats.records += 1
         yield rec

@@ -1,14 +1,5 @@
-"""Spam probabilities, spam rank, the three-way decision rule, and the
-accordance of decisions with the aux labels.
-
-Probabilities live on users as running spam/total counters. A cluster's
-spam probability is the unweighted mean of its members' spam frequencies,
-ignoring members that have not been scored yet; a cluster where nobody has
-history yet sits at the uninformative 0.5.
-
-A member's frequency is the fixed-point integer (spam << FREQ_BITS) //
-total, and a cluster keeps the exact sum, which no update order can change;
-the mean is then one correctly rounded division, never above 1.
+"""Spam rank, the three-way decision rule, and the accordance of decisions
+with the aux labels.
 
 The spam rank of a message combines the sender-side and recipient-side
 probabilities. Geometrically: scale the point (p_s, p_r) onto the unit
@@ -19,22 +10,14 @@ form used here.
 
 from __future__ import annotations
 
-from .errors import DomainError, InternalStateError, SlotRecord
+from collections import Counter
 
-# type checkers read this as true; `typing` is not loaded to define it
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from collections import Counter
-
-    from .clustering import Cluster
+from .errors import DomainError, SlotRecord
 
 SPAM = "spam"
 HAM = "ham"
 LEGIT = "legit"
 DEFERRED = "deferred"
-
-# fraction bits of a member's fixed-point spam frequency
-FREQ_BITS = 60
 
 
 class Verdict(SlotRecord):
@@ -92,7 +75,7 @@ def effective_label(decision: str, aux_label: str) -> str:
     return aux_label
 
 
-def accordance(tally: "Counter[tuple[str, str]]") -> tuple[float, int]:
+def accordance(tally: Counter[tuple[str, str]]) -> tuple[float, int]:
     """(accordance_pct, classified_count) from a tally of (decision, aux
     label) pairs: the share of classified (not deferred) messages whose
     decision agrees with the aux label.
@@ -109,21 +92,3 @@ def accordance(tally: "Counter[tuple[str, str]]") -> tuple[float, int]:
     if classified == 0:
         return 100.0, 0
     return 100.0 * agree / classified, classified
-
-
-def cluster_spam_probability(cluster: "Cluster") -> float:
-    """Mean spam frequency over the cluster's scored members.
-
-    Members with no observations are left out of the mean; if no member has
-    been scored the probability is 0.5. An empty cluster is a state bug.
-    """
-    if not cluster.members:
-        raise InternalStateError(f"cluster {cluster.cid} has no members")
-    n = cluster.scored_members
-    freq_sum = cluster.freq_sum
-    # nobody scored, only ham or only spam: no division, which would give
-    # the same 0.0 or 1.0
-    if not freq_sum:
-        return 0.0 if n else 0.5
-    whole = n << FREQ_BITS
-    return 1.0 if freq_sum == whole else freq_sum / whole

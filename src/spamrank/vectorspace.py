@@ -12,8 +12,9 @@ A posting takes one of two forms. Most dimensions are touched by a single
 cluster once, so a new posting is the 1-tuple ``(cid,)``, meaning count 1
 for cluster ``cid``; it becomes the dict ``{cid: count}`` when a second count
 arrives, and a dict is never turned back. Either form's ``len`` is the number
-of clusters it holds. Only this module knows the forms: ``counts`` and
-``vectors`` read the index as plain dicts.
+of clusters it holds. Only this module knows the forms:
+``score_candidates`` and ``vectors`` read the index as plain dicts, and
+``score_candidates([d])`` is dimension ``d``'s ``{cid: count}``.
 
 The index holds no norms: each add or remove returns the exact integer
 change in the cluster's squared norm (a count step c -> c+1 changes it by
@@ -146,14 +147,6 @@ class InvertedIndex:
                 cid = p[0]
                 scores[cid] = get(cid, 0) + 1
         return scores if scores is not None else {}
-
-    def counts(self, d: int) -> dict[int, int]:
-        """{cluster id: count} for dimension d, empty if no cluster touches
-        it; read-only, as it may be the posting itself."""
-        p = self.postings.get(d)
-        if p is None:
-            return {}
-        return p if type(p) is dict else {p[0]: 1}
 
     def vectors(self, cids: Iterable[int]) -> dict[int, dict[int, int]]:
         """{cluster id: {dimension id: count}}, each cluster's count vector

@@ -755,6 +755,24 @@ class TestSnapshotCommands:
         assert json.loads(resaved.read_text())["last_message"] == [
             "d2.example", ["a@u.example", "b@u.example", "c@u.example"], "spam"]
 
+    def test_a_skip_only_snapshot_resumes_as_a_skipping_run(self, tmp_path, golden_path):
+        # a fresh --skip run scores nothing yet names the last record it
+        # skipped, a message whose users the snapshot does not hold
+        state = tmp_path / "state.json"
+        assert main(["snapshot-save", "--input", str(golden_path), "--skip", "3",
+                     "--limit", "0", "--snapshot-out", str(state)]) == EXIT_OK
+        saved = json.loads(state.read_text())
+        assert saved["input_offset"] == 3
+        assert saved["last_message"] == ["l1.org", ["c@u.example"], "ham"]
+        assert saved["senders"]["names"] == saved["recipients"]["names"] == []
+        ref, tail = tmp_path / "ref.jsonl", tmp_path / "tail.jsonl"
+        assert main(["run", "--input", str(golden_path), "--skip", "3",
+                     "--output", str(ref)]) == EXIT_OK
+        assert main(["snapshot-load", "--input", str(golden_path), "--snapshot-in", str(state),
+                     "--output", str(tail)]) == EXIT_OK
+        assert len(tail.read_text().splitlines()) == 1 + 7
+        assert tail.read_text().splitlines()[1:] == ref.read_text().splitlines()[1:]
+
     def test_library_snapshot_with_an_int_tau_resumes_under_that_tau(
             self, tmp_path, golden_path, golden_records):
         # EngineConfig(tau=1) fingerprints as --tau 1 does: tau=1.0

@@ -10,7 +10,7 @@ from spamrank import (
     WorkloadSpec,
     generate,
 )
-from spamrank.scoring import FREQ_BITS, cluster_spam_probability
+from spamrank.clustering import FREQ_BITS, cluster_spam_probability
 
 
 def make_space(tau: float = 0.5) -> ClusterSpace:
@@ -198,7 +198,7 @@ class TestReseedAndMoves:
         space = make_space()
         seed_user(space, 0, [1, 2])
         space.add_dims(0, [5, 7, 5, 2])
-        assert space.index.counts(5) == {1: 1}
+        assert space.index.score_candidates([5]) == {1: 1}
         assert space.clusters[1].norm_sq == 4
         assert space.user_dims[0] == (1, 2, 5, 7)
         space.check_integrity()

@@ -14,8 +14,7 @@ from spamrank import (
     effective_label,
     spam_rank,
 )
-from spamrank.clustering import Cluster
-from spamrank.scoring import FREQ_BITS, cluster_spam_probability
+from spamrank.clustering import FREQ_BITS, Cluster, cluster_spam_probability
 
 unit = st.floats(min_value=0.0, max_value=1.0)
 

@@ -32,7 +32,7 @@ class TestInterner:
 
 
 def _count(index: InvertedIndex, cid: int, d: int) -> int:
-    return index.counts(d).get(cid, 0)
+    return index.score_candidates([d]).get(cid, 0)
 
 
 def _rebuild_norms(index: InvertedIndex, cids) -> dict[int, int]:
@@ -123,11 +123,10 @@ class TestPostingForms:
         kept = {1: 0, 2: 0}
         for update, cid, counts, norms in steps:
             kept[cid] += update(cid, [5])
-            assert ix.counts(5) == counts
+            assert ix.score_candidates([5]) == counts
             # bench/tracing.py counts the clusters on a posting by its len
             assert len(ix.postings.get(5, ())) == len(counts)
             assert kept == _rebuild_norms(ix, (1, 2)) == norms
-            assert ix.score_candidates([5]) == counts
             assert ix.vectors((1, 2)) == {cid: {5: counts[cid]} if cid in counts else {}
                                           for cid in (1, 2)}
         assert 5 not in ix.postings
@@ -136,12 +135,12 @@ class TestPostingForms:
         ix = InvertedIndex()
         for cid in (1, 2):
             assert ix.add_member_vector(cid, [5]) == 1
-        assert ix.counts(5) == {1: 1, 2: 1}
+        assert ix.score_candidates([5]) == {1: 1, 2: 1}
         assert _rebuild_norms(ix, (1, 2)) == {1: 1, 2: 1}
         assert ix.remove_member_vector(1, [5]) == -1
-        assert ix.counts(5) == {2: 1}
+        assert ix.score_candidates([5]) == {2: 1}
         assert ix.remove_member_vector(2, [5]) == -1
-        assert ix.counts(5) == {}
+        assert ix.score_candidates([5]) == {}
         assert not ix.postings
 
     def test_relabel_moves_a_one_entry_and_a_shared_posting(self):
@@ -149,13 +148,13 @@ class TestPostingForms:
         for cid, dims in ((1, [5, 6]), (2, [6])):
             ix.add_member_vector(cid, dims)
         ix.relabel_cluster(1, 9, [5, 6])
-        assert ix.counts(5) == {9: 1}
-        assert ix.counts(6) == {2: 1, 9: 1}
+        assert ix.score_candidates([5]) == {9: 1}
+        assert ix.score_candidates([6]) == {2: 1, 9: 1}
         assert _rebuild_norms(ix, (1, 2, 9)) == {1: 0, 2: 1, 9: 2}
         assert ix.score_candidates([5, 6]) == {9: 2, 2: 1}
         assert ix.remove_member_vector(9, [5, 6]) == -2
-        assert ix.counts(5) == {}
-        assert ix.counts(6) == {2: 1}
+        assert ix.score_candidates([5]) == {}
+        assert ix.score_candidates([6]) == {2: 1}
 
     def test_one_call_shares_one_tuple_across_the_postings_it_opens(self):
         ix = InvertedIndex()
@@ -166,7 +165,7 @@ class TestPostingForms:
         # each posting changes alone: the shared tuple is replaced, never edited
         assert ix.add_member_vector(9, [6]) == 3
         assert ix.remove_member_vector(9, [5]) == -1
-        assert (ix.counts(5), ix.counts(6), ix.counts(7)) == ({}, {9: 2}, {9: 1})
+        assert [ix.score_candidates([d]) for d in (5, 6, 7)] == [{}, {9: 2}, {9: 1}]
         assert _rebuild_norms(ix, [9]) == {9: 5}
 
     @pytest.mark.parametrize("counted", [1, 2], ids=["one-entry", "dict"])
@@ -177,5 +176,5 @@ class TestPostingForms:
         for cid, dims in ((2, [5]), (1, [6])):
             with pytest.raises(InternalStateError, match=f"cluster {cid} has no count"):
                 ix.remove_member_vector(cid, dims)
-        assert ix.counts(5) == {1: counted}
+        assert ix.score_candidates([5]) == {1: counted}
         assert _rebuild_norms(ix, (1, 2)) == {1: counted * counted, 2: 0}
