@@ -1,26 +1,29 @@
-"""Independent reference implementations used to cross-check the engine.
+"""Reference implementations used to cross-check the engine.
 
-Everything here favors obviousness over speed: cluster sums are rebuilt
-from member lists on every query, candidate search scans all clusters,
-self-similarity is handled by physically removing the user's vector, and
-statistics come straight from their definitions. None of it shares code
-with the package under test beyond the MessageRecord container, except
-sweep_row_by_replay, which drives the engine itself to check that one
-recorded replay stands in for a replay per tau or per omega.
+The clustering and spam-probability reference is `bench/reference.py`'s
+`ReferenceModel`, loaded by file path, so `pytest tests/` needs no `bench/`
+on `sys.path`, and re-exported with `reference_decision`. The rest is
+written here from definitions, favoring obviousness over speed: beta CV,
+the diagonal projection, the JSONL parse, the generator layout and the
+sweep replay.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
 from math import exp, sqrt
+from pathlib import Path
 from types import SimpleNamespace
 
 from spamrank import (
     DEFERRED,
     HAM,
     SPAM,
+    ClusterSpace,
     EngineConfig,
+    Interner,
     MessageRecord,
     NotComputableError,
     SpamRankEngine,
@@ -29,93 +32,20 @@ from spamrank import (
     beta_cv,
 )
 
-
-class NaiveClusterer:
-    """Reference clustering with physical vector arithmetic.
-
-    Keeps only user -> dims and cluster -> member set. Every similarity
-    query rebuilds the candidate cluster's sum from scratch; for the
-    user's own cluster the user is skipped while summing, which is the
-    textbook form of "compare against the cluster without yourself".
-    Requires tau >= 0.
-    """
-
-    def __init__(self, tau: float) -> None:
-        self.tau = tau
-        self.user_dims: dict[int, set[int]] = {}
-        self.user_cluster: dict[int, int] = {}
-        self.clusters: dict[int, set[int]] = {}
-        self.next_cid = 1
-
-    def add_dims(self, uid: int, new_dims) -> None:
-        self.user_dims.setdefault(uid, set()).update(new_dims)
-
-    def _cluster_sum(self, cid: int, skip: int | None) -> dict[int, int]:
-        total: dict[int, int] = {}
-        for member in self.clusters[cid]:
-            if member == skip:
-                continue
-            for d in self.user_dims[member]:
-                total[d] = total.get(d, 0) + 1
-        return total
-
-    def assign_user(self, uid: int) -> int:
-        dims = self.user_dims[uid]
-        old = self.user_cluster.get(uid)
-        nu2 = len(dims)
-        best_cid = -1
-        best_sim = 0.0
-        for cid in self.clusters:
-            total = self._cluster_sum(cid, skip=uid if cid == old else None)
-            dot = sum(total.get(d, 0) for d in dims)
-            if dot <= 0:
-                continue
-            nsq = sum(c * c for c in total.values())
-            sim = dot / sqrt(nsq * nu2)
-            if sim > best_sim or (sim == best_sim and cid < best_cid):
-                best_sim = sim
-                best_cid = cid
-        if best_sim > self.tau:
-            if best_cid == old:
-                return old
-            if old is not None:
-                self._remove(uid, old)
-            self.clusters[best_cid].add(uid)
-            self.user_cluster[uid] = best_cid
-            return best_cid
-        if old is not None:
-            members = self.clusters[old]
-            if len(members) == 1:
-                # retire the lonely cluster's id, never reuse it
-                new = self.next_cid
-                self.next_cid += 1
-                del self.clusters[old]
-                self.clusters[new] = members
-                self.user_cluster[uid] = new
-                return new
-            self._remove(uid, old)
-        cid = self.next_cid
-        self.next_cid += 1
-        self.clusters[cid] = {uid}
-        self.user_cluster[uid] = cid
-        return cid
-
-    def _remove(self, uid: int, cid: int) -> None:
-        members = self.clusters[cid]
-        members.discard(uid)
-        del self.user_cluster[uid]
-        if not members:
-            del self.clusters[cid]
+_spec = importlib.util.spec_from_file_location(
+    "reference_for_tests", Path(__file__).resolve().parent.parent / "bench" / "reference.py")
+_reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_reference)
+ReferenceModel, reference_decision = _reference.ReferenceModel, _reference.reference_decision
 
 
-def naive_cosine(a: dict[int, int], b: dict[int, int]) -> float:
-    """Plain two-square-roots cosine over count mappings."""
-    dot = sum(c * b.get(d, 0) for d, c in a.items())
-    if dot == 0:
-        return 0.0
-    na = sum(c * c for c in a.values())
-    nb = sum(c * c for c in b.values())
-    return dot / (sqrt(na) * sqrt(nb))
+def partition_by_name(space: ClusterSpace, interner: Interner) -> tuple[dict, dict, int]:
+    """One engine side in the reference side's terms: user name -> cluster
+    id, cluster id -> sorted member names, and the next cluster id."""
+    names = interner.names()
+    cluster_of = {names[uid]: cid for uid, cid in space.user_cluster.items()}
+    rosters = {cid: sorted([names[m] for m in c.members]) for cid, c in space.clusters.items()}
+    return cluster_of, rosters, space._next_cid
 
 
 def _exact_cosine(a: dict[int, int] | set[int], b: dict[int, int]) -> float:

@@ -34,7 +34,13 @@ from spamrank import (
 )
 from spamrank.snapshot import engine_state, load_snapshot, save_snapshot
 from golden_trace import GOLDEN_EXPECTED
-from oracles import NaiveClusterer, naive_beta_cv, projected_rank, random_corpus
+from oracles import (
+    ReferenceModel,
+    naive_beta_cv,
+    partition_by_name,
+    projected_rank,
+    random_corpus,
+)
 
 # large corpus for the throughput bound: spam-heavy traffic with tight
 # recipient lists, the regime the index is built for
@@ -96,41 +102,35 @@ def test_criterion_02_rank_is_the_diagonal_projection():
           f"of the projection (worst {worst:.3e}), 65x65 dyadic grid exact")
 
 
-def test_criterion_03_clustering_matches_the_naive_oracle():
-    """Engine assignments equal physical-arithmetic reference, every step."""
+def test_criterion_03_clustering_matches_the_reference_model():
+    """Engine assignments and probabilities equal the brute-force reference
+    model's, by user name, every step."""
     corpora = 0
     messages = 0
+    worst = 0.0
     for seed in range(100):
         records, tau = random_corpus(seed)
         engine = SpamRankEngine(EngineConfig(tau=tau))
-        naive_s = NaiveClusterer(tau)
-        naive_r = NaiveClusterer(tau)
-        s_ids: dict[str, int] = {}
-        r_ids: dict[str, int] = {}
+        reference = ReferenceModel(tau)
         for record in records:
-            engine.process(record)
-            # mirror the engine's structural phase on the oracle
-            sid = s_ids.setdefault(record.sender, len(s_ids))
-            rids = [r_ids.setdefault(r, len(r_ids)) for r in record.recipients]
-            naive_s.add_dims(sid, rids)
-            for rid in rids:
-                naive_r.add_dims(rid, (sid,))
-            naive_s.assign_user(sid)
-            for rid in rids:
-                naive_r.assign_user(rid)
-            for space, naive in (
-                (engine.sender_side, naive_s),
-                (engine.recipient_side, naive_r),
+            verdict = engine.process(record)
+            p_s, p_r = reference.step(record)
+            for space, interner, side in (
+                (engine.sender_side, engine.senders, reference.senders),
+                (engine.recipient_side, engine.recipients, reference.recipients),
             ):
-                assert space.user_cluster == naive.user_cluster
-                got = {cid: sorted(c.members) for cid, c in space.clusters.items()}
-                assert got == {cid: sorted(m) for cid, m in naive.clusters.items()}
-                assert space._next_cid == naive.next_cid
+                cluster_of, rosters, next_cid = partition_by_name(space, interner)
+                assert cluster_of == side.cluster_of
+                assert rosters == {cid: sorted(m) for cid, m in side.members.items()}
+                assert next_cid == side.next_cid
+            gap = max(abs(verdict.p_s - p_s), abs(verdict.p_r - p_r))
+            assert gap <= 1e-12
+            worst = max(worst, gap)
             messages += 1
         corpora += 1
     print(f"[acceptance] criterion 03 PASS: {corpora} random corpora, "
-          f"{messages} messages, every assignment identical to the oracle "
-          f"on both sides")
+          f"{messages} messages, every assignment identical to the reference "
+          f"model on both sides, probabilities within 1e-12 (worst {worst:.3e})")
 
 
 class _AssignAuditor:
