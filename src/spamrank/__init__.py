@@ -50,7 +50,7 @@ __version__ = "0.1.0"
 # `statistics` and `dataclasses` modules they need.
 _LAZY = {
     **dict.fromkeys((
-        "BaselineReport", "BinGrid", "NoiseReport", "SweepResult", "SweepRow",
+        "BaselineReport", "BinGrid", "NoiseReport", "SweepRow",
         "beta_cv", "bin_heatmap", "noise_correction_experiment", "omega_sweep",
         "sender_history_baseline", "tau_sweep"), "evaluation"),
     **dict.fromkeys(("WorkloadSpec", "generate"), "synthgen"),
@@ -93,7 +93,6 @@ __all__ = [
     "SPAM",
     "SpamRankEngine",
     "SpamRankError",
-    "SweepResult",
     "SweepRow",
     "UnknownUserError",
     "Verdict",

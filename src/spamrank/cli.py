@@ -19,14 +19,14 @@ import stat
 import sys
 import time
 from collections import Counter, deque
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager, nullcontext
 from itertools import islice
 from json.encoder import encode_basestring_ascii as encode_str
 from typing import IO
 
 from . import __version__
-from .engine import DEFAULT_OMEGA, DEFAULT_TAU, EngineConfig, SpamRankEngine
+from .engine import DEFAULT_OMEGA, DEFAULT_TAU, EngineConfig, SpamRankEngine, message_fields
 from .errors import (
     ConfigError,
     FormatError,
@@ -44,7 +44,7 @@ from .ingest import (
     write_jsonl,
 )
 from .scoring import DEFERRED, HAM, LEGIT, SPAM, accordance
-from .snapshot import load_snapshot, message_fields, save_snapshot
+from .snapshot import load_snapshot, save_snapshot
 
 # The report commands import spamrank.evaluation, and generate imports
 # spamrank.synthgen, inside the command: `run` and the snapshot commands
@@ -69,9 +69,11 @@ def parse_grid(text: str) -> list[float]:
             start, stop, step = float(start_s), float(stop_s), float(step_s)
             if step <= 0:
                 raise ValueError("step must be positive")
-            n = int((stop - start) / step + 1e-9) + 1
-            if n < 1:
+            if stop < start:
                 raise ValueError("empty range")
+            n = int((stop - start) / step + 1e-9) + 1
+            if n >= sys.maxsize:
+                raise ValueError("too many points to index")
             # round away accumulated float noise so grids print cleanly
             return [round(start + k * step, 10) for k in range(n)]
         values = [float(v) for v in text.split(",") if v.strip()]
@@ -338,29 +340,29 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_command(args: argparse.Namespace, sweep: Callable) -> int:
-    from .evaluation import write_sweep
+def _sweep_command(args: argparse.Namespace, field: str) -> int:
+    """Replay the input across --grid, values of the config field "tau" or
+    "omega"; the whole grid is checked before --input is opened."""
+    from . import evaluation
 
     tsv, jsonl = _report_paths(args, "tsv", "jsonl")
     cfg = _engine_config(args)
     grid = parse_grid(args.grid)
+    evaluation.sweep_configs(cfg, field, grid)
+    sweep = {"tau": evaluation.tau_sweep, "omega": evaluation.omega_sweep}[field]
     with _records(args, cfg) as records:
-        result = sweep(records, grid, cfg)
-    write_sweep(result, tsv, jsonl, _header(cfg, args.seed))
+        rows = sweep(records, grid, cfg)
+    evaluation.write_sweep(field, rows, tsv, jsonl, _header(cfg, args.seed))
     print(f"wrote {tsv} and {jsonl} ({len(grid)} grid points)", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_sweep_tau(args: argparse.Namespace) -> int:
-    from .evaluation import tau_sweep
-
-    return _sweep_command(args, tau_sweep)
+    return _sweep_command(args, "tau")
 
 
 def cmd_sweep_omega(args: argparse.Namespace) -> int:
-    from .evaluation import omega_sweep
-
-    return _sweep_command(args, omega_sweep)
+    return _sweep_command(args, "omega")
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:

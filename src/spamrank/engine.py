@@ -74,6 +74,41 @@ class EngineConfig(SlotRecord):
         return f"tau={self.tau!r};identity={self.sender_identity}"
 
 
+def check_message(record: MessageRecord) -> None:
+    """Raise FormatError unless process() can score the record. Its id and
+    timestamp are not read."""
+    recipients = record.recipients
+    # a str would be read as one recipient per character
+    if not isinstance(recipients, (tuple, list)):
+        raise FormatError(f"message {record.msg_id!r} has recipients {recipients!r}, "
+                          "not a tuple or list")
+    if not recipients:
+        raise FormatError(f"message {record.msg_id!r} has no recipients")
+    # exactly str, so every name scored can be saved and loaded back
+    if type(record.sender) is not str:
+        raise FormatError(f"message {record.msg_id!r} has sender {record.sender!r}, not a str")
+    for name in recipients:
+        if type(name) is not str:
+            raise FormatError(f"message {record.msg_id!r} has recipient {name!r}, not a str")
+    if len(set(recipients)) != len(recipients):
+        raise FormatError(f"message {record.msg_id!r} repeats a recipient")
+    if record.aux_label != SPAM and record.aux_label != HAM:
+        raise FormatError(
+            f"message {record.msg_id!r} has aux label {record.aux_label!r}, "
+            f"not {SPAM!r} or {HAM!r}"
+        )
+
+
+def message_fields(record: MessageRecord | None) -> list | None:
+    """The fields of a record that check_message() reads, [sender,
+    recipients, aux label], which a resume compares with the record at its
+    offset; None for no record. Not the id or timestamp: they are never
+    checked, so they may hold what JSON cannot write."""
+    if record is None:
+        return None
+    return [record.sender, list(record.recipients), record.aux_label]
+
+
 class SpamRankEngine:
     """Streaming engine; call process() once per message, in arrival order."""
 
@@ -90,31 +125,11 @@ class SpamRankEngine:
         self.last_record: MessageRecord | None = None
 
     def process(self, record: MessageRecord) -> Verdict:
-        recipients = record.recipients
-        # a str would be read as one recipient per character
-        if not isinstance(recipients, (tuple, list)):
-            raise FormatError(f"message {record.msg_id!r} has recipients {recipients!r}, "
-                              "not a tuple or list")
-        if not recipients:
-            raise FormatError(f"message {record.msg_id!r} has no recipients")
-        # the snapshot loader's name test, so every name scored can be
-        # saved and loaded back
-        if type(record.sender) is not str:
-            raise FormatError(f"message {record.msg_id!r} has sender {record.sender!r}, not a str")
-        for name in recipients:
-            if type(name) is not str:
-                raise FormatError(f"message {record.msg_id!r} has recipient {name!r}, not a str")
-        if len(set(recipients)) != len(recipients):
-            raise FormatError(f"message {record.msg_id!r} repeats a recipient")
-        if record.aux_label != SPAM and record.aux_label != HAM:
-            raise FormatError(
-                f"message {record.msg_id!r} has aux label {record.aux_label!r}, "
-                f"not {SPAM!r} or {HAM!r}"
-            )
+        check_message(record)
         s_space = self.sender_side
         r_space = self.recipient_side
         sid = self.senders.intern(record.sender)
-        rids = [self.recipients.intern(r) for r in recipients]
+        rids = [self.recipients.intern(r) for r in record.recipients]
 
         # structural phase: sender sees the recipients, recipients see the
         # sender (one shared one-id tuple; a first sighting registers the

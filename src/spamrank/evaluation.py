@@ -50,12 +50,6 @@ class SweepRow:
 
 
 @dataclass(slots=True)
-class SweepResult:
-    parameter: str  # "tau" or "omega"
-    rows: list[SweepRow]
-
-
-@dataclass(slots=True)
 class BinGrid:
     """Square (Ps, Pr) histogram; index [i][j] = (Ps bin, Pr bin)."""
 
@@ -153,13 +147,16 @@ def beta_cv(space: ClusterSpace) -> float:
 # -- sweeps ------------------------------------------------------------------
 
 
-def _check_grid(grid: Sequence[float]) -> list[float]:
+def sweep_configs(base: EngineConfig, field: str, grid: Sequence[float]) -> list[EngineConfig]:
+    """One config per grid point: base with `field` ("tau" or "omega") set
+    to the point. A grid that is empty, not strictly increasing, or has a
+    point outside the field's range raises ConfigError."""
     grid = list(grid)
     if not grid:
         raise ConfigError("empty sweep grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("sweep grid must be strictly increasing")
-    return grid
+    return [base.replace(**{field: value}) for value in grid]
 
 
 def _replay(
@@ -199,34 +196,29 @@ def tau_sweep(
     records: Iterable[MessageRecord],
     grid: Sequence[float],
     config: EngineConfig | None = None,
-) -> SweepResult:
+) -> list[SweepRow]:
     """Full fresh replay per tau, so the records are read into a list (the one
     analysis that holds them); omega (for accordance) comes from config."""
-    grid = _check_grid(grid)
-    base = config or EngineConfig()
-    # replace refuses a bad grid point here, before any replay
-    configs = [base.replace(tau=tau) for tau in grid]
+    # the grid is refused here, before any record is read
+    configs = sweep_configs(config or EngineConfig(), "tau", grid)
     records = list(records)
-    rows = [row for cfg in configs for row in _replay(records, cfg, [(cfg.tau, cfg.omega)])]
-    return SweepResult(parameter="tau", rows=rows)
+    return [row for cfg in configs for row in _replay(records, cfg, [(cfg.tau, cfg.omega)])]
 
 
 def omega_sweep(
     records: Iterable[MessageRecord],
     grid: Sequence[float],
     config: EngineConfig | None = None,
-) -> SweepResult:
+) -> list[SweepRow]:
     """Accordance/classified tradeoff across omega at fixed tau.
 
     omega never feeds back into engine state, so one replay records each
     message's spam rank and decisions are re-derived for every grid value.
     """
-    grid = _check_grid(grid)
     base = config or EngineConfig()
-    # replace refuses a bad grid point here, before the replay
-    omegas = [base.replace(omega=omega).omega for omega in grid]
-    rows = _replay(records, base, [(omega, omega) for omega in omegas])
-    return SweepResult(parameter="omega", rows=rows)
+    # the grid is refused here, before any record is read
+    points = [(cfg.omega, cfg.omega) for cfg in sweep_configs(base, "omega", grid)]
+    return _replay(records, base, points)
 
 
 # -- bin heatmap ---------------------------------------------------------------
@@ -357,13 +349,14 @@ def _write_jsonl(path: str, header: dict, objs: Iterable[dict]) -> None:
 
 
 def write_sweep(
-    result: SweepResult, tsv_path: str, jsonl_path: str, header: dict
+    parameter: str, rows: list[SweepRow], tsv_path: str, jsonl_path: str, header: dict
 ) -> None:
-    cols = (result.parameter, *(f.name for f in fields(SweepRow)[1:]))
-    _write_tsv(tsv_path, header, [cols, *map(astuple, result.rows)])
-    objs = [asdict(row) for row in result.rows]
+    """A sweep's rows, their value column named `parameter` ("tau" or "omega")."""
+    cols = (parameter, *(f.name for f in fields(SweepRow)[1:]))
+    _write_tsv(tsv_path, header, [cols, *map(astuple, rows)])
+    objs = [asdict(row) for row in rows]
     for obj in objs:
-        obj[result.parameter] = obj.pop("value")
+        obj[parameter] = obj.pop("value")
     _write_jsonl(jsonl_path, header, objs)
 
 

@@ -26,10 +26,9 @@ from itertools import chain
 from operator import gt, lt
 
 from .clustering import ClusterSpace
-from .engine import EngineConfig, SpamRankEngine
+from .engine import EngineConfig, SpamRankEngine, check_message, message_fields
 from .errors import ConfigError, FormatError
 from .ingest import MessageRecord
-from .scoring import HAM, SPAM
 from .vectorspace import Interner
 
 STATE_VERSION = 8
@@ -62,16 +61,6 @@ def _side_state(space: ClusterSpace, interner: Interner, **columns: list) -> dic
     cids = map(space.user_cluster.__getitem__, range(len(space.user_dims)))
     return {"next_cid": space._next_cid, "names": interner.names(), **columns,
             "spam": space.spam.copy(), "total": space.total.copy(), "cid": list(cids)}
-
-
-def message_fields(record: MessageRecord | None) -> list | None:
-    """The fields of a record that process() checks, [sender, recipients,
-    aux label], which a resume compares with the record at its offset; None
-    for no record. Not the id or timestamp: process() never checks them, so
-    they may hold what JSON cannot write."""
-    if record is None:
-        return None
-    return [record.sender, list(record.recipients), record.aux_label]
 
 
 def engine_state(engine: SpamRankEngine) -> dict:
@@ -171,22 +160,20 @@ def engine_from_state(state: dict) -> SpamRankEngine:
             raise ValueError(f"input offset {offset} is below the message count")
         last = state["last_message"]
         if last is not None:
-            # the record tests of process(): a message it would have scored
-            if (type(last) is not list or len(last) != 3 or type(last[0]) is not str
-                    or type(last[1]) is not list or not last[1]
-                    or not set(map(type, last[1])) <= {str}
-                    or len(set(last[1])) != len(last[1]) or last[2] not in (SPAM, HAM)):
-                raise ValueError("last_message is not null or a [sender, recipients, "
-                                 "aux label] message")
-            last = MessageRecord(None, None, last[0], tuple(last[1]), last[2])
+            if type(last) is not list or len(last) != 3:
+                raise ValueError("last_message is not null or a three-item list")
+            last = MessageRecord(None, None, *last)
+            check_message(last)
+            last.recipients = tuple(last.recipients)
         engine.sender_side.restore(s_dims, s_spam, s_total, s_cids)
         engine.recipient_side.restore(vectors, r_spam, r_total, r_cids)
         engine.sender_side._next_cid, engine.recipient_side._next_cid = s_next, r_next
         engine.senders, engine.recipients = senders, recipients
         engine.input_offset, engine.last_record = offset, last
         engine.check_integrity()
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        # ConfigError: the stored config is out of range or ill-typed
+    except (KeyError, TypeError, ValueError, ConfigError, FormatError) as exc:
+        # ConfigError: the stored config is out of range or ill-typed;
+        # FormatError: last_message is not a message process() would score
         raise FormatError(f"malformed snapshot: {exc!r}") from exc
     return engine
 

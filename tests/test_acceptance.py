@@ -232,7 +232,7 @@ def test_criterion_05_omega_one_reproduces_the_auxiliary(default_records):
     matched = sum(1 for v in verdicts if v.effective_label == v.aux_label)
     assert deferred == n
     assert matched == n
-    row = omega_sweep(default_records, [1.0], EngineConfig()).rows[0]
+    row = omega_sweep(default_records, [1.0], EngineConfig())[0]
     assert row.classified_count == 0
     assert row.accordance_pct == 100.0
     print(f"[acceptance] criterion 05 PASS: omega=1.0 defers all {n} "
@@ -244,10 +244,10 @@ def test_criterion_06_omega_sweep_is_monotone(default_records):
     """Raising omega never hurts accordance, never classifies more."""
     grid = [round(0.5 + k * 0.05, 10) for k in range(11)]
     start = time.perf_counter()
-    result = omega_sweep(default_records, grid, EngineConfig())
+    rows = omega_sweep(default_records, grid, EngineConfig())
     elapsed = time.perf_counter() - start
-    acc = [row.accordance_pct for row in result.rows]
-    cls = [row.classified_count for row in result.rows]
+    acc = [row.accordance_pct for row in rows]
+    cls = [row.classified_count for row in rows]
     assert all(a <= b + 1e-12 for a, b in zip(acc, acc[1:]))
     assert all(a >= b for a, b in zip(cls, cls[1:]))
     assert elapsed < 30.0
@@ -333,9 +333,9 @@ def test_criterion_09_beta_cv_and_tau_response(default_records):
                 computed += 1
     assert computed >= 20
     grid = [round(0.1 * k, 10) for k in range(11)]
-    result = tau_sweep(default_records, grid, EngineConfig())
-    sc = [row.num_sender_clusters for row in result.rows]
-    rc = [row.num_recipient_clusters for row in result.rows]
+    rows = tau_sweep(default_records, grid, EngineConfig())
+    sc = [row.num_sender_clusters for row in rows]
+    rc = [row.num_recipient_clusters for row in rows]
     assert all(a <= b for a, b in zip(sc, sc[1:]))
     assert all(a <= b for a, b in zip(rc, rc[1:]))
     print(f"[acceptance] criterion 09 PASS: beta CV matched brute force "

@@ -52,8 +52,10 @@ class TestParseGrid:
     def test_comma_list(self):
         assert parse_grid("0.2,0.5,0.9") == [0.2, 0.5, 0.9]
 
+    # a reversed range is empty, however short; a step of 1e-300 would make
+    # about 10**300 points, and one of 1e-320 an infinite count
     @pytest.mark.parametrize("bad", ["", "a,b", "1:0", "0:1:0", "0:1:-1", "1:2:3:4",
-                                     "0:inf:1", "0:1:1e-320"])
+                                     "0:inf:1", "0:1:1e-320", "1:0.95:0.1", "0:1:1e-300"])
     def test_rejects_malformed_grids(self, bad):
         with pytest.raises(ConfigError):
             parse_grid(bad)
@@ -119,8 +121,8 @@ class TestRunCommand:
         summary = capsys.readouterr().err
         assert " accordance=92.65 classified=2967 " in summary
         records, _ = spamrank.read_records(str(corpus))
-        (tau_row,) = spamrank.tau_sweep(records, [0.5]).rows
-        (omega_row,) = spamrank.omega_sweep(records, [0.85]).rows
+        (tau_row,) = spamrank.tau_sweep(records, [0.5])
+        (omega_row,) = spamrank.omega_sweep(records, [0.85])
         for row in (tau_row, omega_row):
             assert (f" accordance={row.accordance_pct:.2f} "
                     f"classified={row.classified_count} ") in summary
@@ -1030,9 +1032,13 @@ class TestReportCommands:
                      "--output", str(prefix)]) == EXIT_CONFIG
 
     def test_sweep_grid_is_parsed_before_the_input_is_read(self, tmp_path):
-        assert main(["sweep-tau", "--input", str(tmp_path / "missing.jsonl"),
-                     "--grid", "0:inf:1", "--output", str(tmp_path / "t")]) == EXIT_CONFIG
-        assert list(tmp_path.iterdir()) == []
+        # each grid is refused whole, its order and each point's range
+        # included, before the missing input would exit 3
+        for command, grid in (("sweep-tau", "0:inf:1"), ("sweep-tau", "0.2,0.1"),
+                              ("sweep-omega", "0.4,0.6"), ("sweep-tau", "1:0.95:0.1")):
+            assert main([command, "--input", str(tmp_path / "missing.jsonl"), "--grid", grid,
+                         "--output", str(tmp_path / "t")]) == EXIT_CONFIG, (command, grid)
+            assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("size", ["1e-320", "1e-300"])
     def test_heatmap_refuses_a_tiny_bin_size(self, tmp_path, golden_path, size):

@@ -17,7 +17,6 @@ from spamrank import (
     MessageRecord,
     NotComputableError,
     SpamRankEngine,
-    SweepResult,
     SweepRow,
     Verdict,
     beta_cv,
@@ -169,19 +168,18 @@ class TestSweeps:
     def test_tau_sweep_rows_match_direct_replays(self, request, corpus):
         records = request.getfixturevalue(corpus)
         grid = [0.3, 0.5]
-        result = tau_sweep(records, grid)
-        assert result.parameter == "tau"
-        assert [replace(row, runtime_ms=0.0) for row in result.rows] == [
+        rows = tau_sweep(records, grid)
+        assert [replace(row, runtime_ms=0.0) for row in rows] == [
             sweep_row_by_replay(records, EngineConfig(tau=tau), tau) for tau in grid
         ]
         if corpus == "golden_records":
-            assert result.rows[1].classified_count == 8
-            assert result.rows[1].accordance_pct == 100.0
+            assert rows[1].classified_count == 8
+            assert rows[1].accordance_pct == 100.0
 
     def test_omega_sweep_recorded_equals_naive(self, golden_records):
         grid = [0.5, 0.65, 0.85, 1.0]
         fast = omega_sweep(golden_records, grid)
-        assert [replace(row, runtime_ms=0.0) for row in fast.rows] == [
+        assert [replace(row, runtime_ms=0.0) for row in fast] == [
             sweep_row_by_replay(golden_records, EngineConfig(omega=omega), omega)
             for omega in grid
         ]
@@ -200,8 +198,7 @@ class TestSweeps:
             sweep(golden_records, grid)
 
     def test_omega_one_defers_the_whole_corpus(self, golden_records):
-        result = omega_sweep(golden_records, [1.0])
-        (row,) = result.rows
+        (row,) = omega_sweep(golden_records, [1.0])
         assert row.classified_count == 0
         assert row.accordance_pct == 100.0  # convention for an empty set
 
@@ -214,7 +211,7 @@ class TestSweeps:
         record = MessageRecord("m", 0, "s.example", ("r@x.example",), SPAM)
         tracemalloc.start()
         try:
-            (row,) = omega_sweep(repeat(record, n), [0.85]).rows
+            (row,) = omega_sweep(repeat(record, n), [0.85])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -331,7 +328,7 @@ class TestStreamedRecords:
         sample = default_records[:600]
 
         def rows(result):
-            return [replace(row, runtime_ms=0.0) for row in result.rows]
+            return [replace(row, runtime_ms=0.0) for row in result]
 
         grid = [0.5, 0.9]
         assert rows(sweep(iter(sample), grid)) == rows(sweep(sample, grid))
@@ -364,13 +361,10 @@ class TestStreamedRecords:
 
 class TestReportWriters:
     def test_write_sweep_formats_na_and_headers(self, tmp_path):
-        result = SweepResult(
-            parameter="tau",
-            rows=[SweepRow(0.1, 2, 3, None, 100.0, 5, 1.25)],
-        )
+        rows = [SweepRow(0.1, 2, 3, None, 100.0, 5, 1.25)]
         tsv = tmp_path / "s.tsv"
         jsonl = tmp_path / "s.jsonl"
-        write_sweep(result, str(tsv), str(jsonl), {"seed": 9})
+        write_sweep("tau", rows, str(tsv), str(jsonl), {"seed": 9})
         lines = tsv.read_text().splitlines()
         assert lines[0].startswith("# ")
         assert lines[1].split("\t")[0] == "tau"

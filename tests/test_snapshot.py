@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spamrank import (
+    HAM,
+    SPAM,
     EngineConfig,
     FormatError,
     InternalStateError,
+    MessageRecord,
     SpamRankEngine,
     WorkloadSpec,
     generate,
@@ -439,6 +442,55 @@ class TestMutationProperty:
         except FormatError:
             return
         assert _same_document(engine_state(engine)) == _same_document(doc)
+
+
+# last_message fields, each valid or, as often, spoiled: as
+# test_resume_property.py spoils a message for process() (no recipients, a
+# str as recipients, a repeated recipient, a non-str sender, aux "maybe"),
+# or by a value of another type
+_NAMES = st.sampled_from(["d1.example", "a@u.example", "b@u.example"])
+_OTHERS = st.one_of(st.none(), st.integers(-1, 2), st.just("SPAM"))
+
+
+def _valid_or(valid, *spoiled):
+    # half and half: one_of would draw each of its flattened branches alike
+    return st.booleans().flatmap(lambda ok: valid if ok else st.one_of(*spoiled))
+
+
+_LAST_MESSAGES = st.tuples(
+    _valid_or(_NAMES, st.just(b"d1.example"), _OTHERS),
+    _valid_or(
+        st.lists(_NAMES, min_size=1, max_size=3, unique=True),
+        st.just([]),
+        _NAMES,
+        st.lists(_NAMES, min_size=1, max_size=2).map(lambda names: names + names[:1]),
+        st.lists(st.one_of(_NAMES, _OTHERS), min_size=1, max_size=3),
+        _OTHERS,
+    ),
+    _valid_or(st.sampled_from([SPAM, HAM]), st.just("maybe"), _OTHERS),
+)
+
+
+class TestLastMessageProperty:
+    """The loader refuses a saved last_message exactly when process()
+    refuses a record with those fields: the two share one check."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(fields=_LAST_MESSAGES)
+    def test_refused_exactly_when_process_refuses(self, golden_records, fields):
+        state = engine_state(run_engine(golden_records)[0])
+        state["last_message"] = list(fields)
+        try:
+            SpamRankEngine().process(MessageRecord("m", 0, *fields))
+            scored = True
+        except FormatError:
+            scored = False
+        try:
+            engine_from_state(state)
+            loaded = True
+        except FormatError:
+            loaded = False
+        assert loaded == scored
 
 
 class TestAtomicSave:
